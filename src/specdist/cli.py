@@ -26,7 +26,6 @@ import numpy as np
 from . import distances, fileio, spectra, toeplitz
 from .errors import ParseError, SpecDistError
 from .hermitian import PsdPolicy
-from .toeplitz import DEFAULT_HORIZONS
 
 __all__ = ["main", "run"]
 
@@ -37,7 +36,7 @@ class RunConfig:
 
     n_freq: int
     policy: PsdPolicy
-    horizons: tuple
+    horizons: tuple | None
     fmt: str
     seed: int
     out: str | None
@@ -76,10 +75,11 @@ def _config_from(args) -> RunConfig:
         policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    horizons = getattr(args, "horizons", None)
     return RunConfig(
         n_freq=args.n_freq,
         policy=policy,
-        horizons=_parse_horizons(getattr(args, "horizons", "")) if hasattr(args, "horizons") else DEFAULT_HORIZONS,
+        horizons=_parse_horizons(horizons) if horizons is not None else None,
         fmt=args.format,
         seed=args.seed,
         out=args.out,
@@ -352,8 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="hann", help="Welch window (default hann)")
 
     horiz = argparse.ArgumentParser(add_help=False)
-    horiz.add_argument("--horizons", default=",".join(str(h) for h in DEFAULT_HORIZONS),
-                       help="comma-separated increasing horizon list")
+    horiz.add_argument("--horizons", default=None,
+                       help="comma-separated increasing horizon list (default "
+                            f"{','.join(map(str, toeplitz.DEFAULT_HORIZONS))}, "
+                            "keeping those within the dense budget at the source dim)")
     horiz.add_argument("--max-lag", type=int, default=None,
                        help="force autocovariance truncation at this lag")
 

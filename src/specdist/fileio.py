@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,15 @@ __all__ = [
 ]
 
 GRID_HEADER = ("omega_index", "row", "col", "re", "im")
+
+#: One grid CSV body row as the fast parse reads it.
+_GRID_ROW = np.dtype([("l", np.int64), ("i", np.int64), ("j", np.int64),
+                      ("re", np.float64), ("im", np.float64)])
+
+_GRID_ROW_FORMAT = "%d,%d,%d,%.17g,%.17g\n"
+
+#: Rows rendered per format call when writing a grid CSV.
+_WRITE_BLOCK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -93,17 +103,33 @@ def sidecar_path(path) -> Path:
 
 
 def grid_csv_text(grid: GridSpectrum) -> str:
-    """CSV body for a grid spectrum (header plus one line per entry)."""
-    lines = [",".join(GRID_HEADER)]
-    m = grid.dim
-    for l in range(grid.n_freq):
-        for i in range(m):
-            for j in range(m):
-                v = grid.values[l, i, j]
-                lines.append(
-                    f"{l},{i},{j},{format_float(v.real)},{format_float(v.imag)}"
-                )
-    return "\n".join(lines) + "\n"
+    """CSV body for a grid spectrum (header plus one line per entry).
+
+    Raises
+    ------
+    ValueError
+        If any value is non-finite, with the message of :func:`format_float`.
+    """
+    n, m = grid.n_freq, grid.dim
+    table = np.empty((n, m, m, 5))
+    table[..., 0] = np.arange(n)[:, None, None]
+    table[..., 1] = np.arange(m)[:, None]
+    table[..., 2] = np.arange(m)
+    table[..., 3] = grid.values.real
+    table[..., 4] = grid.values.imag
+    table = table.reshape(-1, 5)
+    parts = table[:, 3:]
+    finite = np.isfinite(parts)
+    if not finite.all():
+        format_float(parts.flat[np.argmin(finite)])  # raises for the first bad value
+    # ``%d`` renders the integral float indices exactly, and ``%.17g`` is
+    # the format ``format_float`` applies, so the text is identical to a
+    # per-entry rendering.  Blocks bound the temporary argument tuples.
+    pieces = [",".join(GRID_HEADER) + "\n"]
+    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+        block = table[start:start + _WRITE_BLOCK_ROWS]
+        pieces.append(_GRID_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+    return "".join(pieces)
 
 
 def write_grid_csv(path, grid: GridSpectrum) -> None:
@@ -118,8 +144,48 @@ def write_grid_csv(path, grid: GridSpectrum) -> None:
     sidecar_path(path).write_text(json_dumps(meta) + "\n")
 
 
+def _grid_rows_fast(path: Path):
+    """Body rows from numpy's C parser, or None when it rejects the body.
+
+    It accepts a subset of what :func:`_grid_rows_by_line` accepts (plain
+    numeric fields, one record per line) and yields bit-identical values,
+    so a file either parses here or falls through to the row loop.
+    """
+    with warnings.catch_warnings():
+        # A header-only file warns "input contained no data"; the row loop
+        # reports it instead.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              ndmin=1, dtype=_GRID_ROW)
+        except ValueError:
+            return None
+    return rows if rows.size else None
+
+
+def _grid_rows_by_line(path: Path, reader) -> list:
+    """Parse the body row by row; the only source of per-row error text."""
+    entries = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+        try:
+            entries.append(
+                (int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4]))
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if not entries:
+        raise ParseError(f"{path}: grid file has no data rows")
+    return entries
+
+
 def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     """Load a grid spectrum CSV, consulting the sidecar when present.
+
+    A repeated ``(omega_index, row, col)`` entry overrides earlier ones.
 
     Raises
     ------
@@ -139,23 +205,17 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
                 f"{path}: expected header {','.join(GRID_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                entries.append(
-                    (int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4]))
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not entries:
-        raise ParseError(f"{path}: grid file has no data rows")
+        rows = _grid_rows_fast(path)
+        if rows is not None:
+            l, i, j, re, im = (rows[name] for name in _GRID_ROW.names)
+        else:
+            l, i, j, re, im = zip(*_grid_rows_by_line(path, reader))
+            # Object arrays keep the loop's Python ints exact beyond int64.
+            l, i, j = (np.array(a, dtype=object) for a in (l, i, j))
+            re, im = np.array(re), np.array(im)
 
-    n_freq = max(e[0] for e in entries) + 1
-    m = max(max(e[1] for e in entries), max(e[2] for e in entries)) + 1
+    n_freq = int(l.max()) + 1
+    m = max(int(i.max()), int(j.max())) + 1
 
     meta_file = sidecar_path(path)
     if meta_file.exists():
@@ -171,14 +231,24 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
             )
         m, n_freq = md, mn
 
-    values = np.full((n_freq, m, m), np.nan, dtype=complex)
-    for l, i, j, re, im in entries:
-        if not (0 <= l < n_freq and 0 <= i < m and 0 <= j < m):
-            raise ParseError(f"{path}: entry ({l},{i},{j}) out of range")
-        values[l, i, j] = re + 1j * im
-    if np.isnan(values.real).any():
+    bad = (l < 0) | (l >= n_freq) | (i < 0) | (i >= m) | (j < 0) | (j >= m)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"{path}: entry ({l[k]},{i[k]},{j[k]}) out of range")
+    size = n_freq * m * m
+    # Fewer rows than entries cannot fill the grid; checking before any
+    # allocation also keeps a huge sidecar shape from being allocated.
+    if len(l) < size:
         raise ParseError(f"{path}: grid is missing entries")
-    return GridSpectrum.build(values, policy, name=str(path))
+    slot = (l.astype(np.intp) * m + i.astype(np.intp)) * m + j.astype(np.intp)
+    # Fancy assignment leaves the winner among repeated indices unspecified,
+    # so find the last row for each entry explicitly: it overrides the rest.
+    last = np.full(size, -1, dtype=np.intp)
+    np.maximum.at(last, slot, np.arange(len(slot)))
+    values = re[last] + 1j * im[last]
+    if (last < 0).any() or np.isnan(values.real).any():
+        raise ParseError(f"{path}: grid is missing entries")
+    return GridSpectrum.build(values.reshape(n_freq, m, m), policy, name=str(path))
 
 
 def load_json_object(path) -> dict:

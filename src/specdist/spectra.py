@@ -65,9 +65,9 @@ def default_omegas(n_freq: int) -> np.ndarray:
 
 def _symmetry_residual(values: np.ndarray) -> float:
     # Real-process symmetry: value at index N-l equals the transpose of the
-    # value at index l (both are Hermitian, so transpose == conjugate).
+    # value at index l, which for a Hermitian value is its conjugate.
     flipped = np.roll(values[::-1], 1, axis=0)
-    num = float(np.max(np.abs(flipped - np.swapaxes(values, -1, -2).conj())))
+    num = float(np.max(np.abs(flipped - values.conj())))
     den = float(np.max(np.abs(values)))
     if den == 0.0:
         return 0.0

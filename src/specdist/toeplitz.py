@@ -28,6 +28,7 @@ __all__ = [
     "ConvergenceDiagnostic",
     "build_block_toeplitz",
     "convergence_diagnostic",
+    "default_horizons",
     "finite_horizon_w2_sq_per_step",
     "trace_sqrt_product_per_step",
 ]
@@ -35,8 +36,19 @@ __all__ = [
 #: Largest stacked dimension (i+1)*m the dense eigensolvers are asked for.
 DENSE_CAP = 4096
 
-#: Default horizon schedule for convergence runs.
+#: Default horizon schedule for convergence runs, before the dim cap.
 DEFAULT_HORIZONS = (16, 32, 64, 128, 256, 512, 1024)
+
+
+def default_horizons(dim: int) -> tuple:
+    """``DEFAULT_HORIZONS`` capped at ``DENSE_CAP // dim - 1``.
+
+    Horizons whose stacked dimension ``(h+1) * dim`` would exceed the dense
+    budget are dropped.  The first horizon is kept even when it does not
+    fit, so a dim too large for any horizon fails with the budget error.
+    """
+    cap = DENSE_CAP // dim - 1
+    return tuple(h for h in DEFAULT_HORIZONS if h <= cap) or DEFAULT_HORIZONS[:1]
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,7 @@ def _fit_tail(horizons, values) -> float:
 def convergence_diagnostic(
     acx: Autocovariance,
     acy: Autocovariance,
-    horizons=DEFAULT_HORIZONS,
+    horizons=None,
     spectral_target: float = 0.0,
     policy: PsdPolicy = DEFAULT_POLICY,
 ) -> ConvergenceDiagnostic:
@@ -217,8 +229,9 @@ def convergence_diagnostic(
 
     Parameters
     ----------
-    horizons : sequence of int, strictly increasing
-        Horizons to evaluate; each must respect the dense budget.
+    horizons : sequence of int, strictly increasing, optional
+        Horizons to evaluate; each must respect the dense budget.  The
+        default is :func:`default_horizons` for the pair's dim.
     spectral_target : float
         Squared spectral distance the sequence should approach, computed
         by the independent grid path.
@@ -231,6 +244,8 @@ def convergence_diagnostic(
     :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
     """
     _check_pair(acx, acy)
+    if horizons is None:
+        horizons = default_horizons(acx.dim)
     horizons = [int(h) for h in horizons]
     if not horizons:
         raise ValueError("need at least one horizon")

@@ -1,6 +1,7 @@
 """CLI behavior: frozen outputs, determinism, and end-to-end flows."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,9 +125,14 @@ def test_installed_entry_point():
 
 
 def test_module_invocation_matches_entry_point():
+    # The child runs in tests/, so a relative PYTHONPATH entry would not
+    # resolve there; put the checkout's src/ first by absolute path.
+    src = str((HERE.parent / "src").resolve())
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "specdist", "info", "data/ar1.json"],
         cwd=HERE, capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert result.returncode == 0
     assert result.stdout == (HERE / "golden" / "info_model.out.txt").read_bytes()

@@ -1,7 +1,9 @@
 """Unit tests for serialization and the on-disk formats."""
 
+import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import random_grid_spectrum
 from specdist.errors import ParseError
 from specdist.fileio import (
+    GRID_HEADER,
     format_float,
     grid_csv_text,
     json_dumps,
@@ -20,6 +23,7 @@ from specdist.fileio import (
     sidecar_path,
     write_grid_csv,
 )
+from specdist.spectra import GridSpectrum
 
 GRID_HEADER_LINE = "omega_index,row,col,re,im"
 
@@ -68,6 +72,138 @@ def test_grid_csv_text_layout():
     assert lines[1].startswith("0,0,0,")
 
 
+def test_grid_csv_text_matches_per_entry_rendering(tmp_path):
+    # dim 8 with 80 frequencies spans more than one write block.
+    grid = random_grid_spectrum(8, np.random.default_rng(7), 80)
+    expected = [GRID_HEADER_LINE] + [
+        f"{l},{i},{j},{float(v.real):.17g},{float(v.imag):.17g}"
+        for (l, i, j), v in np.ndenumerate(grid.values)
+    ]
+    text = grid_csv_text(grid)
+    assert text == "\n".join(expected) + "\n"
+    path = tmp_path / "grid8.csv"
+    write_grid_csv(path, grid)
+    assert path.read_text() == text
+    back = read_grid_csv(path)
+    assert back.values.tobytes() == grid.values.tobytes()
+
+
+def test_write_grid_csv_refuses_non_finite(tmp_path):
+    values = np.ones((4, 2, 2), dtype=complex)
+    values[1, 0, 1] = complex(1.0, np.inf)
+    values[2, 1, 1] = np.nan
+    grid = GridSpectrum(values=values, real_symmetry=False)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as exc:
+        write_grid_csv(path, grid)
+    # Same text format_float gives the first non-finite part in file order.
+    assert str(exc.value) == f"refusing to serialize non-finite value {np.float64(np.inf)!r}"
+    assert not path.exists()
+    assert not sidecar_path(path).exists()
+
+
+def reference_read_grid_csv(path):
+    """Row-by-row reader with a per-entry scatter, which read_grid_csv must match."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(c.strip() for c in next(reader))
+        except StopIteration:
+            raise ParseError(f"{path}: empty grid file") from None
+        if header != GRID_HEADER:
+            raise ParseError(f"{path}: expected header {','.join(GRID_HEADER)}, "
+                             f"got {','.join(header)}")
+        entries = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 5:
+                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+            try:
+                entries.append((int(row[0]), int(row[1]), int(row[2]),
+                                float(row[3]), float(row[4])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if not entries:
+        raise ParseError(f"{path}: grid file has no data rows")
+    n_freq = max(e[0] for e in entries) + 1
+    m = max(max(e[1] for e in entries), max(e[2] for e in entries)) + 1
+    meta_file = sidecar_path(path)
+    if meta_file.exists():
+        meta = json.loads(meta_file.read_text())
+        md, mn = int(meta.get("dim", m)), int(meta.get("n_freq", n_freq))
+        if md < m or mn < n_freq:
+            raise ParseError(f"{path}: data indices exceed sidecar shape "
+                             f"(dim {md}, n_freq {mn})")
+        m, n_freq = md, mn
+    values = np.full((n_freq, m, m), np.nan, dtype=complex)
+    for l, i, j, re, im in entries:
+        if not (0 <= l < n_freq and 0 <= i < m and 0 <= j < m):
+            raise ParseError(f"{path}: entry ({l},{i},{j}) out of range")
+        values[l, i, j] = re + 1j * im
+    if np.isnan(values.real).any():
+        raise ParseError(f"{path}: grid is missing entries")
+    return GridSpectrum.build(values, name=str(path))
+
+
+TWO_ROWS = "0,0,0,4,0\n1,0,0,4,0\n"
+HERMITIAN_2X2 = "0,0,0,2,0\n0,0,1,0.5,0.25\n0,1,0,0.5,-0.25\n0,1,1,3,0\n"
+
+# (id, body after the header line, sidecar JSON or None, expected error
+# fragment or None for a valid grid)
+GRID_PARITY_CASES = [
+    ("plain", TWO_ROWS, None, None),
+    ("hermitian-2x2", HERMITIAN_2X2, None, None),
+    ("quoted-fields", '"0",0,0,4,0\n1,"0",0,"4",0\n', None, None),
+    ("underscore-digits", "0,0,0,4,0\n0_1,0,0,4_0,0\n", None, None),
+    ("full-width-digit", "\uff10,0,0,4,0\n1,0,0,\uff14,0\n", None, None),
+    ("hash-inside-row", "0,0,0,4#x,0\n", None, "could not convert string to float"),
+    ("trailing-comma", "0,0,0,4,0,\n", None, "expected 5 fields, got 6"),
+    ("too-few-fields", "0,0,0,4\n", None, "expected 5 fields, got 4"),
+    ("float-index", "1.0,0,0,4,0\n", None, "invalid literal for int()"),
+    ("blank-lines", "\n0,0,0,4,0\n\n   \n1,0,0,4,0\n\n", None, None),
+    ("crlf", TWO_ROWS.replace("\n", "\r\n"), None, None),
+    ("header-only", "", None, "no data rows"),
+    ("leading-plus", "+0,+0,+0,+4,-0\n+1,0,0,4,+0\n", None, None),
+    ("whitespace", " 0 , 0 ,0,\t4 , 0\n1 ,0, 0,4,0 \n", None, None),
+    ("negative-index", "0,0,0,4,0\n0,0,-1,4,0\n1,0,0,4,0\n", None, "entry (0,0,-1) out of range"),
+    ("int64-overflow-negative", "0,0,0,4,0\n-99999999999999999999,0,0,4,0\n", None,
+     "entry (-99999999999999999999,0,0) out of range"),
+    ("int64-overflow-positive", "0,0,0,4,0\n99999999999999999999,0,0,4,0\n",
+     '{"dim": 1, "n_freq": 2}', "exceed sidecar shape"),
+    ("int64-max", "0,0,0,4,0\n9223372036854775807,0,0,4,0\n",
+     '{"dim": 1, "n_freq": 2}', "exceed sidecar shape"),
+    ("missing-entry", "0,0,0,4,0\n2,0,0,4,0\n", None, "grid is missing entries"),
+    ("nan-is-missing", "0,0,0,nan,0\n1,0,0,4,0\n", None, "grid is missing entries"),
+    ("sidecar-pads-grid", TWO_ROWS, '{"dim": 1, "n_freq": 4}', "grid is missing entries"),
+    ("duplicate-last-wins", TWO_ROWS + "0,0,0,9,0\n1,0,0,3,0\n0,0,0,7,0\n", None, None),
+    ("duplicate-quoted", TWO_ROWS + '"0",0,0,9,0\n', None, None),
+    ("duplicate-overrides-nan", "0,0,0,nan,0\n1,0,0,4,0\n0,0,0,5,0\n", None, None),
+]
+
+
+@pytest.mark.parametrize("body, sidecar, error", [c[1:] for c in GRID_PARITY_CASES],
+                         ids=[c[0] for c in GRID_PARITY_CASES])
+def test_read_grid_csv_matches_row_loop(tmp_path, body, sidecar, error):
+    path = tmp_path / "grid.csv"
+    path.write_bytes((GRID_HEADER_LINE + "\n" + body).encode())
+    if sidecar is not None:
+        sidecar_path(path).write_text(sidecar)
+    try:
+        want = reference_read_grid_csv(path)
+    except ParseError as exc:
+        assert error is not None and error in str(exc)
+        with pytest.raises(ParseError) as got:
+            read_grid_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    assert error is None
+    got = read_grid_csv(path)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.real_symmetry, got.flooring_count) == (want.real_symmetry, want.flooring_count)
+
+
 def test_read_grid_csv_errors(tmp_path):
     cases = {
         "empty.csv": "",
@@ -88,6 +224,10 @@ def test_read_grid_csv_sidecar_mismatch(tmp_path):
     path.write_text(f"{GRID_HEADER_LINE}\n0,0,0,4,0\n1,0,0,4,0\n")
     sidecar_path(path).write_text('{"dim": 1, "n_freq": 1}')
     with pytest.raises(ParseError):
+        read_grid_csv(path)
+    # A shape that two rows cannot fill is refused before it is allocated.
+    sidecar_path(path).write_text('{"dim": 1, "n_freq": 1000000000000000}')
+    with pytest.raises(ParseError, match="missing entries"):
         read_grid_csv(path)
     sidecar_path(path).write_text("{broken")
     with pytest.raises(ParseError):

@@ -225,6 +225,29 @@ def test_check_real_symmetry_detects_perturbation():
     assert check_real_symmetry(clean) <= 1e-12
 
 
+def test_real_symmetry_with_cross_spectral_phase():
+    # Real multichannel processes have complex off-diagonal entries, so the
+    # mirror check must compare value(N-l) with conj(value(l)).
+    var1 = RationalSpectrum(
+        ar=np.array([[[0.5, 0.4], [0.0, 0.3]]]), ma=np.eye(2)[None], noise_cov=np.eye(2)
+    )
+    grid = rational_grid(var1, 64)
+    assert np.abs(grid.values[:, 0, 1].imag).max() > 0.1
+    assert grid.real_symmetry
+    assert check_real_symmetry(grid) <= 1e-12
+
+    rng = np.random.default_rng(2718)
+    x = rng.standard_normal((1 << 14, 2))
+    x[:, 1] += 0.7 * np.roll(x[:, 0], 1)
+    assert estimate_welch(x, 256).real_symmetry
+
+    # The same cross-phase at every frequency is not mirrored: not real.
+    cross = np.array([[2.0, 0.5j], [-0.5j, 2.0]])
+    unmirrored = GridSpectrum.build(np.broadcast_to(cross, (16, 2, 2)))
+    assert not unmirrored.real_symmetry
+    assert check_real_symmetry(unmirrored) == pytest.approx(1.0 / 2.0)
+
+
 def test_welch_white_noise_level():
     rng = np.random.default_rng(12345)
     grid = estimate_welch(rng.standard_normal(1 << 16), 512)

@@ -19,8 +19,11 @@ from specdist.spectra import (
 )
 from specdist.distances import spectral_w2
 from specdist.toeplitz import (
+    DEFAULT_HORIZONS,
+    DENSE_CAP,
     build_block_toeplitz,
     convergence_diagnostic,
+    default_horizons,
     finite_horizon_w2_sq_per_step,
     trace_sqrt_product_per_step,
     _fit_tail,
@@ -187,6 +190,25 @@ def test_diagnostic_validations():
         convergence_diagnostic(acov, acov, (), 0.0)
     with pytest.raises(ValueError):
         convergence_diagnostic(acov, acov, (8, 8), 0.0)
+
+
+def test_default_horizons_fit_dense_budget():
+    assert default_horizons(1) == DEFAULT_HORIZONS
+    assert default_horizons(2) == DEFAULT_HORIZONS
+    assert default_horizons(4) == (16, 32, 64, 128, 256, 512)
+    assert default_horizons(8) == (16, 32, 64, 128, 256)
+    assert default_horizons(32) == (16, 32, 64)
+    for m in (3, 5, 17, 240):
+        assert all((h + 1) * m <= DENSE_CAP for h in default_horizons(m))
+    # No horizon fits: the first one stays, and the budget error names it.
+    assert default_horizons(241) == (16,)
+    wide = Autocovariance(lags=np.eye(241)[None])
+    with pytest.raises(DimensionMismatch, match="4097 exceeds"):
+        convergence_diagnostic(wide, wide)
+    # Explicit horizons are not capped.
+    square = Autocovariance(lags=np.eye(4)[None])
+    with pytest.raises(DimensionMismatch):
+        convergence_diagnostic(square, square, (16, 1024))
 
 
 def test_diagnostic_flags_nonmonotone_tail(monkeypatch):
