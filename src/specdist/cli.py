@@ -38,7 +38,6 @@ class RunConfig:
     policy: PsdPolicy
     horizons: tuple | None
     fmt: str
-    seed: int
     out: str | None
     seg_len: int
     overlap: float
@@ -81,7 +80,6 @@ def _config_from(args) -> RunConfig:
         policy=policy,
         horizons=_parse_horizons(horizons) if horizons is not None else None,
         fmt=args.format,
-        seed=args.seed,
         out=args.out,
         seg_len=seg_len,
         overlap=overlap,
@@ -139,15 +137,6 @@ def _resolve_grid(kind: str, obj, n_freq: int, cfg: RunConfig) -> spectra.GridSp
     return spectra.autocov_to_spectrum(obj, n_freq, cfg.policy)
 
 
-def _truncate_by_decay(acov: spectra.Autocovariance) -> spectra.Autocovariance:
-    norms = np.linalg.norm(acov.lags, axis=(1, 2))
-    keep = np.nonzero(norms >= 1e-12 * max(norms[0], 1e-300))[0]
-    cut = int(keep.max()) if keep.size else 0
-    return spectra.Autocovariance(
-        lags=acov.lags[: cut + 1], imag_residual=acov.imag_residual
-    )
-
-
 def _derive_acov(kind, obj, grid, n_freq: int, cfg: RunConfig) -> spectra.Autocovariance:
     """Autocovariance for the oracle, honoring a forced --max-lag."""
     if kind == "autocov":
@@ -159,7 +148,7 @@ def _derive_acov(kind, obj, grid, n_freq: int, cfg: RunConfig) -> spectra.Autoco
     acov = spectra.spectrum_to_autocov(
         grid, cfg.max_lag if cfg.max_lag is not None else grid.n_freq // 2 - 1
     )
-    return acov if cfg.max_lag is not None else _truncate_by_decay(acov)
+    return acov if cfg.max_lag is not None else spectra.truncate_by_decay(acov)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -338,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative negative-eigenvalue tolerance (default 1e-10)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for reproducibility")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output here instead of stdout")
 

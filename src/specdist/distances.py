@@ -20,14 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, IndefiniteInput, NegativeDistance
+from .errors import DimensionMismatch, GridMismatch, NegativeDistance
 from .hermitian import (
     DEFAULT_POLICY,
     NEGATIVE_BAND,
     PsdPolicy,
+    coupling_trace,
     hermitian_part,
     sqrt_psd,
-    sqrt_psd_many,
     trace_sqrt_product,
 )
 from .spectra import GridSpectrum
@@ -108,20 +108,8 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
         return _PairProfile(zeros, np.zeros(n), np.zeros(n), 0.0)
 
     xv, yv = x.values, y.values
-    rx = sqrt_psd_many(xv, policy)
-    ry = sqrt_psd_many(yv, policy)
-
-    mid = hermitian_part(rx @ yv @ rx)
-    wm = np.linalg.eigvalsh(mid)
-    local = np.max(np.abs(wm), axis=-1)
-    bad = wm[:, 0] < -policy.negativity_tol * local
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise IndefiniteInput(
-            f"coupling matrix at frequency index {k} has eigenvalue "
-            f"{float(wm[k, 0]):.6e} beyond the negativity band"
-        )
-    tsp = np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
+    rx, ry = x.root, y.root
+    tsp = coupling_trace(rx, yv, policy)
 
     tr_x = np.trace(xv, axis1=-2, axis2=-1).real
     tr_y = np.trace(yv, axis1=-2, axis2=-1).real

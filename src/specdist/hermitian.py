@@ -28,9 +28,11 @@ __all__ = [
     "PsdPolicy",
     "bures_w2_squared",
     "check_hermitian",
+    "coupling_trace",
     "eigh",
     "hermitian_part",
     "hermitian_residual",
+    "psd_root",
     "sqrt_psd",
     "sqrt_psd_many",
     "trace_sqrt_product",
@@ -142,61 +144,63 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def _negativity_bound(w: np.ndarray, policy: PsdPolicy) -> float:
-    return policy.negativity_tol * float(np.max(np.abs(w), initial=0.0))
-
-
-def _floor_level(w: np.ndarray, policy: PsdPolicy) -> float:
-    return policy.floor_eps * max(float(w[..., -1]), 0.0)
-
-
-def _check_definite(w: np.ndarray, policy: PsdPolicy, name: str) -> None:
-    bound = _negativity_bound(w, policy)
-    lo = float(w[0])
-    if lo < -bound:
+def _refuse_indefinite(w: np.ndarray, policy: PsdPolicy, what: str) -> None:
+    # Per matrix: lowest eigenvalue against -negativity_tol * largest magnitude.
+    bounds = policy.negativity_tol * np.max(np.abs(w), axis=-1, initial=0.0)
+    lo = w[..., 0]
+    if np.any(lo < -bounds):
+        k = int(np.argmin(lo + bounds))
         raise IndefiniteInput(
-            f"{name} has eigenvalue {lo:.6e} below the tolerated "
-            f"negativity band -{bound:.3e}"
+            f"{what} {k} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
+            f"the tolerated negativity band -{float(np.ravel(bounds)[k]):.3e}"
         )
 
 
-def sqrt_psd(h, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(sqrt(w)) V*`` from a batched eigendecomposition with ``w``
+    already floored.  ``v`` is conjugated in place (one stack-sized
+    temporary less), so the caller must not reuse it.  Not symmetrized.
+    """
+    scaled = v * np.sqrt(w)[..., None, :]
+    np.conj(v, out=v)
+    return scaled @ np.swapaxes(v, -1, -2)
 
-    Eigenvalues below the policy floor are lifted to the floor before the
-    root is formed, so the result squares back to the floored matrix.
+
+def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Principal square roots of a stack of Hermitian PSD matrices.
+
+    Eigenvalues below ``floor_eps`` times each matrix's largest eigenvalue
+    are lifted to that floor first, so each root squares back to the
+    floored matrix.  Input shape ``(..., m, m)``; symmetry is not
+    re-validated here.
 
     Raises
     ------
     IndefiniteInput
         If an eigenvalue falls below the policy's negativity band.
     """
-    w, v = eigh(h)
-    _check_definite(w, policy, "matrix")
-    wf = np.maximum(w, _floor_level(w, policy))
-    s = (v * np.sqrt(wf)) @ np.conj(v.T)
-    return hermitian_part(s)
-
-
-def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Principal square roots of a stack of Hermitian PSD matrices.
-
-    Same flooring semantics as :func:`sqrt_psd`, applied per matrix.
-    Input shape ``(..., m, m)``; symmetry is not re-validated here.
-    """
     w, v = np.linalg.eigh(values)
-    bounds = policy.negativity_tol * np.max(np.abs(w), axis=-1, initial=0.0)
-    lo = w[..., 0]
-    if np.any(lo < -bounds):
-        k = int(np.argmin(lo + bounds))
-        raise IndefiniteInput(
-            f"matrix {k} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
-            "the tolerated negativity band"
-        )
+    _refuse_indefinite(w, policy, "matrix")
     floors = policy.floor_eps * np.maximum(w[..., -1], 0.0)
-    wf = np.maximum(w, floors[..., None])
-    s = (v * np.sqrt(wf)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return hermitian_part(s)
+    return psd_root(np.maximum(w, floors[..., None]), v)
+
+
+def sqrt_psd(h, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`sqrt_psd_many` on one matrix, after checking it is Hermitian."""
+    return sqrt_psd_many(check_hermitian(h)[None], policy)[0]
+
+
+def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` given the root ``A^{1/2}``, batched
+    over leading axes.
+
+    The sandwich is a congruence, which keeps the sign of ``B``'s
+    eigenvalues, so an indefinite ``B`` raises
+    :class:`~specdist.errors.IndefiniteInput` here.
+    """
+    wm = np.linalg.eigvalsh(hermitian_part(root_a @ b @ root_a))
+    _refuse_indefinite(wm, policy, "coupling matrix")
+    return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
 
 
 def trace_sqrt_product(
@@ -236,13 +240,7 @@ def trace_sqrt_product(
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
 
     if method == "sandwich":
-        wa, va = eigh(a)
-        _check_definite(wa, policy, "first operand")
-        ah = (va * np.sqrt(np.maximum(wa, _floor_level(wa, policy)))) @ np.conj(va.T)
-        m = hermitian_part(ah @ b @ ah)
-        wm = np.linalg.eigvalsh(m)
-        _check_definite(wm, policy, "second operand (via congruence)")
-        return float(np.sum(np.sqrt(np.maximum(wm, 0.0))))
+        return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
 
     if method == "product-eigs":
         lam = np.linalg.eigvals(a @ b)

@@ -25,7 +25,13 @@ from .errors import (
     TooFewSegments,
     UnstableModel,
 )
-from .hermitian import DEFAULT_POLICY, PsdPolicy, hermitian_part, hermitian_residual
+from .hermitian import (
+    DEFAULT_POLICY,
+    PsdPolicy,
+    hermitian_part,
+    hermitian_residual,
+    psd_root,
+)
 
 __all__ = [
     "Autocovariance",
@@ -39,6 +45,7 @@ __all__ = [
     "rational_to_autocov",
     "spectrum_to_autocov",
     "stability_radius",
+    "truncate_by_decay",
 ]
 
 #: Relative residual above which grid values are rejected as non-Hermitian.
@@ -47,6 +54,9 @@ GRID_HERMITIAN_TOL = 1e-8
 #: Residual threshold under which a grid is flagged as coming from a
 #: real-valued process (conjugate symmetry across the Nyquist point).
 REAL_SYMMETRY_TOL = 1e-10
+
+#: Trailing lags with ``|R(k)|_F < DECAY_TOL * |R(0)|_F`` are cut.
+DECAY_TOL = 1e-12
 
 #: Condition number above which the AR polynomial is treated as singular.
 AR_COND_LIMIT = 1e12
@@ -67,7 +77,9 @@ def _symmetry_residual(values: np.ndarray) -> float:
     # Real-process symmetry: value at index N-l equals the transpose of the
     # value at index l, which for a Hermitian value is its conjugate.
     flipped = np.roll(values[::-1], 1, axis=0)
-    num = float(np.max(np.abs(flipped - values.conj())))
+    np.conj(flipped, out=flipped)
+    flipped -= values
+    num = float(np.max(np.abs(flipped)))
     den = float(np.max(np.abs(values)))
     if den == 0.0:
         return 0.0
@@ -82,6 +94,8 @@ class GridSpectrum:
     ----------
     values : ndarray of shape (n_freq, m, m), complex
         Hermitian PD matrices at ``w_l = 2 pi l / n_freq``.
+    root : ndarray of shape (n_freq, m, m), complex
+        Principal square root of each value, from the decomposition in build.
     real_symmetry : bool
         True when the grid satisfies the real-process symmetry
         ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.
@@ -91,6 +105,7 @@ class GridSpectrum:
     """
 
     values: np.ndarray
+    root: np.ndarray
     real_symmetry: bool
     flooring_count: int = 0
 
@@ -159,14 +174,17 @@ class GridSpectrum:
         needs = w.min(axis=-1) < floor
         count = int(np.count_nonzero(needs))
         if count:
-            wf = np.maximum(w[needs], floor)
+            np.maximum(w, floor, out=w)
             vb = v[needs]
-            fixed = (vb * wf[:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
-            values = values.copy()
+            fixed = (vb * w[needs][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
             values[needs] = hermitian_part(fixed)
 
+        # The root comes from the same decomposition; w and v are released
+        # before the symmetry check allocates its own grid-sized temporaries.
+        root = psd_root(w, v)
+        del w, v
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
-        return cls(values=values, real_symmetry=sym, flooring_count=count)
+        return cls(values=values, root=root, real_symmetry=sym, flooring_count=count)
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
@@ -399,11 +417,19 @@ def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
     return Autocovariance(lags=seq.real, imag_residual=residual)
 
 
+def truncate_by_decay(acov: Autocovariance) -> Autocovariance:
+    """Cut after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``: a
+    controlled approximation for stable, geometrically decaying processes."""
+    norms = np.linalg.norm(acov.lags, axis=(1, 2))
+    keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
+    cut = int(keep.max()) if keep.size else 0
+    return Autocovariance(lags=acov.lags[: cut + 1], imag_residual=acov.imag_residual)
+
+
 def rational_to_autocov(
     model: RationalSpectrum,
     n_freq: int = 4096,
     max_lag: int | None = None,
-    decay_tol: float = 1e-12,
 ) -> Autocovariance:
     """Autocovariance sequence of a rational model via its sampled spectrum.
 
@@ -413,19 +439,14 @@ def rational_to_autocov(
         Grid resolution used for the inverse transform; must comfortably
         exceed the model's effective memory.
     max_lag : int, optional
-        Forced truncation point.  By default the sequence is cut at the
-        first lag where ``|R(k)|_F < decay_tol * |R(0)|_F``, which is a
-        controlled approximation for stable models (geometric decay).
+        Forced truncation point.  By default the sequence is cut by
+        :func:`truncate_by_decay`.
     """
     spec = rational_grid(model, n_freq)
     hard_cap = n_freq // 2 - 1
     if max_lag is not None:
         return spectrum_to_autocov(spec, min(max_lag, hard_cap))
-    full = spectrum_to_autocov(spec, hard_cap)
-    norms = np.linalg.norm(full.lags, axis=(1, 2))
-    cut = norms >= decay_tol * norms[0]
-    k = int(np.max(np.nonzero(cut)[0])) if np.any(cut) else 0
-    return Autocovariance(lags=full.lags[: k + 1], imag_residual=full.imag_residual)
+    return truncate_by_decay(spectrum_to_autocov(spec, hard_cap))
 
 
 def estimate_welch(

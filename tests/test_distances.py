@@ -18,6 +18,7 @@ from specdist.errors import (
     GridMismatch,
     IndefiniteInput,
     NegativeDistance,
+    NotPositiveDefinite,
 )
 from specdist.hermitian import hermitian_part, sqrt_psd
 from specdist.spectra import (
@@ -62,7 +63,9 @@ def test_report_shape_and_consistency():
 
 def test_identical_grids_are_exactly_zero():
     x = random_grid_spectrum(3, np.random.default_rng(3), 16)
-    clone = GridSpectrum(values=x.values.copy(), real_symmetry=x.real_symmetry)
+    clone = GridSpectrum(
+        values=x.values.copy(), root=x.root.copy(), real_symmetry=x.real_symmetry
+    )
     for fn in (spectral_w2, gelbrich_lower_bound, hellinger):
         report = fn(x, clone)
         assert report.value == 0.0
@@ -219,11 +222,37 @@ def test_symmetry_and_triangle_sampled():
 
 
 def test_indefinite_input_propagates():
+    # A built grid is definite: the first operand's check happens in
+    # build.  A hand-built indefinite second operand is caught by the
+    # coupling kernel, because the sandwich is a sign-keeping congruence.
     bad_values = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), (4, 2, 2)).copy()
-    bad = GridSpectrum(values=bad_values, real_symmetry=True)
+    with pytest.raises(NotPositiveDefinite):
+        GridSpectrum.build(bad_values)
+    bad = GridSpectrum(
+        values=bad_values, root=np.full_like(bad_values, np.nan), real_symmetry=True
+    )
     good = random_grid_spectrum(2, np.random.default_rng(3), 4)
-    with pytest.raises(IndefiniteInput):
-        spectral_w2(bad, good)
+    for fn in (spectral_w2, hellinger):
+        with pytest.raises(IndefiniteInput):
+            fn(good, bad)
+
+
+def test_one_batched_eigensolve_per_distance(monkeypatch):
+    # The roots come from GridSpectrum.build, so the distance itself only
+    # decomposes the coupling sandwich.
+    x = random_grid_spectrum(3, np.random.default_rng(5), 32)
+    y = random_grid_spectrum(3, np.random.default_rng(6), 32)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            calls.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    spectral_w2(x, y)
+    assert calls == [(32, 3, 3)]
 
 
 def test_negative_band_guard(monkeypatch):

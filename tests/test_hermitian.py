@@ -17,6 +17,7 @@ from specdist.hermitian import (
     PsdPolicy,
     bures_w2_squared,
     check_hermitian,
+    coupling_trace,
     eigh,
     hermitian_part,
     hermitian_residual,
@@ -128,14 +129,21 @@ def test_trace_sqrt_product_trivial_cases():
 @pytest.mark.parametrize("m", [2, 3, 8])
 def test_trace_sqrt_product_paths_agree(m):
     rng = np.random.default_rng(100 + m)
-    for _ in range(10):
-        a = random_pd(m, rng, complex_=True)
-        b = random_pd(m, rng, complex_=True)
+    pairs = [
+        (random_pd(m, rng, complex_=True), random_pd(m, rng, complex_=True))
+        for _ in range(10)
+    ]
+    a_stack = np.stack([a for a, _ in pairs])
+    b_stack = np.stack([b for _, b in pairs])
+    kernel = coupling_trace(sqrt_psd_many(a_stack), b_stack)
+    assert kernel.shape == (10,)
+    for k, (a, b) in enumerate(pairs):
         sandwich = trace_sqrt_product(a, b)
         product = trace_sqrt_product(a, b, method="product-eigs")
         reference = tsp_reference(a, b)
         assert abs(sandwich - product) <= 1e-8 * sandwich
         assert abs(sandwich - reference) <= 1e-8 * sandwich
+        assert abs(kernel[k] - product) <= 1e-8 * product
 
 
 def test_trace_sqrt_product_validations():

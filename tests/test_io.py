@@ -92,7 +92,7 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
     values = np.ones((4, 2, 2), dtype=complex)
     values[1, 0, 1] = complex(1.0, np.inf)
     values[2, 1, 1] = np.nan
-    grid = GridSpectrum(values=values, real_symmetry=False)
+    grid = GridSpectrum(values=values, root=values, real_symmetry=False)
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError) as exc:
         write_grid_csv(path, grid)

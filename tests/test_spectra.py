@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pd
+from conftest import random_grid_spectrum, random_pd
 from specdist.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -15,6 +15,7 @@ from specdist.errors import (
     TooFewSegments,
     UnstableModel,
 )
+from specdist.hermitian import DEFAULT_POLICY, sqrt_psd_many
 from specdist.spectra import (
     Autocovariance,
     GridSpectrum,
@@ -62,6 +63,35 @@ def test_grid_build_validations():
     indef = np.broadcast_to(np.diag([1.0, -1.0]), (4, 2, 2))
     with pytest.raises(NotPositiveDefinite):
         GridSpectrum.build(indef)
+
+
+def _floored_grid():
+    # 1 + cos(w) in a rotated basis: one eigenvalue hits zero at w = pi.
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(g)
+    omegas = default_omegas(16)
+    curves = np.stack([1.0 + np.cos(omegas), 2.0 + np.sin(omegas), np.full(16, 3.0)], 1)
+    return GridSpectrum.build(np.einsum("ij,fj,kj->fik", q, curves, q.conj()))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "floored"])
+def test_grid_root_from_build_decomposition(case):
+    if case == "floored":
+        spec = _floored_grid()
+        assert spec.flooring_count == 1
+        # Decomposing a floored value again moves its floor eigenvalue by
+        # about eps * scale, which the root amplifies by 1 / (2 sqrt(floor)).
+        ref_tol = np.finfo(float).eps / np.sqrt(DEFAULT_POLICY.floor_eps)
+    else:
+        spec = random_grid_spectrum(case, np.random.default_rng(11), 32)
+        ref_tol = 1e-12
+    root = spec.root
+    assert root.shape == spec.values.shape
+    scale = np.max(np.abs(spec.values))
+    assert np.max(np.abs(root @ root - spec.values)) <= 1e-12 * scale
+    ref = sqrt_psd_many(spec.values)
+    assert np.max(np.abs(root - ref)) <= ref_tol * np.max(np.abs(ref))
 
 
 def test_grid_build_floors_spectral_zero():
