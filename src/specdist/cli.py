@@ -25,7 +25,7 @@ import numpy as np
 
 from . import distances, fileio, spectra, toeplitz
 from .errors import ParseError, SpecDistError
-from .hermitian import PsdPolicy
+from .hermitian import DEFAULT_POLICY, PsdPolicy
 
 __all__ = ["main", "run"]
 
@@ -321,10 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n-freq", type=int, default=4096,
                         help="frequency grid size (power of two, default 4096)")
-    common.add_argument("--floor-eps", type=float, default=1e-12,
-                        help="relative eigenvalue floor (default 1e-12)")
-    common.add_argument("--negativity-tol", type=float, default=1e-10,
-                        help="relative negative-eigenvalue tolerance (default 1e-10)")
+    common.add_argument("--floor-eps", type=float, default=DEFAULT_POLICY.floor_eps,
+                        help="relative eigenvalue floor (default %(default)g)")
+    common.add_argument("--negativity-tol", type=float,
+                        default=DEFAULT_POLICY.negativity_tol,
+                        help="relative negativity tolerance (default %(default)g)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
     common.add_argument("--out", default=None, metavar="PATH",

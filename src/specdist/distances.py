@@ -20,15 +20,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NegativeDistance
+from .errors import DimensionMismatch, GridMismatch
 from .hermitian import (
     DEFAULT_POLICY,
-    NEGATIVE_BAND,
     PsdPolicy,
+    _clamp_round_off,
+    _refuse_indefinite,
+    check_hermitian,
     coupling_trace,
     hermitian_part,
+    psd_root,
     sqrt_psd,
-    trace_sqrt_product,
 )
 from .spectra import GridSpectrum
 
@@ -114,27 +116,12 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
     tr_x = np.trace(xv, axis1=-2, axis2=-1).real
     tr_y = np.trace(yv, axis1=-2, axis2=-1).real
     scale = tr_x + tr_y
-    w2 = tr_x + tr_y - 2.0 * tsp
-    band = NEGATIVE_BAND * scale
-    if np.any(w2 < -band):
-        k = int(np.argmin(w2 + band))
-        raise NegativeDistance(
-            f"transport trace {float(w2[k]):.6e} at frequency index {k} "
-            f"below the round-off band -{float(band[k]):.3e}"
-        )
-    w2 = np.maximum(w2, 0.0)
+    w2 = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
+    hell = np.sum(np.abs(rx - ry) ** 2, axis=(-2, -1))
 
-    diff = rx - ry
-    hell = np.sum(np.abs(diff) ** 2, axis=(-2, -1))
-
-    cross = np.einsum("fij,fji->f", rx, ry).real
-    alt = tsp - cross
-    if np.any(alt < -band):
-        k = int(np.argmin(alt + band))
-        raise NegativeDistance(
-            f"coupling-trace gap {float(alt[k]):.6e} at frequency index {k} "
-            f"below the round-off band; trace inequality violated numerically"
-        )
+    # The gap is guarded like the transport trace but reported unclamped.
+    alt = tsp - np.einsum("fij,fji->f", rx, ry).real
+    _clamp_round_off(alt, scale, "coupling-trace gap")
 
     comm = xv @ yv - yv @ xv
     residual = float(np.max(np.linalg.norm(comm, axis=(-2, -1))))
@@ -146,7 +133,6 @@ def _report(
     y: GridSpectrum,
     integrand: np.ndarray,
     profile: _PairProfile,
-    is_lower_bound: bool = False,
 ) -> DistanceReport:
     squared = float(np.mean(integrand))
     return DistanceReport(
@@ -157,40 +143,37 @@ def _report(
         alt_gap=profile.alt_gap,
         commutation_residual=profile.commutation_residual,
         flooring_count=x.flooring_count + y.flooring_count,
-        is_lower_bound=is_lower_bound,
     )
 
 
 def w_integrand(phix, phiy, policy: PsdPolicy = DEFAULT_POLICY):
     """Transport cost matrix and trace for one pair of spectrum values.
 
+    One eigensolve each for ``A`` and the sandwich ``A^{1/2} B A^{1/2}``,
+    whose eigenvalues give its root, the trace, and ``B``'s definiteness.
+
     Returns
     -------
     matrix : ndarray
         ``W = A + B - 2 (A^{1/2} B A^{1/2})^{1/2}``, Hermitian.
     trace : float
-        ``tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}]`` with the trace of
-        the coupling term computed through its product-eigenvalue identity;
-        clamped to zero inside the round-off band.
+        ``tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}]``, the trace of
+        ``matrix`` up to round-off; clamped to zero inside the round-off
+        band.
     """
     a = np.asarray(phix)
-    b = np.asarray(phiy)
+    b = check_hermitian(phiy, name="second operand")
     if a.shape != b.shape:
         raise DimensionMismatch(f"value shapes differ: {a.shape} vs {b.shape}")
     ra = sqrt_psd(a, policy)
-    inner = sqrt_psd(hermitian_part(ra @ b @ ra), policy)
-    matrix = hermitian_part(a + b - 2.0 * inner)
+    wm, vm = np.linalg.eigh(hermitian_part(ra @ b @ ra))
+    _refuse_indefinite(wm, policy, "coupling matrix")
+    wm = np.maximum(wm, 0.0)
+    matrix = hermitian_part(a + b - 2.0 * psd_root(wm, vm))
 
-    cross = trace_sqrt_product(a, b, policy)
-    tra = float(np.trace(a).real)
-    trb = float(np.trace(b).real)
-    trace = tra + trb - 2.0 * cross
-    band = NEGATIVE_BAND * (tra + trb)
-    if trace < -band:
-        raise NegativeDistance(
-            f"transport trace {trace:.6e} below the round-off band -{band:.3e}"
-        )
-    return matrix, max(trace, 0.0)
+    scale = float(np.trace(a).real) + float(np.trace(b).real)
+    trace = scale - 2.0 * np.sum(np.sqrt(wm))
+    return matrix, float(_clamp_round_off(trace, scale, "transport trace"))
 
 
 def spectral_w2(

@@ -190,8 +190,8 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     Raises
     ------
     ParseError
-        On a bad header, malformed row, out-of-range index, missing grid
-        entry, or a sidecar that contradicts the data.
+        On a bad header, malformed row, out-of-range index, missing or
+        non-finite grid entry, or a sidecar that contradicts the data.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -245,9 +245,14 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     # so find the last row for each entry explicitly: it overrides the rest.
     last = np.full(size, -1, dtype=np.intp)
     np.maximum.at(last, slot, np.arange(len(slot)))
-    values = re[last] + 1j * im[last]
-    if (last < 0).any() or np.isnan(values.real).any():
+    if (last < 0).any():
         raise ParseError(f"{path}: grid is missing entries")
+    re, im = re[last], im[last]
+    finite = np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        lb, ib, jb = np.unravel_index(int(np.argmin(finite)), (n_freq, m, m))
+        raise ParseError(f"{path}: entry ({lb},{ib},{jb}) is not a finite number")
+    values = re + 1j * im
     return GridSpectrum.build(values.reshape(n_freq, m, m), policy, name=str(path))
 
 
@@ -265,9 +270,12 @@ def load_json_object(path) -> dict:
 
 def _as_float_array(obj, path, key) -> np.ndarray:
     try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: field {key!r}: {exc}") from None
+    if not np.isfinite(arr).all():  # json reads NaN, Infinity and 1e999
+        raise ParseError(f"{path}: field {key!r} holds a non-finite number")
+    return arr
 
 
 def _as_matrix_stack(arr: np.ndarray, path, key) -> np.ndarray:
@@ -320,7 +328,8 @@ def read_autocov_json(path) -> Autocovariance:
 
 
 def read_timeseries_csv(path) -> np.ndarray:
-    """Load a time series CSV into an array of shape (T, m)."""
+    """Load a time series CSV into an array of shape (T, m); a non-finite
+    sample is refused."""
     path = Path(path)
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -328,4 +337,8 @@ def read_timeseries_csv(path) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ParseError(f"{path}: time series is empty")
+    finite = np.isfinite(data)
+    if not finite.all():
+        t, c = np.unravel_index(int(np.argmin(finite)), data.shape)
+        raise ParseError(f"{path}: sample {t}, channel {c} is not a finite number")
     return data

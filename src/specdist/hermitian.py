@@ -5,6 +5,7 @@ quadratic coupling cost ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on
 pairs of Hermitian positive-definite matrices.  Everything here is a pure
 function of its inputs; real symmetric matrices are handled as the special
 case of complex Hermitian ones and stay in real arithmetic throughout.
+Each PSD rule of the package (symmetry, negativity, round-off) lives here.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ __all__ = [
 #: Relative symmetry tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
 
-#: Relative round-off band below zero tolerated by ``bures_w2_squared``
-#: before declaring a numerical bug.
+#: Looser symmetry tolerance for spectrum grids, R(0) and noise_cov.
+GRID_HERMITIAN_TOL = 1e-8
+
+#: Relative round-off band below zero tolerated in a computed squared
+#: distance (or coupling-trace gap) before declaring a numerical bug.
 NEGATIVE_BAND = 1e-10
 
 
@@ -85,9 +89,10 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def hermitian_residual(a: np.ndarray) -> float:
     """Max entrywise deviation from conjugate symmetry, relative to the
-    largest entry magnitude (0.0 for the zero matrix)."""
+    largest entry magnitude (0.0 for the zero matrix, NaN if not finite)."""
     a = np.asarray(a)
-    num = float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN we want
+        num = float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
     den = float(np.max(np.abs(a)))
     if den == 0.0:
         return 0.0
@@ -102,17 +107,20 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.n
     DimensionMismatch
         If ``a`` is not two-dimensional and square.
     NonHermitianInput
-        If the relative symmetry residual exceeds ``tol``.
+        If the relative symmetry residual exceeds ``tol`` or is NaN.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    res = hermitian_residual(a)
-    if res > tol:
-        raise NonHermitianInput(
-            f"{name} has symmetry residual {res:.3e} (tolerance {tol:.1e})"
-        )
+    _refuse_asymmetric(a, tol, name)
     return a
+
+
+def _refuse_asymmetric(a, tol: float, what: str, error=NonHermitianInput) -> None:
+    # The one symmetry rule; ``not res <= tol`` also refuses a NaN residual.
+    res = hermitian_residual(a)
+    if not res <= tol:
+        raise error(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
 
 
 def eigh(h, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
@@ -144,16 +152,33 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def _refuse_indefinite(w: np.ndarray, policy: PsdPolicy, what: str) -> None:
-    # Per matrix: lowest eigenvalue against -negativity_tol * largest magnitude.
+def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput) -> None:
+    # The one per-matrix negativity rule: each lowest eigenvalue against
+    # -negativity_tol times the largest magnitude.  NaN fails.
     bounds = policy.negativity_tol * np.max(np.abs(w), axis=-1, initial=0.0)
     lo = w[..., 0]
-    if np.any(lo < -bounds):
+    if not np.all(lo >= -bounds):
         k = int(np.argmin(lo + bounds))
-        raise IndefiniteInput(
-            f"{what} {k} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
+        label = f"{what} {k}" if lo.ndim else what
+        raise error(
+            f"{label} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
             f"the tolerated negativity band -{float(np.ravel(bounds)[k]):.3e}"
         )
+
+
+def _clamp_round_off(val, scale, what: str) -> np.ndarray:
+    # The one round-off rule for a computed squared distance: clamp values
+    # down to -NEGATIVE_BAND * scale to zero, refuse lower ones and NaN.
+    val = np.asarray(val)
+    band = NEGATIVE_BAND * np.asarray(scale)
+    if not np.all(val >= -band):
+        k = int(np.argmin(val + band))
+        at = f" at frequency index {k}" if val.ndim else ""
+        raise NegativeDistance(
+            f"{what} {float(np.ravel(val)[k]):.6e}{at} below the round-off "
+            f"band -{float(np.ravel(band)[k]):.3e}"
+        )
+    return np.maximum(val, 0.0)
 
 
 def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -268,12 +293,5 @@ def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     negative raises :class:`~specdist.errors.NegativeDistance`.
     """
     cross = trace_sqrt_product(a, b, policy)
-    tra = float(np.trace(np.asarray(a)).real)
-    trb = float(np.trace(np.asarray(b)).real)
-    val = tra + trb - 2.0 * cross
-    band = NEGATIVE_BAND * (tra + trb)
-    if val < -band:
-        raise NegativeDistance(
-            f"squared distance {val:.6e} below the round-off band -{band:.3e}"
-        )
-    return max(val, 0.0)
+    scale = float(np.trace(np.asarray(a)).real) + float(np.trace(np.asarray(b)).real)
+    return float(_clamp_round_off(scale - 2.0 * cross, scale, "squared distance"))

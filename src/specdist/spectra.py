@@ -18,7 +18,6 @@ from .errors import (
     DimensionMismatch,
     GridTooCoarse,
     LagTooLarge,
-    NonHermitianInput,
     NonRealResidue,
     NotPositiveDefinite,
     SingularAr,
@@ -27,9 +26,11 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_POLICY,
+    GRID_HERMITIAN_TOL,
     PsdPolicy,
+    _refuse_asymmetric,
+    _refuse_indefinite,
     hermitian_part,
-    hermitian_residual,
     psd_root,
 )
 
@@ -47,9 +48,6 @@ __all__ = [
     "stability_radius",
     "truncate_by_decay",
 ]
-
-#: Relative residual above which grid values are rejected as non-Hermitian.
-GRID_HERMITIAN_TOL = 1e-8
 
 #: Residual threshold under which a grid is flagged as coming from a
 #: real-valued process (conjugate symmetry across the Nyquist point).
@@ -138,7 +136,7 @@ class GridSpectrum:
         ------
         NonHermitianInput
             If any value deviates from Hermitian symmetry beyond
-            ``GRID_HERMITIAN_TOL`` (relative).
+            ``GRID_HERMITIAN_TOL`` (relative), or is not finite.
         NotPositiveDefinite
             If any eigenvalue is negative beyond the policy band, or the
             whole grid has no positive mass to floor against.
@@ -148,12 +146,7 @@ class GridSpectrum:
             raise DimensionMismatch(
                 f"{name} must have shape (n_freq, m, m), got {values.shape}"
             )
-        res = hermitian_residual(values)
-        if res > GRID_HERMITIAN_TOL:
-            raise NonHermitianInput(
-                f"{name} values have Hermitian residual {res:.3e} "
-                f"(tolerance {GRID_HERMITIAN_TOL:.1e})"
-            )
+        _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
         values = hermitian_part(values)
 
         w, v = np.linalg.eigh(values)
@@ -210,15 +203,11 @@ class Autocovariance:
             raise DimensionMismatch(
                 f"autocovariance lags must have shape (K+1, m, m), got {lags.shape}"
             )
-        r0 = lags[0]
-        scale = float(np.max(np.abs(r0)))
-        if scale > 0.0 and float(np.max(np.abs(r0 - r0.T))) > 1e-8 * scale:
-            raise NotPositiveDefinite("R(0) is not symmetric")
-        w = np.linalg.eigvalsh(0.5 * (r0 + r0.T))
-        if float(w[0]) < -1e-10 * max(float(np.abs(w).max()), 1e-300):
-            raise NotPositiveDefinite(
-                f"R(0) has negative eigenvalue {float(w[0]):.6e}"
-            )
+        _refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)", NotPositiveDefinite)
+        w = np.linalg.eigvalsh(hermitian_part(lags[0]))
+        _refuse_indefinite(w, DEFAULT_POLICY, "R(0)", NotPositiveDefinite)
+        if not np.isfinite(lags).all():
+            raise ValueError("autocovariance lags must be finite")
         object.__setattr__(self, "lags", lags)
 
     @property
@@ -262,13 +251,14 @@ class RationalSpectrum:
             raise DimensionMismatch(
                 f"ma coefficients must have shape (q+1, {m}, {m}), got {ma.shape}"
             )
-        if float(np.max(np.abs(q - q.T))) > 1e-8 * max(float(np.abs(q).max()), 1e-300):
-            raise NotPositiveDefinite("noise_cov is not symmetric")
-        w = np.linalg.eigvalsh(0.5 * (q + q.T))
-        if float(w[0]) <= 1e-12 * float(np.abs(w).max()):
+        _refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov", NotPositiveDefinite)
+        w = np.linalg.eigvalsh(hermitian_part(q))
+        if float(w[0]) <= DEFAULT_POLICY.floor_eps * float(np.abs(w).max()):
             raise NotPositiveDefinite(
                 f"noise_cov must be positive definite; min eigenvalue {float(w[0]):.6e}"
             )
+        if not (np.isfinite(ar).all() and np.isfinite(ma).all()):
+            raise ValueError("ar and ma coefficients must be finite")
         radius = stability_radius(ar)
         if radius >= 1.0:
             raise UnstableModel(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FitDegenerateWarning, NotPositiveDefinite
-from .hermitian import DEFAULT_POLICY, PsdPolicy, bures_w2_squared, trace_sqrt_product
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _refuse_indefinite
+from .hermitian import bures_w2_squared, trace_sqrt_product
 from .spectra import Autocovariance
 
 __all__ = [
@@ -101,16 +102,9 @@ def build_block_toeplitz(
     matrix = table[offsets].transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
     w = np.linalg.eigvalsh(matrix)
-    lo = float(w[0])
-    bound = policy.negativity_tol * float(np.max(np.abs(w), initial=0.0))
-    if lo < -bound:
-        raise NotPositiveDefinite(
-            f"stacked covariance at horizon {horizon} has minimum eigenvalue "
-            f"{lo:.6e}; the autocovariance is invalid or truncated too hard"
-        )
-    return BlockToeplitzCovariance(
-        dim=m, horizon=horizon, matrix=matrix, min_eigenvalue=lo
-    )
+    what = f"stacked covariance at horizon {horizon} (invalid or over-truncated lags)"
+    _refuse_indefinite(w, policy, what, NotPositiveDefinite)
+    return BlockToeplitzCovariance(m, horizon, matrix, min_eigenvalue=float(w[0]))
 
 
 def _check_pair(acx: Autocovariance, acy: Autocovariance) -> None:

@@ -96,4 +96,9 @@ CASES = (
     CliCase("unstable_model", ("info", "data/unstable.json"), 1),
     CliCase("bad_floor_eps",
             ("dist", "data/flat4.csv", "data/flat1.csv", "--floor-eps", "-1"), 3),
+    # Non-finite numbers are refused by each reader family.
+    CliCase("non_finite_model", ("info", "data/nan_model.json"), 3),
+    CliCase("non_finite_autocov", ("info", "data/inf_acov.json"), 3),
+    CliCase("non_finite_grid", ("info", "data/nan_grid.csv"), 3),
+    CliCase("non_finite_series", ("info", "data/nan_series.csv"), 3),
 )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import specdist.distances
+import specdist.hermitian
 from conftest import commuting_pair, random_grid_spectrum, random_pd
 from specdist.distances import (
     alt_gap_profile,
@@ -242,6 +242,13 @@ def test_one_batched_eigensolve_per_distance(monkeypatch):
     # decomposes the coupling sandwich.
     x = random_grid_spectrum(3, np.random.default_rng(5), 32)
     y = random_grid_spectrum(3, np.random.default_rng(6), 32)
+    calls = count_eigensolves(monkeypatch)
+    spectral_w2(x, y)
+    assert calls == [(32, 3, 3)]
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Record the input shape of every numpy Hermitian eigensolve."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -251,15 +258,25 @@ def test_one_batched_eigensolve_per_distance(monkeypatch):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    spectral_w2(x, y)
-    assert calls == [(32, 3, 3)]
+    return calls
+
+
+def test_w_integrand_two_eigensolves(monkeypatch):
+    # One for A's root, one for the sandwich: its eigenvalues give both
+    # the root in the matrix and the coupling trace.
+    rng = np.random.default_rng(9)
+    a = random_pd(3, rng, complex_=True)
+    b = random_pd(3, rng, complex_=True)
+    calls = count_eigensolves(monkeypatch)
+    w_integrand(a, b)
+    assert calls == [(1, 3, 3), (3, 3)]
 
 
 def test_negative_band_guard(monkeypatch):
     # Collapse the round-off band so machine noise on a near-identical
     # pair trips the guard; every one of these seeds does on the
     # reference setup, one suffices.
-    monkeypatch.setattr(specdist.distances, "NEGATIVE_BAND", 0.0)
+    monkeypatch.setattr(specdist.hermitian, "NEGATIVE_BAND", 0.0)
     raised = 0
     for seed in range(5):
         x = random_grid_spectrum(2, np.random.default_rng(seed), 16)

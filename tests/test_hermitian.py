@@ -52,6 +52,23 @@ def test_check_hermitian_rejects():
         check_hermitian(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_non_finite_input_refused(bad, where):
+    # A non-finite entry makes the symmetry residual NaN, which the
+    # residual check must refuse rather than compare as "not too large".
+    a = np.eye(2)
+    a[where] = a[where[::-1]] = bad
+    assert np.isnan(hermitian_residual(a))
+    with pytest.raises(NonHermitianInput):
+        check_hermitian(a)
+    with pytest.raises(NonHermitianInput):
+        sqrt_psd(a)
+    for pair in ((a, np.eye(2)), (np.eye(2), a)):
+        with pytest.raises(NonHermitianInput):
+            trace_sqrt_product(*pair)
+
+
 def test_eigh_trivial_cases():
     w, _ = eigh(np.eye(2))
     assert np.allclose(w, [1.0, 1.0], atol=1e-14)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -137,13 +138,18 @@ def reference_read_grid_csv(path):
             raise ParseError(f"{path}: data indices exceed sidecar shape "
                              f"(dim {md}, n_freq {mn})")
         m, n_freq = md, mn
-    values = np.full((n_freq, m, m), np.nan, dtype=complex)
+    table = {}
     for l, i, j, re, im in entries:
         if not (0 <= l < n_freq and 0 <= i < m and 0 <= j < m):
             raise ParseError(f"{path}: entry ({l},{i},{j}) out of range")
-        values[l, i, j] = re + 1j * im
-    if np.isnan(values.real).any():
+        table[l, i, j] = (re, im)
+    if len(table) < n_freq * m * m:
         raise ParseError(f"{path}: grid is missing entries")
+    values = np.empty((n_freq, m, m), dtype=complex)
+    for (l, i, j), (re, im) in sorted(table.items()):
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"{path}: entry ({l},{i},{j}) is not a finite number")
+        values[l, i, j] = re + 1j * im
     return GridSpectrum.build(values, name=str(path))
 
 
@@ -175,7 +181,9 @@ GRID_PARITY_CASES = [
     ("int64-max", "0,0,0,4,0\n9223372036854775807,0,0,4,0\n",
      '{"dim": 1, "n_freq": 2}', "exceed sidecar shape"),
     ("missing-entry", "0,0,0,4,0\n2,0,0,4,0\n", None, "grid is missing entries"),
-    ("nan-is-missing", "0,0,0,nan,0\n1,0,0,4,0\n", None, "grid is missing entries"),
+    ("nan-entry", "0,0,0,4,0\n1,0,0,nan,0\n", None, "entry (1,0,0) is not a finite number"),
+    ("inf-entry", "0,0,0,4,0\n1,0,0,4,-inf\n", None, "entry (1,0,0) is not a finite number"),
+    ("nan-and-missing", "0,0,0,nan,0\n2,0,0,4,0\n", None, "grid is missing entries"),
     ("sidecar-pads-grid", TWO_ROWS, '{"dim": 1, "n_freq": 4}', "grid is missing entries"),
     ("duplicate-last-wins", TWO_ROWS + "0,0,0,9,0\n1,0,0,3,0\n0,0,0,7,0\n", None, None),
     ("duplicate-quoted", TWO_ROWS + '"0",0,0,9,0\n', None, None),
@@ -264,6 +272,11 @@ def test_read_model_json(tmp_path):
         '{"ma": [1.0]}',
         '{"ma": [[[[1.0]]]], "noise_cov": 1.0}',
         '{"ma": ["x"], "noise_cov": 1.0}',
+        # json reads NaN, Infinity and overflowing literals; all are refused.
+        '{"ar": [NaN], "ma": [1.0], "noise_cov": 1.0}',
+        '{"ma": [1.0, Infinity], "noise_cov": 1.0}',
+        '{"ma": [1.0], "noise_cov": -1e999}',
+        '{"ma": [1.0], "noise_cov": 1%s}' % ("0" * 400),
     ):
         path.write_text(body)
         with pytest.raises(ParseError):
@@ -283,7 +296,8 @@ def test_read_autocov_json(tmp_path):
     path.write_text('{"lags": [[[2.0, 0.0], [0.0, 2.0]]]}')
     assert read_autocov_json(path).lags.shape == (1, 2, 2)
 
-    for body in ('{"x": 1}', '{"lags": [[[[1.0]]]]}'):
+    for body in ('{"x": 1}', '{"lags": [[[[1.0]]]]}', '{"lags": [1.0, NaN]}',
+                 '{"lags": [[[Infinity]]]}'):
         path.write_text(body)
         with pytest.raises(ParseError):
             read_autocov_json(path)
@@ -302,6 +316,11 @@ def test_read_timeseries_csv(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ParseError):
         read_timeseries_csv(path)
+
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0.1,0.2\n0.3,{bad}\n")
+        with pytest.raises(ParseError, match="sample 1, channel 1 is not a finite"):
+            read_timeseries_csv(path)
 
     path.write_text("")
     with warnings.catch_warnings():

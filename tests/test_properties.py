@@ -1,0 +1,157 @@
+"""Property tests: the metric facts from the paper on generated input.
+
+Grids come from short autocovariance sequences whose lag terms stay well
+inside the lag-0 block's smallest eigenvalue, so every generated grid is
+positive definite by construction.  Each test runs a small, derandomized
+set of examples, so the suite sees the same inputs on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from specdist.distances import alt_gap_profile, hellinger, spectral_w2
+from specdist.hermitian import NEGATIVE_BAND
+from specdist.spectra import (
+    GridSpectrum,
+    RationalSpectrum,
+    default_omegas,
+    rational_grid,
+    rational_to_autocov,
+    stability_radius,
+)
+from specdist.toeplitz import convergence_diagnostic
+
+N_FREQ = 16
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+CHECKS = settings(derandomize=True, deadline=None, database=None, max_examples=25)
+
+
+def unit_matrices(count, m):
+    return hnp.arrays(np.float64, (count, m, m), elements=UNIT)
+
+
+@st.composite
+def pd_grid(draw, m):
+    g0, g1, g2 = draw(unit_matrices(3, m))
+    r0 = g0 @ g0.T + 0.5 * np.eye(m)
+    margin = float(np.linalg.eigvalsh(r0)[0])
+    omegas = default_omegas(N_FREQ)
+    values = np.broadcast_to(r0, (N_FREQ, m, m)).astype(complex)
+    for k, g in ((1, g1), (2, g2)):
+        norm = float(np.linalg.norm(g, 2))
+        if norm > 0.0:
+            rk = (0.2 * margin / k) * g / norm
+            phase = np.exp(-1j * k * omegas)[:, None, None]
+            values = values + phase * rk + np.conj(phase) * rk.T
+    return values
+
+
+@st.composite
+def unitary(draw, m):
+    re, im = draw(unit_matrices(2, m))
+    q, _ = np.linalg.qr(re + 1j * im)
+    return q
+
+
+@st.composite
+def grids(draw, count):
+    """``count`` raw PD grids of one dim, and that dim."""
+    m = draw(st.integers(1, 3))
+    return [draw(pd_grid(m)) for _ in range(count)], m
+
+
+def scale_of(*values):
+    """Grid mean of the summed traces: the round-off scale of a W^2."""
+    return float(np.mean(sum(np.trace(v, axis1=1, axis2=2).real for v in values)))
+
+
+@CHECKS
+@given(grids(3))
+def test_symmetry_and_triangle_inequality(case):
+    (vx, vy, vz), _ = case
+    x, y, z = (GridSpectrum.build(v) for v in (vx, vy, vz))
+    dxy = spectral_w2(x, y)
+    assert abs(dxy.squared - spectral_w2(y, x).squared) <= 1e-10 * scale_of(vx, vy)
+    dxz, dyz = spectral_w2(x, z).value, spectral_w2(y, z).value
+    # A distance near zero carries sqrt(eps * scale) of round-off.
+    assert dxz <= dxy.value + dyz + 1e-7 * np.sqrt(scale_of(vx, vy, vz))
+
+
+@CHECKS
+@given(grids(1), st.floats(1.5, 4.0))
+def test_identity(case, c):
+    (vx,), _ = case
+    x = GridSpectrum.build(vx)
+    assert spectral_w2(x, GridSpectrum.build(vx.copy())).value == 0.0
+    # c X commutes with X: W^2 = (sqrt(c) - 1)^2 mean tr X, nonzero.
+    exact = (np.sqrt(c) - 1.0) ** 2 * scale_of(vx)
+    got = spectral_w2(x, GridSpectrum.build(c * vx)).squared
+    assert abs(got - exact) <= 1e-10 * exact
+
+
+@CHECKS
+@given(grids(2))
+def test_transport_below_hellinger_and_gap_band(case):
+    (vx, vy), _ = case
+    x, y = GridSpectrum.build(vx), GridSpectrum.build(vy)
+    w2, hell = spectral_w2(x, y), hellinger(x, y)
+    scale = scale_of(vx, vy)
+    assert w2.squared <= hell.squared + 1e-10 * scale
+    assert np.all(w2.per_freq_trace <= hell.per_freq_trace + 1e-10 * scale)
+    traces = np.trace(vx + vy, axis1=1, axis2=2).real
+    assert np.all(alt_gap_profile(x, y) >= -NEGATIVE_BAND * traces)
+
+
+@CHECKS
+@given(st.data())
+def test_commuting_pairs_have_equal_transport_and_hellinger(data):
+    m = data.draw(st.integers(1, 3))
+    q = data.draw(unitary(m))
+    omegas = default_omegas(N_FREQ)
+    pair = []
+    for _ in range(2):
+        # Eigenvalue curves a + b cos(w + phi) with a >= 1 > b stay positive.
+        a, b, phi = (data.draw(hnp.arrays(np.float64, m, elements=st.floats(lo, hi)))
+                     for lo, hi in ((1.0, 3.0), (0.0, 0.8), (0.0, 2.0 * np.pi)))
+        curves = a + b * np.cos(omegas[:, None] + phi)
+        pair.append(np.einsum("ij,fj,kj->fik", q, curves, q.conj()))
+    x, y = (GridSpectrum.build(v) for v in pair)
+    w2, hell = spectral_w2(x, y).squared, hellinger(x, y).squared
+    assert abs(w2 - hell) <= 1e-9 * scale_of(*pair)
+
+
+@CHECKS
+@given(st.data())
+def test_unitary_invariance(data):
+    (vx, vy), m = data.draw(grids(2))
+    u = data.draw(unitary(m))
+    plain = spectral_w2(GridSpectrum.build(vx), GridSpectrum.build(vy)).squared
+    ux, uy = (GridSpectrum.build(u @ v @ u.conj().T) for v in (vx, vy))
+    assert abs(spectral_w2(ux, uy).squared - plain) <= 1e-9 * scale_of(vx, vy)
+
+
+@st.composite
+def var1_model(draw, m):
+    """VAR(1) with spectral radius at most 0.5 and a PD innovation covariance."""
+    g, h = draw(unit_matrices(2, m))
+    ar = g * (0.5 / max(stability_radius(g[None]), 0.5))
+    noise = h @ h.T + 0.5 * np.eye(m)
+    return RationalSpectrum(ar=ar[None], ma=np.eye(m)[None], noise_cov=noise)
+
+
+@settings(CHECKS, max_examples=10)
+@given(st.data())
+def test_oracle_agrees_with_spectral_on_var1_pairs(data):
+    m = data.draw(st.integers(1, 2))
+    x, y = data.draw(var1_model(m)), data.draw(var1_model(m))
+    n = 512
+    target = spectral_w2(rational_grid(x, n), rational_grid(y, n)).squared
+    diag = convergence_diagnostic(
+        rational_to_autocov(x, n_freq=n),
+        rational_to_autocov(y, n_freq=n),
+        (16, 32, 64),
+        target,
+    )
+    assert diag.converged, (diag.extrapolated_limit, target)

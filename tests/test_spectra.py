@@ -166,6 +166,25 @@ def test_autocov_validations():
     assert acov.max_lag == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_refused(bad):
+    values = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+    values[1, 0, 1] = values[1, 1, 0] = bad
+    with pytest.raises(NonHermitianInput):
+        GridSpectrum.build(values)
+    with pytest.raises(NotPositiveDefinite):
+        Autocovariance(lags=np.array([[[1.0, 0.0], [0.0, bad]]]))
+    with pytest.raises(ValueError):
+        Autocovariance(lags=np.array([[[1.0]], [[bad]]]))
+    eye = np.eye(2)[None]
+    with pytest.raises(NotPositiveDefinite):
+        RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=eye, noise_cov=np.diag([1.0, bad]))
+    with pytest.raises(ValueError):
+        RationalSpectrum(ar=np.full((1, 2, 2), bad), ma=eye, noise_cov=np.eye(2))
+    with pytest.raises(ValueError):
+        RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=np.full((1, 2, 2), bad), noise_cov=np.eye(2))
+
+
 def test_autocov_to_spectrum_trivial_cases():
     flat = autocov_to_spectrum(Autocovariance(lags=2.5 * np.eye(2)[None]), 8)
     assert np.allclose(flat.values, 2.5 * np.eye(2), atol=1e-14)
