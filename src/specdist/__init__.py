@@ -3,10 +3,13 @@ spectra: the quadratic transport (Bures-type) distance, the matching
 scatter-matrix lower bound, and the Hellinger distance, together with a
 deliberately naive block-Toeplitz finite-horizon oracle that cross-checks
 the spectral formulas by brute force.
+
+The names below are what the command-line front end and the README use.
+Independent references (the product-eigenvalue coupling trace, the scalar
+closed form, a one-frequency rational evaluation) live with the tests.
 """
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     FitDegenerateWarning,
     GridMismatch,
@@ -25,11 +28,8 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_POLICY,
-    EigenDecomposition,
     PsdPolicy,
     bures_w2_squared,
-    eigh,
-    sqrt_psd,
     trace_sqrt_product,
 )
 from .spectra import (
@@ -39,7 +39,6 @@ from .spectra import (
     autocov_to_spectrum,
     check_real_symmetry,
     estimate_welch,
-    eval_rational,
     rational_grid,
     rational_to_autocov,
     spectrum_to_autocov,
@@ -47,33 +46,24 @@ from .spectra import (
 )
 from .distances import (
     DistanceReport,
-    alt_gap_profile,
     gelbrich_lower_bound,
     hellinger,
     spectral_w2,
-    spectral_w2_scalar,
-    w_integrand,
 )
 from .toeplitz import (
-    BlockToeplitzCovariance,
     ConvergenceDiagnostic,
     build_block_toeplitz,
     convergence_diagnostic,
-    finite_horizon_w2_sq_per_step,
-    trace_sqrt_product_per_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Autocovariance",
-    "BlockToeplitzCovariance",
     "ConvergenceDiagnostic",
-    "ConvergenceFailure",
     "DEFAULT_POLICY",
     "DimensionMismatch",
     "DistanceReport",
-    "EigenDecomposition",
     "FitDegenerateWarning",
     "GridMismatch",
     "GridSpectrum",
@@ -91,25 +81,18 @@ __all__ = [
     "SpecDistError",
     "TooFewSegments",
     "UnstableModel",
-    "alt_gap_profile",
     "autocov_to_spectrum",
     "build_block_toeplitz",
     "bures_w2_squared",
     "check_real_symmetry",
     "convergence_diagnostic",
-    "eigh",
     "estimate_welch",
-    "eval_rational",
-    "finite_horizon_w2_sq_per_step",
     "gelbrich_lower_bound",
     "hellinger",
     "rational_grid",
     "rational_to_autocov",
     "spectral_w2",
-    "spectral_w2_scalar",
     "spectrum_to_autocov",
     "stability_radius",
     "trace_sqrt_product",
-    "trace_sqrt_product_per_step",
-    "w_integrand",
 ]

@@ -99,15 +99,8 @@ def _load_source(path_str: str, cfg: RunConfig):
         raise FileNotFoundError(f"{path}: no such file")
     suffix = path.suffix.lower()
     if suffix == ".json":
-        obj = fileio.load_json_object(path)
-        if "lags" in obj:
-            return "autocov", fileio.read_autocov_json(path)
-        if "ma" in obj or "noise_cov" in obj:
-            return "model", fileio.read_model_json(path)
-        raise ParseError(
-            f"{path}: JSON source has neither model fields (ar/ma/noise_cov) "
-            "nor autocovariance field (lags)"
-        )
+        obj = fileio.read_json_source(path, cfg.policy)
+        return ("autocov" if isinstance(obj, spectra.Autocovariance) else "model"), obj
     if suffix == ".csv":
         with open(path) as fh:
             first = fh.readline()
@@ -141,7 +134,7 @@ def _derive_acov(kind, obj, grid, n_freq: int, cfg: RunConfig) -> spectra.Autoco
     """Autocovariance for the oracle, honoring a forced --max-lag."""
     if kind == "autocov":
         if cfg.max_lag is not None:
-            return spectra.Autocovariance(lags=obj.lags[: cfg.max_lag + 1])
+            return spectra.Autocovariance(obj.lags[: cfg.max_lag + 1], cfg.policy)
         return obj
     if kind == "model":
         return spectra.rational_to_autocov(obj, n_freq=n_freq, max_lag=cfg.max_lag)
@@ -298,12 +291,11 @@ def cmd_info(args, cfg: RunConfig) -> int:
             r0_min_eig=float(np.linalg.eigvalsh(obj.lags[0])[0]),
         )
     elif kind == "grid":
-        w = np.linalg.eigvalsh(obj.values)
         summary.update(
             dim=obj.dim,
             n_freq=obj.n_freq,
-            min_eigenvalue=float(w.min()),
-            max_eigenvalue=float(w.max()),
+            min_eigenvalue=obj.min_eigenvalue,
+            max_eigenvalue=obj.max_eigenvalue,
             symmetry_residual=spectra.check_real_symmetry(obj),
             real_symmetry=obj.real_symmetry,
             flooring_count=obj.flooring_count,

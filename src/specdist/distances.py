@@ -20,28 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch
-from .hermitian import (
-    DEFAULT_POLICY,
-    PsdPolicy,
-    _clamp_round_off,
-    _refuse_indefinite,
-    check_hermitian,
-    coupling_trace,
-    hermitian_part,
-    psd_root,
-    sqrt_psd,
-)
+from .errors import GridMismatch
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, coupling_trace
 from .spectra import GridSpectrum
 
 __all__ = [
     "DistanceReport",
-    "alt_gap_profile",
     "gelbrich_lower_bound",
     "hellinger",
     "spectral_w2",
-    "spectral_w2_scalar",
-    "w_integrand",
 ]
 
 
@@ -146,36 +133,6 @@ def _report(
     )
 
 
-def w_integrand(phix, phiy, policy: PsdPolicy = DEFAULT_POLICY):
-    """Transport cost matrix and trace for one pair of spectrum values.
-
-    One eigensolve each for ``A`` and the sandwich ``A^{1/2} B A^{1/2}``,
-    whose eigenvalues give its root, the trace, and ``B``'s definiteness.
-
-    Returns
-    -------
-    matrix : ndarray
-        ``W = A + B - 2 (A^{1/2} B A^{1/2})^{1/2}``, Hermitian.
-    trace : float
-        ``tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}]``, the trace of
-        ``matrix`` up to round-off; clamped to zero inside the round-off
-        band.
-    """
-    a = np.asarray(phix)
-    b = check_hermitian(phiy, name="second operand")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"value shapes differ: {a.shape} vs {b.shape}")
-    ra = sqrt_psd(a, policy)
-    wm, vm = np.linalg.eigh(hermitian_part(ra @ b @ ra))
-    _refuse_indefinite(wm, policy, "coupling matrix")
-    wm = np.maximum(wm, 0.0)
-    matrix = hermitian_part(a + b - 2.0 * psd_root(wm, vm))
-
-    scale = float(np.trace(a).real) + float(np.trace(b).real)
-    trace = scale - 2.0 * np.sum(np.sqrt(wm))
-    return matrix, float(_clamp_round_off(trace, scale, "transport trace"))
-
-
 def spectral_w2(
     x: GridSpectrum,
     y: GridSpectrum,
@@ -224,42 +181,3 @@ def hellinger(
     """
     profile = _pair_profile(x, y, policy)
     return _report(x, y, profile.per_freq_hell, profile)
-
-
-def alt_gap_profile(
-    x: GridSpectrum,
-    y: GridSpectrum,
-    policy: PsdPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """Per-frequency gap ``tr[(Fx Fy)^{1/2}] - tr[Fx^{1/2} Fy^{1/2}]``.
-
-    Nonnegative up to round-off everywhere, and zero wherever the two
-    spectra commute.
-    """
-    return _pair_profile(x, y, policy).alt_gap
-
-
-def spectral_w2_scalar(x: GridSpectrum, y: GridSpectrum) -> DistanceReport:
-    """Closed-form scalar path: root of the grid mean of ``(sx^{1/2} - sy^{1/2})^2``.
-
-    Only defined for one-dimensional spectra; agrees with the matrix path
-    to near machine precision, which the test suite pins down.
-
-    Raises
-    ------
-    DimensionMismatch
-        If either spectrum has dim > 1.
-    GridMismatch
-        If the grids differ in size.
-    """
-    if x.dim != 1 or y.dim != 1:
-        raise DimensionMismatch(
-            f"scalar path requires dim 1, got {x.dim} and {y.dim}"
-        )
-    _check_same_grid(x, y)
-    sx = x.values[:, 0, 0].real
-    sy = y.values[:, 0, 0].real
-    integrand = (np.sqrt(sx) - np.sqrt(sy)) ** 2
-    n = x.n_freq
-    profile = _PairProfile(integrand, integrand, np.zeros(n), 0.0)
-    return _report(x, y, integrand, profile)

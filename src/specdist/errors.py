@@ -16,10 +16,6 @@ class NonHermitianInput(SpecDistError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class ConvergenceFailure(SpecDistError):
-    """The underlying eigenvalue solver did not converge."""
-
-
 class IndefiniteInput(SpecDistError):
     """A nominally positive-(semi)definite matrix has an eigenvalue below
     the tolerated negativity band."""

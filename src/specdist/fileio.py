@@ -10,7 +10,8 @@ Formats:
   sidecar (same stem, ``.meta.json``) holding dim, n_freq and the
   real-symmetry flag;
 * rational model: JSON object with ``ar``, ``ma``, ``noise_cov`` arrays;
-* autocovariance: JSON object with a ``lags`` array of matrices;
+* autocovariance: JSON object with a ``lags`` array of matrices (a JSON
+  source is classified by these keys);
 * time series: CSV of numeric rows, one sample per row, one column per
   channel, no header.
 """
@@ -33,9 +34,8 @@ __all__ = [
     "grid_csv_text",
     "json_dumps",
     "load_json_object",
-    "read_autocov_json",
     "read_grid_csv",
-    "read_model_json",
+    "read_json_source",
     "read_timeseries_csv",
     "sidecar_path",
     "write_grid_csv",
@@ -289,14 +289,41 @@ def _as_matrix_stack(arr: np.ndarray, path, key) -> np.ndarray:
     raise ParseError(f"{path}: field {key!r} must be a list of matrices")
 
 
-def read_model_json(path) -> RationalSpectrum:
-    """Load a rational model description.
+def read_json_source(path, policy: PsdPolicy = DEFAULT_POLICY):
+    """Load a JSON source, read once and classified by its keys.
 
-    ``ar`` may be absent or empty (pure moving average).  Scalar models
-    can be written with flat coefficient lists and a scalar noise
-    variance; everything is promoted to matrix stacks.
+    An object with ``lags`` is an autocovariance sequence
+    ``{"lags": [R0, R1, ...]}``: scalar sequences may be flat lists, matrix
+    sequences have shape (K+1, m, m).  Otherwise an object with ``ma`` or
+    ``noise_cov`` is a rational model: ``ar`` may be absent or empty (pure
+    moving average), and scalar models can be written with flat coefficient
+    lists and a scalar noise variance; everything is promoted to matrix
+    stacks.  ``policy`` reaches the ``R(0)`` and ``noise_cov`` checks.
+
+    Returns
+    -------
+    Autocovariance or RationalSpectrum
+
+    Raises
+    ------
+    ParseError
+        If the object has neither kind's fields, or a field is malformed.
     """
     obj = load_json_object(path)
+    if "lags" in obj:
+        lags = _as_float_array(obj["lags"], path, "lags")
+        if lags.ndim == 1:
+            lags = lags[:, None, None]
+        elif lags.ndim == 2 and lags.shape[1] == 1:
+            lags = lags[:, :, None]
+        elif lags.ndim != 3:
+            raise ParseError(f"{path}: 'lags' must be a list of matrices")
+        return Autocovariance(lags=lags, policy=policy)
+    if "ma" not in obj and "noise_cov" not in obj:
+        raise ParseError(
+            f"{path}: JSON source has neither model fields (ar/ma/noise_cov) "
+            "nor autocovariance field (lags)"
+        )
     for key in ("ma", "noise_cov"):
         if key not in obj:
             raise ParseError(f"{path}: model is missing the {key!r} field")
@@ -305,26 +332,7 @@ def read_model_json(path) -> RationalSpectrum:
         raise ParseError(f"{path}: noise_cov must be a matrix")
     ar = _as_matrix_stack(_as_float_array(obj.get("ar", []), path, "ar"), path, "ar")
     ma = _as_matrix_stack(_as_float_array(obj["ma"], path, "ma"), path, "ma")
-    return RationalSpectrum(ar=ar, ma=ma, noise_cov=q)
-
-
-def read_autocov_json(path) -> Autocovariance:
-    """Load an autocovariance sequence ``{"lags": [R0, R1, ...]}``.
-
-    Scalar sequences may be flat lists; matrix sequences must have shape
-    (K+1, m, m).
-    """
-    obj = load_json_object(path)
-    if "lags" not in obj:
-        raise ParseError(f"{path}: autocovariance is missing the 'lags' field")
-    lags = _as_float_array(obj["lags"], path, "lags")
-    if lags.ndim == 1:
-        lags = lags[:, None, None]
-    elif lags.ndim == 2 and lags.shape[1] == 1:
-        lags = lags[:, :, None]
-    elif lags.ndim != 3:
-        raise ParseError(f"{path}: 'lags' must be a list of matrices")
-    return Autocovariance(lags=lags)
+    return RationalSpectrum(ar=ar, ma=ma, noise_cov=q, policy=policy)
 
 
 def read_timeseries_csv(path) -> np.ndarray:

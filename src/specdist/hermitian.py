@@ -1,8 +1,9 @@
 """Dense Hermitian linear algebra.
 
-Eigendecompositions, principal PSD square roots, and the Bures-type
-quadratic coupling cost ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on
-pairs of Hermitian positive-definite matrices.  Everything here is a pure
+Principal PSD square roots and the Bures-type quadratic coupling cost
+``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on pairs of Hermitian
+positive-definite matrices, batched over leading axes where the grid path
+needs it.  Everything here is a pure
 function of its inputs; real symmetric matrices are handled as the special
 case of complex Hermitian ones and stay in real arithmetic throughout.
 Each PSD rule of the package (symmetry, negativity, round-off) lives here.
@@ -11,12 +12,10 @@ Each PSD rule of the package (symmetry, negativity, round-off) lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     IndefiniteInput,
     NegativeDistance,
@@ -25,12 +24,10 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_POLICY",
-    "EigenDecomposition",
     "PsdPolicy",
     "bures_w2_squared",
     "check_hermitian",
     "coupling_trace",
-    "eigh",
     "hermitian_part",
     "hermitian_residual",
     "psd_root",
@@ -74,14 +71,6 @@ class PsdPolicy:
 DEFAULT_POLICY = PsdPolicy()
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in ascending order and the matching unitary eigenbasis
-    (eigenvectors in columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return ``(A + A*) / 2``, batched over leading axes."""
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
@@ -121,35 +110,6 @@ def _refuse_asymmetric(a, tol: float, what: str, error=NonHermitianInput) -> Non
     res = hermitian_residual(a)
     if not res <= tol:
         raise error(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
-
-
-def eigh(h, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    h : array_like of shape (m, m)
-        Hermitian matrix.
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues ascending; eigenvector columns unitary, satisfying
-        ``V diag(w) V* = H`` to round-off.
-
-    Raises
-    ------
-    NonHermitianInput
-        If the symmetry residual of ``h`` exceeds ``tol``.
-    ConvergenceFailure
-        If the underlying solver fails to converge.
-    """
-    h = check_hermitian(h, tol)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
-    return EigenDecomposition(w, v)
 
 
 def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput) -> None:
@@ -228,60 +188,29 @@ def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
 
 
-def trace_sqrt_product(
-    a,
-    b,
-    policy: PsdPolicy = DEFAULT_POLICY,
-    method: str = "sandwich",
-) -> float:
+def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``.
 
-    The value equals the sum of square roots of the eigenvalues of the
-    (non-Hermitian) product ``A B``, which are real and positive for a PD
-    pair; the two formulations agree to round-off and either may be
-    requested.
-
-    Parameters
-    ----------
-    method : {"sandwich", "product-eigs"}
-        ``"sandwich"`` (default) decomposes ``A``, forms the Hermitian
-        matrix ``A^{1/2} B A^{1/2}`` and sums the square roots of its
-        eigenvalues; no non-symmetric eigensolver is involved.
-        ``"product-eigs"`` feeds ``A @ B`` to a general eigensolver and is
-        provided as an independent cross-check path.
+    Decomposes ``A``, forms the Hermitian sandwich ``A^{1/2} B A^{1/2}`` and
+    sums the square roots of its eigenvalues (:func:`coupling_trace`); no
+    non-symmetric eigensolver is involved.  The value also equals the sum of
+    square roots of the eigenvalues of the product ``A B``; the test suite
+    keeps that route as an independent reference.
 
     Raises
     ------
     DimensionMismatch
         If the shapes differ.
     IndefiniteInput
-        If either operand is indefinite beyond the policy band (for the
-        sandwich path, indefiniteness of ``B`` is detected through the
-        sign-preserving congruence).
+        If either operand is indefinite beyond the policy band
+        (indefiniteness of ``B`` is detected through the sign-preserving
+        congruence).
     """
     a = check_hermitian(a, name="first operand")
     b = check_hermitian(b, name="second operand")
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-
-    if method == "sandwich":
-        return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
-
-    if method == "product-eigs":
-        lam = np.linalg.eigvals(a @ b)
-        scale = float(np.max(np.abs(lam), initial=0.0))
-        if float(np.max(np.abs(lam.imag), initial=0.0)) > 1e-8 * max(scale, 1e-300):
-            raise IndefiniteInput(
-                "product eigenvalues are not real; operands are not a PD pair"
-            )
-        re = lam.real
-        if float(re.min(initial=0.0)) < -policy.negativity_tol * scale:
-            raise IndefiniteInput(
-                f"product eigenvalue {float(re.min()):.6e} is negative beyond tolerance"
-            )
-        return float(np.sum(np.sqrt(np.maximum(re, 0.0))))
-
-    raise ValueError(f"unknown method {method!r}")
+    return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
 
 
 def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:

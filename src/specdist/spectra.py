@@ -10,7 +10,7 @@ grid spectra from raw time series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "autocov_to_spectrum",
     "check_real_symmetry",
     "estimate_welch",
-    "eval_rational",
     "rational_grid",
     "rational_to_autocov",
     "spectrum_to_autocov",
@@ -97,6 +96,8 @@ class GridSpectrum:
     real_symmetry : bool
         True when the grid satisfies the real-process symmetry
         ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.
+    min_eigenvalue, max_eigenvalue : float
+        Extreme eigenvalues over the grid after flooring.
     flooring_count : int
         Number of frequencies whose eigenvalues were lifted to the policy
         floor during construction.  Zero for healthy PD input.
@@ -105,6 +106,8 @@ class GridSpectrum:
     values: np.ndarray
     root: np.ndarray
     real_symmetry: bool
+    min_eigenvalue: float
+    max_eigenvalue: float
     flooring_count: int = 0
 
     @property
@@ -114,10 +117,6 @@ class GridSpectrum:
     @property
     def n_freq(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return default_omegas(self.n_freq)
 
     @classmethod
     def build(
@@ -175,9 +174,11 @@ class GridSpectrum:
         # The root comes from the same decomposition; w and v are released
         # before the symmetry check allocates its own grid-sized temporaries.
         root = psd_root(w, v)
+        lo, hi = float(w.min()), float(w.max())
         del w, v
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
-        return cls(values=values, root=root, real_symmetry=sym, flooring_count=count)
+        return cls(values=values, root=root, real_symmetry=sym,
+                   min_eigenvalue=lo, max_eigenvalue=hi, flooring_count=count)
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
@@ -190,14 +191,14 @@ class Autocovariance:
     """Truncated autocovariance sequence ``R(0..K)`` of a real process.
 
     ``lags`` has shape (K+1, m, m); negative lags are implied by
-    ``R(-k) = R(k)^T``.  ``imag_residual`` records the relative imaginary
-    part discarded when the sequence came from a sampled spectrum.
+    ``R(-k) = R(k)^T``.  ``R(0)`` is checked against the negativity band
+    of ``policy``, a constructor argument that is not stored.
     """
 
     lags: np.ndarray
-    imag_residual: float = 0.0
+    policy: InitVar[PsdPolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
+    def __post_init__(self, policy: PsdPolicy):
         lags = np.asarray(self.lags, dtype=float)
         if lags.ndim != 3 or lags.shape[1] != lags.shape[2]:
             raise DimensionMismatch(
@@ -205,7 +206,7 @@ class Autocovariance:
             )
         _refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)", NotPositiveDefinite)
         w = np.linalg.eigvalsh(hermitian_part(lags[0]))
-        _refuse_indefinite(w, DEFAULT_POLICY, "R(0)", NotPositiveDefinite)
+        _refuse_indefinite(w, policy, "R(0)", NotPositiveDefinite)
         if not np.isfinite(lags).all():
             raise ValueError("autocovariance lags must be finite")
         object.__setattr__(self, "lags", lags)
@@ -226,15 +227,18 @@ class RationalSpectrum:
 
     ``ar`` holds A_1..A_p (shape (p, m, m), possibly p = 0), ``ma`` holds
     B_0..B_q (shape (q+1, m, m)), and ``noise_cov`` is the SPD innovation
-    covariance Q.  Stability (spectral radius of the AR companion matrix
-    strictly below one) is enforced at construction.
+    covariance Q; its smallest eigenvalue must exceed ``policy.floor_eps``
+    times its largest (``policy`` is a constructor argument that is not
+    stored).  Stability (spectral radius of the AR companion
+    matrix strictly below one) is enforced at construction.
     """
 
     ar: np.ndarray
     ma: np.ndarray
     noise_cov: np.ndarray
+    policy: InitVar[PsdPolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
+    def __post_init__(self, policy: PsdPolicy):
         ar = np.asarray(self.ar, dtype=float)
         ma = np.asarray(self.ma, dtype=float)
         q = np.asarray(self.noise_cov, dtype=float)
@@ -253,7 +257,7 @@ class RationalSpectrum:
             )
         _refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov", NotPositiveDefinite)
         w = np.linalg.eigvalsh(hermitian_part(q))
-        if float(w[0]) <= DEFAULT_POLICY.floor_eps * float(np.abs(w).max()):
+        if float(w[0]) <= policy.floor_eps * float(np.abs(w).max()):
             raise NotPositiveDefinite(
                 f"noise_cov must be positive definite; min eigenvalue {float(w[0]):.6e}"
             )
@@ -313,22 +317,6 @@ def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def eval_rational(model: RationalSpectrum, omega: float) -> np.ndarray:
-    """Spectrum value ``H Q H*`` of a rational model at one frequency.
-
-    The result is Hermitian PSD by construction and positive definite
-    whenever the MA polynomial has no zero at ``omega``.
-
-    Raises
-    ------
-    SingularAr
-        If the AR polynomial is numerically singular at ``omega``
-        (condition number above ``AR_COND_LIMIT``).
-    """
-    h = _transfer(model, np.atleast_1d(float(omega)))[0]
-    return hermitian_part(h @ model.noise_cov @ np.conj(h.T))
-
-
 def rational_grid(
     model: RationalSpectrum,
     n_freq: int,
@@ -378,8 +366,8 @@ def autocov_to_spectrum(
 def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
     """Autocovariances ``R(k) = (1/N) sum_l value(w_l) e^{jw_l k}``.
 
-    The imaginary part left over after the inverse transform is discarded;
-    its relative size is recorded on the result as ``imag_residual``.
+    The imaginary part left over after the inverse transform is discarded
+    once it is checked to be negligible.
 
     Raises
     ------
@@ -404,7 +392,7 @@ def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
             f"imaginary residue {residual:.3e} relative; grid is not the "
             "spectrum of a real process"
         )
-    return Autocovariance(lags=seq.real, imag_residual=residual)
+    return Autocovariance(lags=seq.real)
 
 
 def truncate_by_decay(acov: Autocovariance) -> Autocovariance:
@@ -413,7 +401,7 @@ def truncate_by_decay(acov: Autocovariance) -> Autocovariance:
     norms = np.linalg.norm(acov.lags, axis=(1, 2))
     keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
     cut = int(keep.max()) if keep.size else 0
-    return Autocovariance(lags=acov.lags[: cut + 1], imag_residual=acov.imag_residual)
+    return Autocovariance(lags=acov.lags[: cut + 1])
 
 
 def rational_to_autocov(

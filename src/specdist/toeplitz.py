@@ -20,18 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FitDegenerateWarning, NotPositiveDefinite
-from .hermitian import DEFAULT_POLICY, PsdPolicy, _refuse_indefinite
-from .hermitian import bures_w2_squared, trace_sqrt_product
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _refuse_indefinite, bures_w2_squared
 from .spectra import Autocovariance
 
 __all__ = [
-    "BlockToeplitzCovariance",
     "ConvergenceDiagnostic",
     "build_block_toeplitz",
     "convergence_diagnostic",
     "default_horizons",
-    "finite_horizon_w2_sq_per_step",
-    "trace_sqrt_product_per_step",
 ]
 
 #: Largest stacked dimension (i+1)*m the dense eigensolvers are asked for.
@@ -52,27 +48,24 @@ def default_horizons(dim: int) -> tuple:
     return tuple(h for h in DEFAULT_HORIZONS if h <= cap) or DEFAULT_HORIZONS[:1]
 
 
-@dataclass(frozen=True)
-class BlockToeplitzCovariance:
-    """Covariance of ``i+1`` stacked samples; block (r, s) holds ``R(s-r)``."""
-
-    dim: int
-    horizon: int
-    matrix: np.ndarray
-    min_eigenvalue: float
-
-
 def build_block_toeplitz(
     acov: Autocovariance,
     horizon: int,
     policy: PsdPolicy = DEFAULT_POLICY,
-) -> BlockToeplitzCovariance:
+) -> tuple[np.ndarray, float]:
     """Assemble and validate the stacked covariance for one horizon.
 
+    Block (r, s) of the ``(horizon+1) m``-square matrix holds ``R(s-r)``.
     Lags beyond the sequence's ``max_lag`` enter as zero blocks, so a
     truncated autocovariance yields the covariance of the truncated
-    process.  Definiteness is checked by a full eigendecomposition and the
-    minimum eigenvalue is kept on the result.
+    process.  Definiteness is checked by a full eigendecomposition.
+
+    Returns
+    -------
+    matrix : ndarray
+        The stacked covariance, exactly symmetric.
+    min_eigenvalue : float
+        Its smallest eigenvalue.
 
     Raises
     ------
@@ -104,54 +97,7 @@ def build_block_toeplitz(
     w = np.linalg.eigvalsh(matrix)
     what = f"stacked covariance at horizon {horizon} (invalid or over-truncated lags)"
     _refuse_indefinite(w, policy, what, NotPositiveDefinite)
-    return BlockToeplitzCovariance(m, horizon, matrix, min_eigenvalue=float(w[0]))
-
-
-def _check_pair(acx: Autocovariance, acy: Autocovariance) -> None:
-    if acx.dim != acy.dim:
-        raise DimensionMismatch(
-            f"autocovariances have different dims: {acx.dim} vs {acy.dim}"
-        )
-
-
-def finite_horizon_w2_sq_per_step(
-    acx: Autocovariance,
-    acy: Autocovariance,
-    horizon: int,
-    policy: PsdPolicy = DEFAULT_POLICY,
-) -> float:
-    """Squared transport cost between the stacked vectors, per step.
-
-    Returns ``bures_w2_squared(Sx, Sy) / (horizon + 1)`` on the two
-    block-Toeplitz covariances; the horizon-0 case reduces to the static
-    cost on (R_x(0), R_y(0)).
-    """
-    _check_pair(acx, acy)
-    covx = build_block_toeplitz(acx, horizon, policy)
-    covy = build_block_toeplitz(acy, horizon, policy)
-    if np.array_equal(covx.matrix, covy.matrix):
-        return 0.0
-    return bures_w2_squared(covx.matrix, covy.matrix, policy) / (horizon + 1)
-
-
-def trace_sqrt_product_per_step(
-    acx: Autocovariance,
-    acy: Autocovariance,
-    horizon: int,
-    policy: PsdPolicy = DEFAULT_POLICY,
-    method: str = "sandwich",
-) -> float:
-    """Coupling trace ``tr[(Sx Sy)^{1/2}] / (horizon + 1)`` on the stacks.
-
-    Both evaluation paths of :func:`~specdist.hermitian.trace_sqrt_product`
-    are available; they must agree at every horizon, which the test suite
-    checks explicitly.
-    """
-    _check_pair(acx, acy)
-    covx = build_block_toeplitz(acx, horizon, policy)
-    covy = build_block_toeplitz(acy, horizon, policy)
-    value = trace_sqrt_product(covx.matrix, covy.matrix, policy, method=method)
-    return value / (horizon + 1)
+    return matrix, float(w[0])
 
 
 @dataclass(frozen=True)
@@ -237,7 +183,10 @@ def convergence_diagnostic(
     round-off) flags the fit as degenerate and emits
     :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
     """
-    _check_pair(acx, acy)
+    if acx.dim != acy.dim:
+        raise DimensionMismatch(
+            f"autocovariances have different dims: {acx.dim} vs {acy.dim}"
+        )
     if horizons is None:
         horizons = default_horizons(acx.dim)
     horizons = [int(h) for h in horizons]
@@ -251,16 +200,16 @@ def convergence_diagnostic(
     trace_x = []
     trace_y = []
     for h in horizons:
-        covx = build_block_toeplitz(acx, h, policy)
-        covy = build_block_toeplitz(acy, h, policy)
-        if np.array_equal(covx.matrix, covy.matrix):
+        sx, min_x = build_block_toeplitz(acx, h, policy)
+        sy, min_y = build_block_toeplitz(acy, h, policy)
+        if np.array_equal(sx, sy):
             value = 0.0
         else:
-            value = bures_w2_squared(covx.matrix, covy.matrix, policy) / (h + 1)
+            value = bures_w2_squared(sx, sy, policy) / (h + 1)
         per_step.append(value)
-        min_eigs.append((covx.min_eigenvalue, covy.min_eigenvalue))
-        trace_x.append(float(np.trace(covx.matrix)) / (h + 1))
-        trace_y.append(float(np.trace(covy.matrix)) / (h + 1))
+        min_eigs.append((min_x, min_y))
+        trace_x.append(float(np.trace(sx)) / (h + 1))
+        trace_y.append(float(np.trace(sy)) / (h + 1))
     if not np.all(np.isfinite(per_step)):
         raise NotPositiveDefinite("finite-horizon sequence contains non-finite values")
 

@@ -1,9 +1,14 @@
-"""Shared generators for the test suite.
+"""Shared generators and independent references for the test suite.
 
 Random spectra are built from short random autocovariance sequences, which
 makes them Hermitian positive definite on the whole grid by construction.
 Commuting pairs share a fixed eigenbasis and differ only in their positive
 eigenvalue curves.
+
+The references compute what the library computes by a different route and
+share none of its code: the coupling trace from the eigenvalues of the
+non-Hermitian product, the scalar distance in closed form, and a rational
+spectrum at one frequency straight from the model definition.
 """
 
 from __future__ import annotations
@@ -65,6 +70,40 @@ def commuting_pair(m, rng, n_freq=64):
 
 
 def tsp_reference(a, b):
-    """Coupling trace via eigenvalues of the raw product, no symmetrization."""
-    lam = np.linalg.eigvals(a @ b)
+    """Coupling trace ``tr[(A^{1/2} B A^{1/2})^{1/2}]`` as the sum of square
+    roots of the eigenvalues of the product ``A B``, which are real and
+    positive for a PD pair.  A general eigensolver, no symmetrization."""
+    lam = np.linalg.eigvals(np.asarray(a) @ np.asarray(b))
+    assert np.max(np.abs(lam.imag)) <= 1e-8 * np.max(np.abs(lam))
     return float(np.sum(np.sqrt(np.clip(lam.real, 0.0, None))))
+
+
+def scalar_w2_squared(x, y):
+    """Closed form for dim-1 grids: ``mean((sqrt sx - sqrt sy)^2)``."""
+    sx, sy = x.values[:, 0, 0].real, y.values[:, 0, 0].real
+    return float(np.mean((np.sqrt(sx) - np.sqrt(sy)) ** 2))
+
+
+def rational_value(model, omega):
+    """``H Q H*`` at one frequency, with ``H = A(w)^{-1} B(w)``,
+    ``A(w) = I - sum_r A_r e^{-jwr}`` and ``B(w) = sum_s B_s e^{-jws}``."""
+    a = np.eye(model.dim, dtype=complex)
+    for r, coef in enumerate(model.ar, start=1):
+        a -= coef * np.exp(-1j * omega * r)
+    b = sum(coef * np.exp(-1j * omega * s) for s, coef in enumerate(model.ma))
+    h = np.linalg.solve(a, b)
+    return h @ model.noise_cov @ h.conj().T
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Record the input shape of every numpy Hermitian eigensolve."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            calls.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

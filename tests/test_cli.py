@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cli_cases import CASES, HERE, run_case
+from conftest import count_eigensolves
 from specdist.fileio import read_grid_csv, sidecar_path
 
 
@@ -112,6 +113,51 @@ def test_oracle_reports_forced_truncation_as_not_converged():
     # the truncated finite-horizon values must miss it.
     gap = abs(payload["extrapolated_limit"] - payload["spectral_target"])
     assert gap > 1e-3 * payload["spectral_target"]
+
+
+def test_policy_reaches_r0_check(tmp_path):
+    src = tmp_path / "r0.json"
+    src.write_text('{"lags": [[[1.0, 0.0], [0.0, -1e-6]]]}')
+    code, stdout, stderr = run_case(("info", str(src), "--negativity-tol", "1e-3"))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["r0_min_eig"] == -1e-6
+    # The oracle's --max-lag re-slice is checked under the same policy.
+    code, _, stderr = run_case(("oracle", str(src), str(src), "--negativity-tol", "1e-3",
+                                "--max-lag", "0", "--horizons", "2,4"))
+    assert (code, stderr) == (0, "")
+    assert run_case(("info", str(src))) == (
+        5, "",
+        "error: NotPositiveDefinite: R(0) has eigenvalue -1.000000e-06 below "
+        "the tolerated negativity band -1.000e-10\n",
+    )
+
+
+def test_policy_reaches_noise_cov_check(tmp_path):
+    src = tmp_path / "model.json"
+    src.write_text('{"ma": [[[1.0, 0.0], [0.0, 1.0]]], "noise_cov": [[1.0, 0.0], [0.0, 1e-13]]}')
+    code, stdout, stderr = run_case(("info", str(src), "--floor-eps", "1e-14"))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["noise_cov_min_eig"] == 1e-13
+    assert run_case(("info", str(src)))[0] == 5
+
+
+def test_json_source_read_once(monkeypatch):
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert run_case(("dist", "data/ar1.json", "data/acov_ma1.json", "--n-freq", "64"))[0] == 0
+    assert reads == ["ar1.json", "acov_ma1.json"]
+
+
+def test_info_grid_decomposes_once(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    assert run_case(("info", "data/flat4.csv"))[0] == 0
+    assert calls == [(8, 1, 1)]
 
 
 def test_installed_entry_point():

@@ -10,21 +10,21 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_spectrum
-from specdist.errors import ParseError
+from specdist.errors import NotPositiveDefinite, ParseError
 from specdist.fileio import (
     GRID_HEADER,
     format_float,
     grid_csv_text,
     json_dumps,
     load_json_object,
-    read_autocov_json,
     read_grid_csv,
-    read_model_json,
+    read_json_source,
     read_timeseries_csv,
     sidecar_path,
     write_grid_csv,
 )
-from specdist.spectra import GridSpectrum
+from specdist.hermitian import PsdPolicy
+from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum
 
 GRID_HEADER_LINE = "omega_index,row,col,re,im"
 
@@ -93,7 +93,8 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
     values = np.ones((4, 2, 2), dtype=complex)
     values[1, 0, 1] = complex(1.0, np.inf)
     values[2, 1, 1] = np.nan
-    grid = GridSpectrum(values=values, root=values, real_symmetry=False)
+    grid = GridSpectrum(values=values, root=values, real_symmetry=False,
+                        min_eigenvalue=np.nan, max_eigenvalue=np.nan)
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError) as exc:
         write_grid_csv(path, grid)
@@ -257,15 +258,22 @@ def test_load_json_object(tmp_path):
 def test_read_model_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"ar": [0.5], "ma": [1.0], "noise_cov": 1.0}')
-    model = read_model_json(path)
+    model = read_json_source(path)
+    assert isinstance(model, RationalSpectrum)
     assert model.ar.shape == (1, 1, 1)
     assert model.ma.shape == (1, 1, 1)
     assert model.noise_cov.shape == (1, 1)
 
     path.write_text('{"ma": [[[1.0, 0.0], [0.0, 1.0]]], "noise_cov": [[2.0, 0.0], [0.0, 1.0]]}')
-    model = read_model_json(path)
+    model = read_json_source(path)
     assert model.dim == 2
     assert model.ar.shape == (0, 2, 2)
+
+    # The policy reaches the noise_cov check.
+    path.write_text('{"ma": [[[1.0, 0.0], [0.0, 1.0]]], "noise_cov": [[1.0, 0.0], [0.0, 1e-13]]}')
+    with pytest.raises(NotPositiveDefinite):
+        read_json_source(path)
+    assert read_json_source(path, PsdPolicy(floor_eps=1e-14)).dim == 2
 
     for body in (
         '{"noise_cov": 1.0}',
@@ -280,27 +288,34 @@ def test_read_model_json(tmp_path):
     ):
         path.write_text(body)
         with pytest.raises(ParseError):
-            read_model_json(path)
+            read_json_source(path)
 
 
 def test_read_autocov_json(tmp_path):
     path = tmp_path / "a.json"
     path.write_text('{"lags": [1.25, 0.5]}')
-    acov = read_autocov_json(path)
+    acov = read_json_source(path)
+    assert isinstance(acov, Autocovariance)
     assert acov.lags.shape == (2, 1, 1)
     assert acov.lags[1, 0, 0] == 0.5
 
     path.write_text('{"lags": [[1.25], [0.5]]}')
-    assert read_autocov_json(path).lags.shape == (2, 1, 1)
+    assert read_json_source(path).lags.shape == (2, 1, 1)
 
     path.write_text('{"lags": [[[2.0, 0.0], [0.0, 2.0]]]}')
-    assert read_autocov_json(path).lags.shape == (1, 2, 2)
+    assert read_json_source(path).lags.shape == (1, 2, 2)
+
+    # The policy reaches the R(0) check.
+    path.write_text('{"lags": [[[1.0, 0.0], [0.0, -1e-6]]]}')
+    with pytest.raises(NotPositiveDefinite):
+        read_json_source(path)
+    assert read_json_source(path, PsdPolicy(negativity_tol=1e-3)).dim == 2
 
     for body in ('{"x": 1}', '{"lags": [[[[1.0]]]]}', '{"lags": [1.0, NaN]}',
                  '{"lags": [[[Infinity]]]}'):
         path.write_text(body)
         with pytest.raises(ParseError):
-            read_autocov_json(path)
+            read_json_source(path)
 
 
 def test_read_timeseries_csv(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specdist.distances import alt_gap_profile, hellinger, spectral_w2
+from specdist.distances import hellinger, spectral_w2
 from specdist.hermitian import NEGATIVE_BAND
 from specdist.spectra import (
     GridSpectrum,
@@ -101,7 +101,7 @@ def test_transport_below_hellinger_and_gap_band(case):
     assert w2.squared <= hell.squared + 1e-10 * scale
     assert np.all(w2.per_freq_trace <= hell.per_freq_trace + 1e-10 * scale)
     traces = np.trace(vx + vy, axis1=1, axis2=2).real
-    assert np.all(alt_gap_profile(x, y) >= -NEGATIVE_BAND * traces)
+    assert np.all(w2.alt_gap >= -NEGATIVE_BAND * traces)
 
 
 @CHECKS

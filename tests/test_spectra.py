@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_grid_spectrum, random_pd
+from conftest import random_grid_spectrum, random_pd, rational_value
 from specdist.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -24,7 +24,6 @@ from specdist.spectra import (
     check_real_symmetry,
     default_omegas,
     estimate_welch,
-    eval_rational,
     rational_grid,
     rational_to_autocov,
     spectrum_to_autocov,
@@ -106,19 +105,29 @@ def test_grid_build_floors_spectral_zero():
 
 
 def test_eval_rational_trivial_cases():
-    assert np.allclose(eval_rational(white_model(m=2), 0.7), np.eye(2), atol=1e-14)
+    # The one-frequency reference on closed values, then the library grid.
+    assert np.allclose(rational_value(white_model(m=2), 0.7), np.eye(2), atol=1e-14)
     model = ar1_model()
-    assert abs(eval_rational(model, 0.0)[0, 0] - 4.0) <= 1e-12
-    assert abs(eval_rational(model, np.pi)[0, 0] - 1.0 / 2.25) <= 1e-12
+    assert abs(rational_value(model, 0.0)[0, 0] - 4.0) <= 1e-12
+    assert abs(rational_value(model, np.pi)[0, 0] - 1.0 / 2.25) <= 1e-12
+    assert np.allclose(rational_grid(white_model(m=2), 8).values, np.eye(2), atol=1e-14)
+    grid = rational_grid(model, 8)
+    assert abs(grid.values[0, 0, 0] - 4.0) <= 1e-12
+    assert abs(grid.values[4, 0, 0] - 1.0 / 2.25) <= 1e-12
 
 
 def test_eval_rational_hermitian_everywhere():
+    # The library grid matches the model definition evaluated one
+    # frequency at a time, on a VARMA(2,2) with a non-identity MA part.
     rng = np.random.default_rng(2)
     ar = 0.3 * rng.standard_normal((2, 2, 2)) / 2.0
-    model = RationalSpectrum(ar=ar, ma=np.eye(2)[None], noise_cov=random_pd(2, rng))
-    for omega in (0.0, 0.3, 1.1, np.pi, 5.0):
-        value = eval_rational(model, omega)
-        assert np.max(np.abs(value - np.conj(value.T))) <= 1e-12 * np.max(np.abs(value))
+    ma = np.concatenate([np.eye(2)[None], 0.5 * rng.standard_normal((2, 2, 2))])
+    model = RationalSpectrum(ar=ar, ma=ma, noise_cov=random_pd(2, rng))
+    grid = rational_grid(model, 32)
+    assert np.max(np.abs(grid.values - np.conj(np.swapaxes(grid.values, 1, 2)))) == 0.0
+    for l, omega in enumerate(default_omegas(32)):
+        ref = rational_value(model, omega)
+        assert np.max(np.abs(grid.values[l] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_stability_checks():
@@ -151,7 +160,7 @@ def test_singular_ar():
         noise_cov=np.eye(2),
     )
     with pytest.raises(SingularAr):
-        eval_rational(model, 0.0)
+        rational_grid(model, 8)
 
 
 def test_autocov_validations():
@@ -234,7 +243,6 @@ def test_autocov_spectrum_roundtrip():
     acov = Autocovariance(lags=np.stack(lags))
     back = spectrum_to_autocov(autocov_to_spectrum(acov, 64), 3)
     assert np.max(np.abs(back.lags - acov.lags)) <= 1e-10
-    assert back.imag_residual <= 1e-10
 
 
 def test_nonreal_residue():

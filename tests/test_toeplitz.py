@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import specdist.toeplitz
-from conftest import random_pd
+from conftest import random_pd, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
     FitDegenerateWarning,
@@ -18,14 +18,13 @@ from specdist.spectra import (
     rational_to_autocov,
 )
 from specdist.distances import spectral_w2
+from specdist.hermitian import trace_sqrt_product
 from specdist.toeplitz import (
     DEFAULT_HORIZONS,
     DENSE_CAP,
     build_block_toeplitz,
     convergence_diagnostic,
     default_horizons,
-    finite_horizon_w2_sq_per_step,
-    trace_sqrt_product_per_step,
     _fit_tail,
 )
 
@@ -50,17 +49,26 @@ def scaled_white(var):
     return Autocovariance(lags=np.array([[[float(var)]]]))
 
 
+def per_step(acx, acy, horizon):
+    """The oracle's per-step squared cost at one horizon."""
+    return convergence_diagnostic(acx, acy, [horizon]).per_step_values[0]
+
+
+def stacks(acx, acy, horizon):
+    return build_block_toeplitz(acx, horizon)[0], build_block_toeplitz(acy, horizon)[0]
+
+
 def test_build_horizon_zero_is_lag_zero():
-    cov = build_block_toeplitz(MA1, 0)
-    assert np.array_equal(cov.matrix, MA1.lags[0])
+    matrix, _ = build_block_toeplitz(MA1, 0)
+    assert np.array_equal(matrix, MA1.lags[0])
 
 
 def test_build_ma1_tridiagonal():
-    cov = build_block_toeplitz(MA1, 2)
+    matrix, _ = build_block_toeplitz(MA1, 2)
     expected = np.array(
         [[1.25, 0.5, 0.0], [0.5, 1.25, 0.5], [0.0, 0.5, 1.25]]
     )
-    assert np.array_equal(cov.matrix, expected)
+    assert np.array_equal(matrix, expected)
 
 
 def test_build_block_structure():
@@ -71,11 +79,11 @@ def test_build_block_structure():
     g = rng.standard_normal((2, 2))
     r1 = 0.05 * margin * g / np.linalg.norm(g, 2)
     acov = Autocovariance(lags=np.stack([r0, r1]))
-    cov = build_block_toeplitz(acov, 4)
-    assert np.array_equal(cov.matrix, cov.matrix.T)
+    matrix, _ = build_block_toeplitz(acov, 4)
+    assert np.array_equal(matrix, matrix.T)
     for r in range(5):
         for s in range(5):
-            block = cov.matrix[2 * r : 2 * r + 2, 2 * s : 2 * s + 2]
+            block = matrix[2 * r : 2 * r + 2, 2 * s : 2 * s + 2]
             k = s - r
             if k == 0:
                 assert np.array_equal(block, r0)
@@ -90,8 +98,9 @@ def test_build_block_structure():
 def test_build_min_eigenvalue_ar1():
     # The spectral infimum S(pi) = 1/2.25 bounds every Toeplitz eigenvalue
     # from below.
-    cov = build_block_toeplitz(ar1_acov(), 64)
-    assert cov.min_eigenvalue >= 0.444
+    matrix, min_eigenvalue = build_block_toeplitz(ar1_acov(), 64)
+    assert min_eigenvalue >= 0.444
+    assert min_eigenvalue == np.linalg.eigvalsh(matrix)[0]
 
 
 def test_build_validations():
@@ -107,33 +116,33 @@ def test_build_validations():
 
 def test_per_step_trivial_cases():
     acov = ar1_acov()
-    assert finite_horizon_w2_sq_per_step(acov, acov, 16) == 0.0
-    value = finite_horizon_w2_sq_per_step(scaled_white(4.0), scaled_white(1.0), 0)
+    assert per_step(acov, acov, 16) == 0.0
+    value = per_step(scaled_white(4.0), scaled_white(1.0), 0)
     assert abs(value - 1.0) <= 1e-12
     with pytest.raises(DimensionMismatch):
-        finite_horizon_w2_sq_per_step(acov, Autocovariance(lags=np.eye(2)[None]), 4)
+        per_step(acov, Autocovariance(lags=np.eye(2)[None]), 4)
 
 
 def test_per_step_frozen_value():
-    value = finite_horizon_w2_sq_per_step(ar1_acov(), white_acov(), 64)
+    value = per_step(ar1_acov(), white_acov(), 64)
     assert abs(value - 0.18436236888185117) <= 1e-12
 
 
 def test_trace_per_step():
     acov = ar1_acov()
     for horizon in (0, 8, 32):
-        value = trace_sqrt_product_per_step(acov, acov, horizon)
+        value = trace_sqrt_product(*stacks(acov, acov, horizon)) / (horizon + 1)
         assert abs(value - 4.0 / 3.0) <= 1e-10
-    value = trace_sqrt_product_per_step(scaled_white(4.0), scaled_white(1.0), 0)
+    value = trace_sqrt_product(*stacks(scaled_white(4.0), scaled_white(1.0), 0))
     assert abs(value - 2.0) <= 1e-12
 
 
 def test_two_path_equality_per_horizon():
     acx, acy = ar1_acov(), white_acov()
     for horizon in (4, 16, 64):
-        sandwich = trace_sqrt_product_per_step(acx, acy, horizon)
-        product = trace_sqrt_product_per_step(acx, acy, horizon, method="product-eigs")
-        assert abs(sandwich - product) <= 1e-8 * sandwich
+        sx, sy = stacks(acx, acy, horizon)
+        sandwich = trace_sqrt_product(sx, sy)
+        assert abs(sandwich - tsp_reference(sx, sy)) <= 1e-8 * sandwich
 
 
 @pytest.mark.parametrize("acov", [ar1_acov(), MA1])
@@ -141,8 +150,8 @@ def test_eigenvalue_bracketing(acov):
     grid = autocov_to_spectrum(acov, 4096)
     eigs = np.linalg.eigvalsh(grid.values)
     lo, hi = float(eigs.min()), float(eigs.max())
-    cov = build_block_toeplitz(acov, 32)
-    w = np.linalg.eigvalsh(cov.matrix)
+    matrix, _ = build_block_toeplitz(acov, 32)
+    w = np.linalg.eigvalsh(matrix)
     assert w.min() >= lo - 1e-8
     assert w.max() <= hi + 1e-8
 
