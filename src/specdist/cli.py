@@ -130,18 +130,23 @@ def _resolve_grid(kind: str, obj, n_freq: int, cfg: RunConfig) -> spectra.GridSp
     return spectra.autocov_to_spectrum(obj, n_freq, cfg.policy)
 
 
-def _derive_acov(kind, obj, grid, n_freq: int, cfg: RunConfig) -> spectra.Autocovariance:
-    """Autocovariance for the oracle, honoring a forced --max-lag."""
+def _derive_acov(kind, obj, grid, cfg: RunConfig) -> spectra.Autocovariance:
+    """Autocovariance for the oracle, honoring a forced --max-lag.
+
+    Models, grids and series go through the grid the spectral side already
+    built with the run's policy.  A model has lags at every order, so a
+    forced cut beyond the grid's bandwidth is clamped to it; for a sampled
+    grid such a cut is an error.
+    """
     if kind == "autocov":
         if cfg.max_lag is not None:
             return spectra.Autocovariance(obj.lags[: cfg.max_lag + 1], cfg.policy)
         return obj
-    if kind == "model":
-        return spectra.rational_to_autocov(obj, n_freq=n_freq, max_lag=cfg.max_lag)
-    acov = spectra.spectrum_to_autocov(
-        grid, cfg.max_lag if cfg.max_lag is not None else grid.n_freq // 2 - 1
-    )
-    return acov if cfg.max_lag is not None else spectra.truncate_by_decay(acov)
+    cap = grid.n_freq // 2 - 1
+    if cfg.max_lag is None:
+        return spectra.truncate_by_decay(spectra.spectrum_to_autocov(grid, cap))
+    max_lag = min(cfg.max_lag, cap) if kind == "model" else cfg.max_lag
+    return spectra.spectrum_to_autocov(grid, max_lag)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -214,8 +219,8 @@ def cmd_dist(args, cfg: RunConfig) -> int:
     payload = report.as_dict()
     diag = None
     if args.oracle:
-        acx = _derive_acov(*sources[0], grids[0], n_freq, cfg)
-        acy = _derive_acov(*sources[1], grids[1], n_freq, cfg)
+        acx = _derive_acov(*sources[0], grids[0], cfg)
+        acy = _derive_acov(*sources[1], grids[1], cfg)
         diag = toeplitz.convergence_diagnostic(
             acx, acy, cfg.horizons, report.squared, cfg.policy
         )
@@ -262,8 +267,8 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     # over-aggressive truncation shows up as converged=false.
     grids = [_resolve_grid(k, o, cfg.n_freq, cfg) for k, o in sources]
     target = distances.spectral_w2(grids[0], grids[1], cfg.policy).squared
-    acx = _derive_acov(*sources[0], grids[0], cfg.n_freq, cfg)
-    acy = _derive_acov(*sources[1], grids[1], cfg.n_freq, cfg)
+    acx = _derive_acov(*sources[0], grids[0], cfg)
+    acy = _derive_acov(*sources[1], grids[1], cfg)
     diag = toeplitz.convergence_diagnostic(acx, acy, cfg.horizons, target, cfg.policy)
     if cfg.fmt == "csv":
         _emit(_diag_csv(diag), cfg)

@@ -2,11 +2,14 @@
 
 Principal PSD square roots and the Bures-type quadratic coupling cost
 ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on pairs of Hermitian
-positive-definite matrices, batched over leading axes where the grid path
-needs it.  Everything here is a pure
-function of its inputs; real symmetric matrices are handled as the special
-case of complex Hermitian ones and stay in real arithmetic throughout.
-Each PSD rule of the package (symmetry, negativity, round-off) lives here.
+positive-definite matrices.  The grid path is batched over frequencies and
+takes its congruence from the roots its build already holds; a single pair
+factors ``A = L L*`` by Cholesky and uses the congruence ``L* B L``, which
+has the same eigenvalues, falling back to the root when ``A`` has no
+Cholesky factor.  Everything here is a pure function of its inputs; real
+symmetric matrices are handled as the special case of complex Hermitian
+ones and stay in real arithmetic throughout.  Each PSD rule of the package
+(symmetry, negativity, round-off) lives here.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "hermitian_part",
     "hermitian_residual",
     "psd_root",
-    "sqrt_psd",
     "sqrt_psd_many",
     "trace_sqrt_product",
 ]
@@ -170,9 +172,13 @@ def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.
     return psd_root(np.maximum(w, floors[..., None]), v)
 
 
-def sqrt_psd(h, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """:func:`sqrt_psd_many` on one matrix, after checking it is Hermitian."""
-    return sqrt_psd_many(check_hermitian(h)[None], policy)[0]
+def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
+    # Square roots of a coupling congruence's eigenvalues, summed per
+    # matrix, after the negativity rule.  A congruence keeps the sign of
+    # B's eigenvalues, so this is where an indefinite B is refused.
+    wm = np.linalg.eigvalsh(hermitian_part(congruence))
+    _refuse_indefinite(wm, policy, "coupling matrix")
+    return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
 
 
 def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -183,17 +189,21 @@ def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     eigenvalues, so an indefinite ``B`` raises
     :class:`~specdist.errors.IndefiniteInput` here.
     """
-    wm = np.linalg.eigvalsh(hermitian_part(root_a @ b @ root_a))
-    _refuse_indefinite(wm, policy, "coupling matrix")
-    return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
+    return _sum_of_roots(root_a @ b @ root_a, policy)
 
 
 def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``.
 
-    Decomposes ``A``, forms the Hermitian sandwich ``A^{1/2} B A^{1/2}`` and
-    sums the square roots of its eigenvalues (:func:`coupling_trace`); no
-    non-symmetric eigensolver is involved.  The value also equals the sum of
+    Factors ``A = L L*`` by Cholesky and sums the square roots of the
+    eigenvalues of the congruence ``L* B L``.  Its eigenvalues are those of
+    ``A^{1/2} B A^{1/2}`` (both are similar to ``A B``), so no root of
+    ``A`` and no non-symmetric eigensolver is needed, and it keeps the sign
+    pattern of ``B``.  A positive definite ``A`` is taken as given, without
+    the policy floor.  When ``A`` has no Cholesky factor (singular, or
+    negative inside the policy band) the root path runs instead:
+    ``A`` is decomposed and floored (:func:`sqrt_psd_many`) and the sandwich
+    goes through :func:`coupling_trace`.  The value also equals the sum of
     square roots of the eigenvalues of the product ``A B``; the test suite
     keeps that route as an independent reference.
 
@@ -210,12 +220,22 @@ def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     b = check_hermitian(b, name="second operand")
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
+    congruence = low.conj().T @ b @ low
+    # Drop the factor before the symmetrization allocates two more matrices
+    # of its size: at the oracle's top horizon that is the process peak.
+    del low
+    return float(_sum_of_roots(congruence, policy))
 
 
 def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """Squared quadratic coupling cost between zero-mean laws with scatter
-    matrices ``A`` and ``B``:  ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``.
+    matrices ``A`` and ``B``:  ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``,
+    with the coupling trace from :func:`trace_sqrt_product` (a Cholesky
+    congruence, or the root of ``A`` when ``A`` has no Cholesky factor).
 
     Tiny negative results inside the round-off band
     ``NEGATIVE_BAND * (tr A + tr B)`` are clamped to zero; anything more

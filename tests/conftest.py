@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from specdist.hermitian import DEFAULT_POLICY, check_hermitian, sqrt_psd_many
 from specdist.spectra import GridSpectrum, default_omegas
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -95,10 +96,13 @@ def rational_value(model, omega):
     return h @ model.noise_cov @ h.conj().T
 
 
-def count_eigensolves(monkeypatch) -> list:
-    """Record the input shape of every numpy Hermitian eigensolve."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
+def sqrt_psd(a, policy=DEFAULT_POLICY):
+    """The library's principal root of one Hermitian PSD matrix."""
+    return sqrt_psd_many(check_hermitian(a)[None], policy)[0]
+
+
+def _record_shapes(monkeypatch, names, calls) -> None:
+    for name in names:
         solver = getattr(np.linalg, name)
 
         def counted(a, *args, _solver=solver, **kwargs):
@@ -106,4 +110,13 @@ def count_eigensolves(monkeypatch) -> list:
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+
+def count_eigensolves(monkeypatch, choleskys=None) -> list:
+    """Record the input shape of every numpy Hermitian eigensolve, and of
+    every ``cholesky`` in ``choleskys`` when a list is given."""
+    calls = []
+    _record_shapes(monkeypatch, ("eigh", "eigvalsh"), calls)
+    if choleskys is not None:
+        _record_shapes(monkeypatch, ("cholesky",), choleskys)
     return calls

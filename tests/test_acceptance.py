@@ -17,11 +17,12 @@ from conftest import (
     random_grid_spectrum,
     random_pd,
     scalar_w2_squared,
+    sqrt_psd,
     tsp_reference,
 )
 from specdist import distances, spectra, toeplitz
 from specdist.fileio import read_json_source
-from specdist.hermitian import sqrt_psd, trace_sqrt_product
+from specdist.hermitian import trace_sqrt_product
 
 
 @pytest.fixture

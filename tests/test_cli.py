@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specdist.spectra
 from cli_cases import CASES, HERE, run_case
-from conftest import count_eigensolves
-from specdist.fileio import read_grid_csv, sidecar_path
+from conftest import DATA_DIR, count_eigensolves
+from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
+from specdist.hermitian import PsdPolicy
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -139,6 +141,40 @@ def test_policy_reaches_noise_cov_check(tmp_path):
     assert (code, stderr) == (0, "")
     assert json.loads(stdout)["noise_cov_min_eig"] == 1e-13
     assert run_case(("info", str(src)))[0] == 5
+
+
+ORACLE_MA1 = ("dist", "data/ma1.json", "data/white.json", "--n-freq", "64",
+              "--oracle", "--horizons", "2,4")
+
+
+def test_floor_eps_reaches_oracle_autocov():
+    # The MA(1) spectrum 1.25 + cos(w) dips to 0.25 at w = pi.  A floor of
+    # 0.2 times its peak 2.25 lifts the dip, so R(0), the mean of the
+    # spectrum, rises above 1.25 in the oracle's autocovariance too.
+    code, stdout, _ = run_case(ORACLE_MA1)
+    assert code == 0
+    assert json.loads(stdout)["oracle"]["trace_target_x"] == pytest.approx(1.25, rel=1e-12)
+    code, stdout, _ = run_case(ORACLE_MA1 + ("--floor-eps", "0.2"))
+    assert code == 0
+    grid = specdist.spectra.rational_grid(
+        read_json_source(DATA_DIR / "ma1.json"), 64, PsdPolicy(floor_eps=0.2)
+    )
+    r0 = float(np.mean(grid.values[:, 0, 0].real))
+    assert r0 > 1.25 + 1e-3
+    assert json.loads(stdout)["oracle"]["trace_target_x"] == pytest.approx(r0, rel=1e-12)
+
+
+def test_oracle_evaluates_each_model_once(monkeypatch):
+    calls = []
+    rational_grid = specdist.spectra.rational_grid
+
+    def counted(model, *args, **kwargs):
+        calls.append(model.dim)
+        return rational_grid(model, *args, **kwargs)
+
+    monkeypatch.setattr(specdist.spectra, "rational_grid", counted)
+    assert run_case(ORACLE_MA1)[0] == 0
+    assert calls == [1, 1]
 
 
 def test_json_source_read_once(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import specdist.hermitian
-from conftest import random_pd, tsp_reference
+from conftest import count_eigensolves, random_pd, sqrt_psd, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
     IndefiniteInput,
@@ -20,7 +20,6 @@ from specdist.hermitian import (
     coupling_trace,
     hermitian_part,
     hermitian_residual,
-    sqrt_psd,
     sqrt_psd_many,
     trace_sqrt_product,
 )
@@ -137,8 +136,63 @@ def test_trace_sqrt_product_paths_agree(m):
 def test_trace_sqrt_product_validations():
     with pytest.raises(DimensionMismatch):
         trace_sqrt_product(np.eye(2), np.eye(3))
-    with pytest.raises(IndefiniteInput):
-        trace_sqrt_product(np.eye(2), np.diag([1.0, -2.0]))
+    # An indefinite B is refused on the Cholesky path, and on the root path
+    # that an A with an exactly zero first pivot takes.
+    for a in (np.eye(2), np.diag([0.0, 1.0])):
+        for fn in (trace_sqrt_product, bures_w2_squared):
+            with pytest.raises(IndefiniteInput, match="coupling matrix"):
+                fn(a, np.diag([1.0, -2.0]))
+
+
+def singular_psd(m, rng, complex_=False):
+    """PSD matrix whose first row and column are exactly zero.
+
+    Cholesky meets an exactly zero first pivot and raises.  The zero also
+    survives every eigensolver exactly (the first column needs no
+    reflection), so neither the root path nor the product reference rounds
+    it to a tiny eigenvalue whose square root would be ~1e-8.
+    """
+    a = np.zeros((m, m), dtype=complex if complex_ else float)
+    a[1:, 1:] = random_pd(m - 1, rng, complex_=complex_)
+    return a
+
+
+def bures_reference(a, b):
+    return float(np.trace(a).real + np.trace(b).real) - 2.0 * tsp_reference(a, b)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bures_root_fallback_on_singular_first_operand(monkeypatch, complex_):
+    rng = np.random.default_rng(61)
+    a, b = singular_psd(4, rng, complex_), random_pd(4, rng, complex_=complex_)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a)
+    # Without a floor, the root of the singular A is exact.
+    unfloored = PsdPolicy(floor_eps=0.0)
+    tsp, ref = tsp_reference(a, b), bures_reference(a, b)
+    assert abs(trace_sqrt_product(a, b, unfloored) - tsp) <= 1e-12 * tsp
+    assert abs(bures_w2_squared(a, b, unfloored) - ref) <= 1e-12 * ref
+    # The default policy lifts A's zero eigenvalue to floor_eps times its
+    # largest; the reference's tiny product eigenvalue then carries ~1e-10.
+    lifted = a.copy()
+    lifted[0, 0] = DEFAULT_POLICY.floor_eps * np.linalg.eigvalsh(a)[-1]
+    ref_lifted = bures_reference(lifted, b)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    assert abs(bures_w2_squared(a, b) - ref_lifted) <= 1e-8 * ref_lifted
+    assert choleskys == [(4, 4)] and calls == [(1, 4, 4), (1, 4, 4)]
+
+
+def test_bures_cholesky_path_on_complex_pair(monkeypatch):
+    rng = np.random.default_rng(62)
+    a, b = random_pd(5, rng, complex_=True), random_pd(5, rng, complex_=True)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    got = bures_w2_squared(a, b)
+    assert choleskys == [(5, 5)] and calls == [(5, 5)]
+    tsp, ref = tsp_reference(a, b), bures_reference(a, b)
+    assert abs(got - ref) <= 1e-12 * ref
+    assert abs(trace_sqrt_product(a, b) - tsp) <= 1e-12 * tsp
 
 
 def test_bures_trivial_cases():

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specdist.distances import hellinger, spectral_w2
-from specdist.hermitian import NEGATIVE_BAND
+from specdist.hermitian import (
+    NEGATIVE_BAND,
+    coupling_trace,
+    sqrt_psd_many,
+    trace_sqrt_product,
+)
 from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
@@ -133,6 +138,37 @@ def test_unitary_invariance(data):
 
 
 @st.composite
+def pd_pair(draw, dims):
+    """Two Hermitian PD matrices of one dim, real or complex, with every
+    eigenvalue at least 1/2."""
+    m = draw(dims)
+    g = draw(unit_matrices(4, m))
+    if draw(st.booleans()):
+        g = g[:2] + 1j * g[2:]
+    a, b = (x @ x.conj().T + 0.5 * np.eye(m) for x in g[:2])
+    return a, b
+
+
+def assert_cholesky_and_root_paths_agree(pair):
+    a, b = pair
+    cholesky = trace_sqrt_product(a, b)
+    root = float(coupling_trace(sqrt_psd_many(a[None]), b[None])[0])
+    assert abs(cholesky - root) <= 1e-12 * root
+
+
+@CHECKS
+@given(pd_pair(st.integers(1, 4)))
+def test_cholesky_and_root_paths_agree_small_dims(pair):
+    assert_cholesky_and_root_paths_agree(pair)
+
+
+@settings(CHECKS, max_examples=8)
+@given(pd_pair(st.integers(5, 8)))
+def test_cholesky_and_root_paths_agree_large_dims(pair):
+    assert_cholesky_and_root_paths_agree(pair)
+
+
+@st.composite
 def var1_model(draw, m):
     """VAR(1) with spectral radius at most 0.5 and a PD innovation covariance."""
     g, h = draw(unit_matrices(2, m))
@@ -141,11 +177,18 @@ def var1_model(draw, m):
     return RationalSpectrum(ar=ar[None], ma=np.eye(m)[None], noise_cov=noise)
 
 
-@settings(CHECKS, max_examples=10)
-@given(st.data())
-def test_oracle_agrees_with_spectral_on_var1_pairs(data):
-    m = data.draw(st.integers(1, 2))
-    x, y = data.draw(var1_model(m)), data.draw(var1_model(m))
+@st.composite
+def varma11_model(draw, m):
+    """VAR(1) as above plus an MA(1) term ``B_1`` with spectral radius at
+    most 0.5, so ``I + B_1 z`` has no zero on the unit circle."""
+    var1 = draw(var1_model(m))
+    (g,) = draw(unit_matrices(1, m))
+    b1 = g * (0.5 / max(stability_radius(g[None]), 0.5))
+    return RationalSpectrum(ar=var1.ar, ma=np.stack([np.eye(m), b1]),
+                            noise_cov=var1.noise_cov)
+
+
+def assert_oracle_converges(x, y):
     n = 512
     target = spectral_w2(rational_grid(x, n), rational_grid(y, n)).squared
     diag = convergence_diagnostic(
@@ -155,3 +198,17 @@ def test_oracle_agrees_with_spectral_on_var1_pairs(data):
         target,
     )
     assert diag.converged, (diag.extrapolated_limit, target)
+
+
+@settings(CHECKS, max_examples=10)
+@given(st.data())
+def test_oracle_agrees_with_spectral_on_var1_pairs(data):
+    m = data.draw(st.integers(1, 2))
+    assert_oracle_converges(data.draw(var1_model(m)), data.draw(var1_model(m)))
+
+
+@settings(CHECKS, max_examples=10)
+@given(st.data())
+def test_oracle_agrees_with_spectral_on_varma11_pairs(data):
+    m = data.draw(st.integers(1, 2))
+    assert_oracle_converges(data.draw(varma11_model(m)), data.draw(varma11_model(m)))

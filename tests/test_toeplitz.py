@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import specdist.toeplitz
-from conftest import random_pd, tsp_reference
+from conftest import count_eigensolves, random_pd, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
     FitDegenerateWarning,
@@ -143,6 +143,17 @@ def test_two_path_equality_per_horizon():
         sx, sy = stacks(acx, acy, horizon)
         sandwich = trace_sqrt_product(sx, sy)
         assert abs(sandwich - tsp_reference(sx, sy)) <= 1e-8 * sandwich
+
+
+def test_one_horizon_three_eigensolves_one_cholesky(monkeypatch):
+    # Each side's definiteness check, then the coupling congruence; the
+    # first stack is factored by Cholesky, not decomposed for a root.
+    acx, acy = ar1_acov(), MA1
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    convergence_diagnostic(acx, acy, [8])
+    assert calls == [(9, 9)] * 3
+    assert choleskys == [(9, 9)]
 
 
 @pytest.mark.parametrize("acov", [ar1_acov(), MA1])
