@@ -17,6 +17,7 @@ non-positive-definite input 5.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,11 +143,16 @@ def _derive_acov(kind, obj, grid, cfg: RunConfig) -> spectra.Autocovariance:
         if cfg.max_lag is not None:
             return spectra.Autocovariance(obj.lags[: cfg.max_lag + 1], cfg.policy)
         return obj
-    cap = grid.n_freq // 2 - 1
-    if cfg.max_lag is None:
-        return spectra.truncate_by_decay(spectra.spectrum_to_autocov(grid, cap))
-    max_lag = min(cfg.max_lag, cap) if kind == "model" else cfg.max_lag
+    max_lag = cfg.max_lag
+    if kind == "model" and max_lag is not None:
+        max_lag = min(max_lag, grid.n_freq // 2 - 1)
     return spectra.spectrum_to_autocov(grid, max_lag)
+
+
+def _oracle(sources, grids, target: float, cfg: RunConfig):
+    """Convergence diagnostic of the two sources against ``target``."""
+    acx, acy = (_derive_acov(k, o, g, cfg) for (k, o), g in zip(sources, grids))
+    return toeplitz.convergence_diagnostic(acx, acy, cfg.horizons, target, cfg.policy)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -162,41 +168,24 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def _report_csv(report: distances.DistanceReport) -> str:
-    f = fileio.format_float
-    lines = [
-        f"# value={f(report.value)}",
-        f"# squared={f(report.squared)}",
-        f"# commutation_residual={f(report.commutation_residual)}",
-        f"# flooring_count={report.flooring_count}",
-        f"# is_lower_bound={'true' if report.is_lower_bound else 'false'}",
-        "omega_index,omega,per_freq_trace,alt_gap",
-    ]
-    omegas = spectra.default_omegas(report.n_freq)
-    for l in range(report.n_freq):
-        lines.append(
-            f"{l},{f(omegas[l])},{f(report.per_freq_trace[l])},{f(report.alt_gap[l])}"
-        )
-    return "\n".join(lines)
+    meta = ("value", "squared", "commutation_residual", "flooring_count",
+            "is_lower_bound")
+    n = report.n_freq
+    columns = {"omega_index": np.arange(n), "omega": spectra.default_omegas(n),
+               "per_freq_trace": report.per_freq_trace, "alt_gap": report.alt_gap}
+    return fileio._csv_text(report, meta, columns)
 
 
 def _diag_csv(diag: toeplitz.ConvergenceDiagnostic) -> str:
-    f = fileio.format_float
-    lines = [
-        f"# spectral_target={f(diag.spectral_target)}",
-        f"# extrapolated_limit={f(diag.extrapolated_limit)}",
-        f"# converged={'true' if diag.converged else 'false'}",
-        f"# trace_target_x={f(diag.trace_target_x)}",
-        f"# trace_target_y={f(diag.trace_target_y)}",
-        f"# fit_degenerate={'true' if diag.fit_degenerate else 'false'}",
-        "horizon,per_step_value,min_eig_x,min_eig_y,trace_per_step_x,trace_per_step_y",
-    ]
-    for i, h in enumerate(diag.horizons):
-        mx, my = diag.min_eigenvalues[i]
-        lines.append(
-            f"{h},{f(diag.per_step_values[i])},{f(mx)},{f(my)},"
-            f"{f(diag.trace_per_step_x[i])},{f(diag.trace_per_step_y[i])}"
-        )
-    return "\n".join(lines)
+    meta = ("spectral_target", "extrapolated_limit", "converged",
+            "trace_target_x", "trace_target_y", "fit_degenerate")
+    min_x, min_y = np.array(diag.min_eigenvalues).T
+    columns = {"horizon": np.array(diag.horizons),
+               "per_step_value": diag.per_step_values,
+               "min_eig_x": min_x, "min_eig_y": min_y,
+               "trace_per_step_x": diag.trace_per_step_x,
+               "trace_per_step_y": diag.trace_per_step_y}
+    return fileio._csv_text(diag, meta, columns)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -216,23 +205,17 @@ def cmd_dist(args, cfg: RunConfig) -> int:
     else:
         report = distances.spectral_w2(grids[0], grids[1], cfg.policy)
 
-    payload = report.as_dict()
-    diag = None
-    if args.oracle:
-        acx = _derive_acov(*sources[0], grids[0], cfg)
-        acy = _derive_acov(*sources[1], grids[1], cfg)
-        diag = toeplitz.convergence_diagnostic(
-            acx, acy, cfg.horizons, report.squared, cfg.policy
-        )
-        payload["oracle"] = diag.as_dict()
-
+    diag = _oracle(sources, grids, report.squared, cfg) if args.oracle else None
     if cfg.fmt == "csv":
         text = _report_csv(report)
         if diag is not None:
-            text += "\n\n" + _diag_csv(diag)
-        _emit(text, cfg)
+            text += "\n" + _diag_csv(diag)
+    elif diag is None:
+        text = fileio.json_dumps(report)
     else:
-        _emit(fileio.json_dumps(payload), cfg)
+        # The payload is a copy of the report's fields; the report is unchanged.
+        text = fileio.json_dumps({**dataclasses.asdict(report), "oracle": diag})
+    _emit(text, cfg)
     return 0
 
 
@@ -267,13 +250,8 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     # over-aggressive truncation shows up as converged=false.
     grids = [_resolve_grid(k, o, cfg.n_freq, cfg) for k, o in sources]
     target = distances.spectral_w2(grids[0], grids[1], cfg.policy).squared
-    acx = _derive_acov(*sources[0], grids[0], cfg)
-    acy = _derive_acov(*sources[1], grids[1], cfg)
-    diag = toeplitz.convergence_diagnostic(acx, acy, cfg.horizons, target, cfg.policy)
-    if cfg.fmt == "csv":
-        _emit(_diag_csv(diag), cfg)
-    else:
-        _emit(fileio.json_dumps(diag.as_dict()), cfg)
+    diag = _oracle(sources, grids, target, cfg)
+    _emit(_diag_csv(diag) if cfg.fmt == "csv" else fileio.json_dumps(diag), cfg)
     return 0
 
 
@@ -286,14 +264,14 @@ def cmd_info(args, cfg: RunConfig) -> int:
             ar_order=int(obj.ar.shape[0]),
             ma_order=int(obj.ma.shape[0] - 1),
             stability_radius=spectra.stability_radius(obj.ar),
-            noise_cov_min_eig=float(np.linalg.eigvalsh(obj.noise_cov)[0]),
+            noise_cov_min_eig=obj.noise_cov_min_eigenvalue,
         )
     elif kind == "autocov":
         summary.update(
             dim=obj.dim,
             max_lag=obj.max_lag,
             r0_trace=float(np.trace(obj.lags[0])),
-            r0_min_eig=float(np.linalg.eigvalsh(obj.lags[0])[0]),
+            r0_min_eig=obj.r0_min_eigenvalue,
         )
     elif kind == "grid":
         summary.update(

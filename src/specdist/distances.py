@@ -56,19 +56,6 @@ class DistanceReport:
     flooring_count: int
     is_lower_bound: bool = False
 
-    def as_dict(self) -> dict:
-        """Plain-type view in the serialization key order."""
-        return {
-            "value": self.value,
-            "squared": self.squared,
-            "n_freq": self.n_freq,
-            "per_freq_trace": [float(t) for t in self.per_freq_trace],
-            "alt_gap": [float(g) for g in self.alt_gap],
-            "commutation_residual": self.commutation_residual,
-            "flooring_count": self.flooring_count,
-            "is_lower_bound": self.is_lower_bound,
-        }
-
 
 class _PairProfile(NamedTuple):
     per_freq_w2: np.ndarray

@@ -1,8 +1,10 @@
 """File formats and deterministic serialization.
 
-All floats are rendered with 17 significant digits so values survive a
-write/read round trip bit-exactly, and all containers serialize in a fixed
-key order; identical inputs therefore produce byte-identical output files.
+Every output is rendered here: JSON and CSV reports and grid files.  All
+floats are rendered with 17 significant digits so values survive a
+write/read round trip bit-exactly, a non-finite value is refused, and all
+containers serialize in a fixed key order (a dataclass in its field
+order); identical inputs therefore produce byte-identical output files.
 
 Formats:
 
@@ -19,6 +21,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -47,9 +50,7 @@ GRID_HEADER = ("omega_index", "row", "col", "re", "im")
 _GRID_ROW = np.dtype([("l", np.int64), ("i", np.int64), ("j", np.int64),
                       ("re", np.float64), ("im", np.float64)])
 
-_GRID_ROW_FORMAT = "%d,%d,%d,%.17g,%.17g\n"
-
-#: Rows rendered per format call when writing a grid CSV.
+#: Rows rendered per format call.
 _WRITE_BLOCK_ROWS = 4096
 
 
@@ -60,8 +61,37 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_rows(row_format: str, table: np.ndarray) -> str:
+    """Apply ``row_format`` to each row of a 2-D float table: one finiteness
+    check and one ``%`` call per block of rows.  ``%d`` renders an integral
+    float exactly and ``%.17g`` is :func:`format_float`'s format, so the
+    text, and the error a non-finite value raises, match it entry by entry.
+    """
+    pieces = []
+    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+        block = table[start:start + _WRITE_BLOCK_ROWS]
+        finite = np.isfinite(block)
+        if not finite.all():
+            format_float(block.flat[np.argmin(finite)])  # always raises
+        pieces.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    return "".join(pieces)
+
+
+def _csv_text(obj, meta: tuple, columns: dict) -> str:
+    """CSV text: a ``# key=value`` line per ``meta`` field of ``obj``,
+    rendered as in JSON, a header, then a line per element of the
+    broadcast ``columns``; integer columns render with ``%d``."""
+    lines = [f"# {k}={json_dumps(getattr(obj, k))}\n" for k in meta]
+    cols = np.broadcast_arrays(*map(np.asarray, columns.values()))
+    fields = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in cols]
+    table = np.stack(cols, axis=-1).astype(float, copy=False).reshape(-1, len(cols))
+    head = "".join(lines) + ",".join(columns) + "\n"
+    return head + _format_rows(",".join(fields) + "\n", table)
+
+
 def json_dumps(obj) -> str:
-    """Deterministic JSON: fixed float rendering, insertion-ordered keys."""
+    """Deterministic JSON: fixed float rendering, insertion-ordered keys,
+    dataclasses by their fields in declaration order."""
     pieces: list[str] = []
     _emit(obj, pieces)
     return "".join(pieces)
@@ -78,6 +108,10 @@ def _emit(obj, out: list) -> None:
         out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        out.append("[" + _format_rows("%.17g, ", obj[:, None])[:-2] + "]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -110,26 +144,9 @@ def grid_csv_text(grid: GridSpectrum) -> str:
     ValueError
         If any value is non-finite, with the message of :func:`format_float`.
     """
-    n, m = grid.n_freq, grid.dim
-    table = np.empty((n, m, m, 5))
-    table[..., 0] = np.arange(n)[:, None, None]
-    table[..., 1] = np.arange(m)[:, None]
-    table[..., 2] = np.arange(m)
-    table[..., 3] = grid.values.real
-    table[..., 4] = grid.values.imag
-    table = table.reshape(-1, 5)
-    parts = table[:, 3:]
-    finite = np.isfinite(parts)
-    if not finite.all():
-        format_float(parts.flat[np.argmin(finite)])  # raises for the first bad value
-    # ``%d`` renders the integral float indices exactly, and ``%.17g`` is
-    # the format ``format_float`` applies, so the text is identical to a
-    # per-entry rendering.  Blocks bound the temporary argument tuples.
-    pieces = [",".join(GRID_HEADER) + "\n"]
-    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-        block = table[start:start + _WRITE_BLOCK_ROWS]
-        pieces.append(_GRID_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
-    return "".join(pieces)
+    n, m, v = grid.n_freq, grid.dim, grid.values
+    index = (np.arange(n)[:, None, None], np.arange(m)[:, None], np.arange(m))
+    return _csv_text(grid, (), dict(zip(GRID_HEADER, (*index, v.real, v.imag))))
 
 
 def write_grid_csv(path, grid: GridSpectrum) -> None:

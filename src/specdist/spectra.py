@@ -10,7 +10,7 @@ grid spectra from raw time series.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "rational_to_autocov",
     "spectrum_to_autocov",
     "stability_radius",
-    "truncate_by_decay",
 ]
 
 #: Residual threshold under which a grid is flagged as coming from a
@@ -192,11 +191,13 @@ class Autocovariance:
 
     ``lags`` has shape (K+1, m, m); negative lags are implied by
     ``R(-k) = R(k)^T``.  ``R(0)`` is checked against the negativity band
-    of ``policy``, a constructor argument that is not stored.
+    of ``policy``, a constructor argument that is not stored; the check's
+    smallest eigenvalue is kept as ``r0_min_eigenvalue``.
     """
 
     lags: np.ndarray
     policy: InitVar[PsdPolicy] = DEFAULT_POLICY
+    r0_min_eigenvalue: float = field(init=False)
 
     def __post_init__(self, policy: PsdPolicy):
         lags = np.asarray(self.lags, dtype=float)
@@ -210,6 +211,7 @@ class Autocovariance:
         if not np.isfinite(lags).all():
             raise ValueError("autocovariance lags must be finite")
         object.__setattr__(self, "lags", lags)
+        object.__setattr__(self, "r0_min_eigenvalue", float(w[0]))
 
     @property
     def dim(self) -> int:
@@ -227,16 +229,18 @@ class RationalSpectrum:
 
     ``ar`` holds A_1..A_p (shape (p, m, m), possibly p = 0), ``ma`` holds
     B_0..B_q (shape (q+1, m, m)), and ``noise_cov`` is the SPD innovation
-    covariance Q; its smallest eigenvalue must exceed ``policy.floor_eps``
-    times its largest (``policy`` is a constructor argument that is not
-    stored).  Stability (spectral radius of the AR companion
-    matrix strictly below one) is enforced at construction.
+    covariance Q; its smallest eigenvalue, kept as
+    ``noise_cov_min_eigenvalue``, must exceed ``policy.floor_eps`` times its
+    largest (``policy`` is a constructor argument that is not stored).
+    Stability (spectral radius of the AR companion matrix strictly below
+    one) is enforced at construction.
     """
 
     ar: np.ndarray
     ma: np.ndarray
     noise_cov: np.ndarray
     policy: InitVar[PsdPolicy] = DEFAULT_POLICY
+    noise_cov_min_eigenvalue: float = field(init=False)
 
     def __post_init__(self, policy: PsdPolicy):
         ar = np.asarray(self.ar, dtype=float)
@@ -271,6 +275,7 @@ class RationalSpectrum:
         object.__setattr__(self, "ar", ar)
         object.__setattr__(self, "ma", ma)
         object.__setattr__(self, "noise_cov", q)
+        object.__setattr__(self, "noise_cov_min_eigenvalue", float(w[0]))
 
     @property
     def dim(self) -> int:
@@ -363,11 +368,16 @@ def autocov_to_spectrum(
     return GridSpectrum.build(values, policy, name="truncated spectrum")
 
 
-def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
+def spectrum_to_autocov(
+    spec: GridSpectrum,
+    max_lag: int | None = None,
+) -> Autocovariance:
     """Autocovariances ``R(k) = (1/N) sum_l value(w_l) e^{jw_l k}``.
 
     The imaginary part left over after the inverse transform is discarded
-    once it is checked to be negligible.
+    once it is checked to be negligible.  Without a forced ``max_lag`` the
+    sequence runs to the grid's bandwidth ``n_freq // 2 - 1`` and is cut
+    after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
 
     Raises
     ------
@@ -377,6 +387,9 @@ def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
         If the discarded imaginary part exceeds 1e-6 relative, meaning the
         grid does not describe a real-valued process.
     """
+    decay_cut = max_lag is None
+    if decay_cut:
+        max_lag = spec.n_freq // 2 - 1
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if 2 * max_lag >= spec.n_freq:
@@ -392,16 +405,12 @@ def spectrum_to_autocov(spec: GridSpectrum, max_lag: int) -> Autocovariance:
             f"imaginary residue {residual:.3e} relative; grid is not the "
             "spectrum of a real process"
         )
-    return Autocovariance(lags=seq.real)
-
-
-def truncate_by_decay(acov: Autocovariance) -> Autocovariance:
-    """Cut after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``: a
-    controlled approximation for stable, geometrically decaying processes."""
-    norms = np.linalg.norm(acov.lags, axis=(1, 2))
-    keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
-    cut = int(keep.max()) if keep.size else 0
-    return Autocovariance(lags=acov.lags[: cut + 1])
+    lags = seq.real
+    if decay_cut:
+        norms = np.linalg.norm(lags, axis=(1, 2))
+        keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
+        lags = lags[: int(keep.max()) + 1 if keep.size else 1]
+    return Autocovariance(lags=lags)
 
 
 def rational_to_autocov(
@@ -417,14 +426,13 @@ def rational_to_autocov(
         Grid resolution used for the inverse transform; must comfortably
         exceed the model's effective memory.
     max_lag : int, optional
-        Forced truncation point.  By default the sequence is cut by
-        :func:`truncate_by_decay`.
+        Forced truncation point, clamped to the grid's bandwidth
+        ``n_freq // 2 - 1``.  By default the cut of
+        :func:`spectrum_to_autocov` applies.
     """
-    spec = rational_grid(model, n_freq)
-    hard_cap = n_freq // 2 - 1
     if max_lag is not None:
-        return spectrum_to_autocov(spec, min(max_lag, hard_cap))
-    return truncate_by_decay(spectrum_to_autocov(spec, hard_cap))
+        max_lag = min(max_lag, n_freq // 2 - 1)
+    return spectrum_to_autocov(rational_grid(model, n_freq), max_lag)
 
 
 def estimate_welch(

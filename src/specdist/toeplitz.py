@@ -121,21 +121,6 @@ class ConvergenceDiagnostic:
     trace_target_y: float
     fit_degenerate: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "horizons": [int(h) for h in self.horizons],
-            "per_step_values": [float(v) for v in self.per_step_values],
-            "spectral_target": self.spectral_target,
-            "extrapolated_limit": self.extrapolated_limit,
-            "converged": self.converged,
-            "min_eigenvalues": [[float(a), float(b)] for a, b in self.min_eigenvalues],
-            "trace_per_step_x": [float(v) for v in self.trace_per_step_x],
-            "trace_per_step_y": [float(v) for v in self.trace_per_step_y],
-            "trace_target_x": self.trace_target_x,
-            "trace_target_y": self.trace_target_y,
-            "fit_degenerate": self.fit_degenerate,
-        }
-
 
 def _fit_tail(horizons, values) -> float:
     """Extrapolate the sequence with the model ``v = L + c / (i + 1)``.

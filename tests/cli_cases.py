@@ -64,6 +64,10 @@ CASES = (
     CliCase("dist_acov_oracle",
             ("dist", "data/acov_ma1.json", "data/acov_ma1.json",
              "--n-freq", "8", "--oracle", "--horizons", "2,4,8"), 0),
+    # Report plus diagnostic as CSV on two dim-2 models.
+    CliCase("dist_oracle_csv",
+            ("dist", "data/var2_x.json", "data/var2_y.json", "--n-freq", "16",
+             "--oracle", "--horizons", "2,4,8", "--format", "csv"), 0),
     CliCase("oracle_identical_csv",
             ("oracle", "data/acov_ma1.json", "data/acov_ma1.json",
              "--n-freq", "8", "--horizons", "2,4,8", "--format", "csv"), 0),

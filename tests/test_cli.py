@@ -196,6 +196,16 @@ def test_info_grid_decomposes_once(monkeypatch):
     assert calls == [(8, 1, 1)]
 
 
+@pytest.mark.parametrize("src, shape", [("data/var2_x.json", (2, 2)),
+                                        ("data/acov_ma1.json", (1, 1))])
+def test_info_source_decomposes_once(monkeypatch, src, shape):
+    # info prints the smallest eigenvalue of noise_cov or R(0) that the
+    # source's constructor already computed for its definiteness check.
+    calls = count_eigensolves(monkeypatch)
+    assert run_case(("info", src))[0] == 0
+    assert calls == [shape]
+
+
 def test_installed_entry_point():
     result = subprocess.run(
         ["specdist", "info", "data/ar1.json"],

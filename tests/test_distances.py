@@ -1,6 +1,7 @@
 """Unit tests for the spectral distances and their diagnostics."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from specdist.errors import (
     NegativeDistance,
     NotPositiveDefinite,
 )
+from specdist.fileio import json_dumps
 from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
@@ -52,8 +54,7 @@ def test_report_shape_and_consistency():
     assert abs(report.squared - report.value**2) <= 1e-12 * max(report.squared, 1e-300)
     assert np.all(report.per_freq_trace >= 0.0)
     assert not report.is_lower_bound
-    payload = report.as_dict()
-    assert list(payload) == [
+    assert list(json.loads(json_dumps(report))) == [
         "value", "squared", "n_freq", "per_freq_trace", "alt_gap",
         "commutation_residual", "flooring_count", "is_lower_bound",
     ]

@@ -1,6 +1,7 @@
 """Unit tests for serialization and the on-disk formats."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_spectrum
+from specdist.distances import DistanceReport
 from specdist.errors import NotPositiveDefinite, ParseError
 from specdist.fileio import (
     GRID_HEADER,
@@ -47,6 +49,36 @@ def test_json_dumps():
     assert json_dumps(np.int32(7)) == "7"
     with pytest.raises(TypeError):
         json_dumps(object())
+
+
+def per_entry_json(values) -> str:
+    return "[" + ", ".join(format_float(v) for v in values) + "]"
+
+
+def test_json_float_arrays_match_per_entry_rendering():
+    # Signed zero, the smallest subnormal and a huge value, past one block.
+    values = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0] * 700)
+    assert json_dumps(values) == per_entry_json(values)
+    assert json_dumps(values[:0]) == "[]"
+    report = DistanceReport(
+        value=1e300, squared=-0.0, n_freq=len(values), per_freq_trace=values,
+        alt_gap=values[::-1], commutation_residual=5e-324, flooring_count=3,
+        is_lower_bound=True,
+    )
+    assert json_dumps(report) == (
+        f'{{"value": 1.0000000000000001e+300, "squared": -0, "n_freq": {len(values)}, '
+        f'"per_freq_trace": {per_entry_json(values)}, '
+        f'"alt_gap": {per_entry_json(values[::-1])}, '
+        '"commutation_residual": 4.9406564584124654e-324, "flooring_count": 3, '
+        '"is_lower_bound": true}'
+    )
+    bad = values.copy()
+    bad[4100] = np.nan
+    with pytest.raises(ValueError) as expected:
+        format_float(bad[4100])
+    with pytest.raises(ValueError) as exc:
+        json_dumps(dataclasses.replace(report, alt_gap=bad))
+    assert str(exc.value) == str(expected.value)
 
 
 def test_sidecar_path(tmp_path):

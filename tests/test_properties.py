@@ -2,8 +2,10 @@
 
 Grids come from short autocovariance sequences whose lag terms stay well
 inside the lag-0 block's smallest eigenvalue, so every generated grid is
-positive definite by construction.  Each test runs a small, derandomized
-set of examples, so the suite sees the same inputs on every run.
+positive definite by construction.  The metric axioms are drawn a second
+time from the grids of stable VARMA(1,1) models at dims 1 to 8.  Each
+test runs a small, derandomized set of examples, so the suite sees the
+same inputs on every run.
 """
 
 import numpy as np
@@ -212,3 +214,44 @@ def test_oracle_agrees_with_spectral_on_var1_pairs(data):
 def test_oracle_agrees_with_spectral_on_varma11_pairs(data):
     m = data.draw(st.integers(1, 2))
     assert_oracle_converges(data.draw(varma11_model(m)), data.draw(varma11_model(m)))
+
+
+MODEL_N_FREQ = 64
+
+
+@st.composite
+def model_grids(draw, dims):
+    """Three VARMA(1,1) model grids of one dim drawn from ``dims``, and a
+    unitary of that dim."""
+    m = draw(dims)
+    grids = [rational_grid(draw(varma11_model(m)), MODEL_N_FREQ) for _ in range(3)]
+    return grids, draw(unitary(m))
+
+
+def assert_metric_axioms(case):
+    """Symmetry, the triangle inequality, W <= Hellinger and unitary
+    invariance, with the round-off allowances of the synthetic tests."""
+    (x, y, z), u = case
+    vx, vy, vz = (g.values for g in (x, y, z))
+    scale = scale_of(vx, vy)
+    dxy = spectral_w2(x, y)
+    assert abs(dxy.squared - spectral_w2(y, x).squared) <= 1e-10 * scale
+    dxz, dyz = spectral_w2(x, z).value, spectral_w2(y, z).value
+    assert dxz <= dxy.value + dyz + 1e-7 * np.sqrt(scale_of(vx, vy, vz))
+    hell = hellinger(x, y)
+    assert dxy.squared <= hell.squared + 1e-10 * scale
+    assert np.all(dxy.per_freq_trace <= hell.per_freq_trace + 1e-10 * scale)
+    ux, uy = (GridSpectrum.build(u @ v @ u.conj().T) for v in (vx, vy))
+    assert abs(spectral_w2(ux, uy).squared - dxy.squared) <= 1e-9 * scale
+
+
+@CHECKS
+@given(model_grids(st.integers(1, 4)))
+def test_metric_axioms_on_model_grids_small_dims(case):
+    assert_metric_axioms(case)
+
+
+@settings(CHECKS, max_examples=8)
+@given(model_grids(st.integers(5, 8)))
+def test_metric_axioms_on_model_grids_large_dims(case):
+    assert_metric_axioms(case)

@@ -1,5 +1,7 @@
 """Unit tests for the block-Toeplitz finite-horizon oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from specdist.spectra import (
     rational_to_autocov,
 )
 from specdist.distances import spectral_w2
+from specdist.fileio import json_dumps
 from specdist.hermitian import trace_sqrt_product
 from specdist.toeplitz import (
     DEFAULT_HORIZONS,
@@ -197,8 +200,7 @@ def test_diagnostic_ar1_vs_white_converges():
     for tx, ty in zip(diag.trace_per_step_x, diag.trace_per_step_y):
         assert abs(tx - 4.0 / 3.0) <= 1e-10
         assert ty == 1.0
-    payload = diag.as_dict()
-    assert list(payload)[:6] == [
+    assert list(json.loads(json_dumps(diag)))[:6] == [
         "horizons", "per_step_values", "spectral_target",
         "extrapolated_limit", "converged", "min_eigenvalues",
     ]
