@@ -5,7 +5,9 @@ supported: a rational (vector ARMA) model with closed-form spectrum
 ``H(e^{jw}) Q H(e^{jw})*``, a truncated autocovariance sequence, and a
 spectrum sampled on the uniform frequency grid ``w_l = 2 pi l / N``.
 Conversions between them go through the FFT; a Welch estimator produces
-grid spectra from raw time series.
+grid spectra from raw time series.  Model and autocovariance sources are
+real processes by construction, so their grids are evaluated, checked and
+decomposed on ``l = 0..N/2`` and mirrored, ``value(N-l) = conj(value(l))``.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ class GridSpectrum:
         Principal square root of each value, from the decomposition in build.
     real_symmetry : bool
         True when the grid satisfies the real-process symmetry
-        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.
+        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.  Model
+        and autocovariance grids are mirrored from ``l = 0..N/2``, so for
+        them it holds exactly.
     min_eigenvalue, max_eigenvalue : float
         Extreme eigenvalues over the grid after flooring.
     flooring_count : int
@@ -139,45 +143,75 @@ class GridSpectrum:
             If any eigenvalue is negative beyond the policy band, or the
             whole grid has no positive mass to floor against.
         """
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise DimensionMismatch(
-                f"{name} must have shape (n_freq, m, m), got {values.shape}"
-            )
-        _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
-        values = hermitian_part(values)
-
-        w, v = np.linalg.eigh(values)
-        scale = float(w.max())
-        if scale <= 0.0:
-            raise NotPositiveDefinite(
-                f"{name} has no positive eigenvalue mass; cannot floor"
-            )
-        neg_bound = policy.negativity_tol * scale
-        worst = float(w.min())
-        if worst < -neg_bound:
-            idx = int(np.argmin(w.min(axis=-1)))
-            raise NotPositiveDefinite(
-                f"{name} is indefinite at frequency index {idx}: eigenvalue "
-                f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
-            )
-        floor = policy.floor_eps * scale
-        needs = w.min(axis=-1) < floor
-        count = int(np.count_nonzero(needs))
-        if count:
-            np.maximum(w, floor, out=w)
-            vb = v[needs]
-            fixed = (vb * w[needs][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
-            values[needs] = hermitian_part(fixed)
-
-        # The root comes from the same decomposition; w and v are released
-        # before the symmetry check allocates its own grid-sized temporaries.
-        root = psd_root(w, v)
-        lo, hi = float(w.min()), float(w.max())
-        del w, v
+        values, root, lo, hi, floored = _floor_and_root(values, policy, name)
+        # The decomposition's temporaries are gone before the symmetry
+        # check allocates its own grid-sized ones.
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
-        return cls(values=values, root=root, real_symmetry=sym,
-                   min_eigenvalue=lo, max_eigenvalue=hi, flooring_count=count)
+        return cls(values=values, root=root, real_symmetry=sym, min_eigenvalue=lo,
+                   max_eigenvalue=hi, flooring_count=int(np.count_nonzero(floored)))
+
+
+def _floor_and_root(values, policy: PsdPolicy, name: str):
+    """The body of :meth:`GridSpectrum.build` up to the symmetry flag:
+    shape and Hermitian checks, one ``eigh``, the negativity rule, flooring
+    and the root.  Returns ``(values, root, min_eig, max_eig, floored)``
+    with ``floored`` the per-frequency mask of lifted rows."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise DimensionMismatch(
+            f"{name} must have shape (n_freq, m, m), got {values.shape}"
+        )
+    _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
+    values = hermitian_part(values)
+
+    w, v = np.linalg.eigh(values)
+    scale = float(w.max())
+    if scale <= 0.0:
+        raise NotPositiveDefinite(
+            f"{name} has no positive eigenvalue mass; cannot floor"
+        )
+    neg_bound = policy.negativity_tol * scale
+    worst = float(w.min())
+    if worst < -neg_bound:
+        idx = int(np.argmin(w.min(axis=-1)))
+        raise NotPositiveDefinite(
+            f"{name} is indefinite at frequency index {idx}: eigenvalue "
+            f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
+        )
+    floor = policy.floor_eps * scale
+    floored = w.min(axis=-1) < floor
+    if floored.any():
+        np.maximum(w, floor, out=w)
+        vb = v[floored]
+        fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
+        values[floored] = hermitian_part(fixed)
+    # The root comes from the same decomposition.
+    root = psd_root(w, v)
+    return values, root, float(w.min()), float(w.max()), floored
+
+
+def _build_real(
+    half: np.ndarray, n_freq: int, policy: PsdPolicy, name: str
+) -> GridSpectrum:
+    """A real process's spectrum from its rows ``l = 0..n_freq // 2``.
+
+    ``value(N-l) = conj(value(l))`` for a real process, so the checks, the
+    decomposition and the flooring of :meth:`GridSpectrum.build` run on
+    these rows only and the values and roots are mirrored.  Rows 0 and N/2
+    are their own mirror images and are taken real.  ``flooring_count``
+    counts a floored interior row twice, as the full grid would, and
+    ``real_symmetry`` holds exactly.
+    """
+    half[0] = half[0].real
+    if n_freq % 2 == 0:
+        half[-1] = half[-1].real
+    values, root, lo, hi, floored = _floor_and_root(half, policy, name)
+    # Rows N-l of the full grid, for l = ceil(N/2)-1 down to 1.
+    mirrored = slice((n_freq + 1) // 2 - 1, 0, -1)
+    values, root = (np.concatenate([a, np.conj(a[mirrored])]) for a in (values, root))
+    count = np.count_nonzero(floored) + np.count_nonzero(floored[mirrored])
+    return GridSpectrum(values=values, root=root, real_symmetry=True, min_eigenvalue=lo,
+                        max_eigenvalue=hi, flooring_count=int(count))
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
@@ -327,10 +361,15 @@ def rational_grid(
     n_freq: int,
     policy: PsdPolicy = DEFAULT_POLICY,
 ) -> GridSpectrum:
-    """Sample a rational model's spectrum on the uniform grid."""
-    h = _transfer(model, default_omegas(n_freq))
+    """Sample a rational model's spectrum on the uniform grid.
+
+    The transfer function, and with it the ``SingularAr`` guard, is
+    evaluated on ``l = 0..n_freq // 2`` only: the coefficients are real, so
+    ``A(w_{N-l}) = conj A(w_l)`` and the other rows are mirror images.
+    """
+    h = _transfer(model, default_omegas(n_freq)[: n_freq // 2 + 1])
     values = h @ model.noise_cov @ np.conj(np.swapaxes(h, -1, -2))
-    return GridSpectrum.build(values, policy, name="rational spectrum")
+    return _build_real(values, n_freq, policy, name="rational spectrum")
 
 
 def autocov_to_spectrum(
@@ -341,8 +380,9 @@ def autocov_to_spectrum(
     """Spectrum ``sum_{|k|<=K} R(k) e^{-jwk}`` on the uniform grid.
 
     The two-sided lag sequence is laid out in FFT order and transformed in
-    one pass, so the result is Hermitian to round-off and exactly matches
-    the truncated Fourier sum at every grid point.
+    one real-input pass (``rfft``) onto ``l = 0..n_freq // 2``; the other
+    rows are mirror images.  The result is Hermitian to round-off and
+    matches the truncated Fourier sum at every grid point.
 
     Raises
     ------
@@ -364,8 +404,8 @@ def autocov_to_spectrum(
     for j in range(1, k + 1):
         seq[j] = acov.lags[j]
         seq[n_freq - j] = acov.lags[j].T
-    values = np.fft.fft(seq, axis=0)
-    return GridSpectrum.build(values, policy, name="truncated spectrum")
+    values = np.fft.rfft(seq, axis=0)
+    return _build_real(values, n_freq, policy, name="truncated spectrum")
 
 
 def spectrum_to_autocov(
@@ -410,7 +450,8 @@ def spectrum_to_autocov(
         norms = np.linalg.norm(lags, axis=(1, 2))
         keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
         lags = lags[: int(keep.max()) + 1 if keep.size else 1]
-    return Autocovariance(lags=lags)
+    # A copy, so the kept lags do not pin the grid-sized transform.
+    return Autocovariance(lags=lags.copy())
 
 
 def rational_to_autocov(

@@ -101,7 +101,9 @@ def sqrt_psd(a, policy=DEFAULT_POLICY):
     return sqrt_psd_many(check_hermitian(a)[None], policy)[0]
 
 
-def _record_shapes(monkeypatch, names, calls) -> None:
+def record_shapes(monkeypatch, names, calls) -> None:
+    """Append the first argument's shape to ``calls`` on every call of the
+    ``np.linalg`` functions in ``names``."""
     for name in names:
         solver = getattr(np.linalg, name)
 
@@ -116,7 +118,7 @@ def count_eigensolves(monkeypatch, choleskys=None) -> list:
     """Record the input shape of every numpy Hermitian eigensolve, and of
     every ``cholesky`` in ``choleskys`` when a list is given."""
     calls = []
-    _record_shapes(monkeypatch, ("eigh", "eigvalsh"), calls)
+    record_shapes(monkeypatch, ("eigh", "eigvalsh"), calls)
     if choleskys is not None:
-        _record_shapes(monkeypatch, ("cholesky",), choleskys)
+        record_shapes(monkeypatch, ("cholesky",), choleskys)
     return calls

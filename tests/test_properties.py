@@ -216,6 +216,18 @@ def test_oracle_agrees_with_spectral_on_varma11_pairs(data):
     assert_oracle_converges(data.draw(varma11_model(m)), data.draw(varma11_model(m)))
 
 
+@settings(CHECKS, max_examples=5)
+@given(var1_model(3), var1_model(3))
+def test_oracle_agrees_with_spectral_on_var1_pairs_dim3(x, y):
+    assert_oracle_converges(x, y)
+
+
+@settings(CHECKS, max_examples=5)
+@given(varma11_model(3), varma11_model(3))
+def test_oracle_agrees_with_spectral_on_varma11_pairs_dim3(x, y):
+    assert_oracle_converges(x, y)
+
+
 MODEL_N_FREQ = 64
 
 

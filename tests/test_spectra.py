@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_grid_spectrum, random_pd, rational_value
+from conftest import (
+    count_eigensolves,
+    random_grid_spectrum,
+    random_pd,
+    rational_value,
+    record_shapes,
+)
 from specdist.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -41,6 +47,30 @@ def white_model(var=1.0, m=1):
     return RationalSpectrum(
         ar=np.zeros((0, m, m)), ma=np.eye(m)[None], noise_cov=var * np.eye(m)
     )
+
+
+def ma_model(*coefs):
+    return RationalSpectrum(ar=np.zeros((0, 1, 1)), ma=np.array(coefs, float)[:, None, None],
+                            noise_cov=np.eye(1))
+
+
+def random_varma21(m, rng):
+    """Stable VARMA(2,1): the AR norms sum to 1/2, so no AR root reaches
+    the unit circle."""
+    ar = np.stack([0.25 * g / np.linalg.norm(g, 2) for g in rng.standard_normal((2, m, m))])
+    b1 = rng.standard_normal((m, m))
+    ma = np.stack([np.eye(m), 0.5 * b1 / np.linalg.norm(b1, 2)])
+    return RationalSpectrum(ar=ar, ma=ma, noise_cov=random_pd(m, rng))
+
+
+def random_acov(m, rng, max_lag=3):
+    """Lags scaled well inside R(0)'s smallest eigenvalue: PD everywhere."""
+    r0 = random_pd(m, rng)
+    margin = float(np.linalg.eigvalsh(r0)[0])
+    lags = [r0]
+    for k, g in enumerate(rng.standard_normal((max_lag, m, m)), start=1):
+        lags.append((0.1 * margin / k) * g / np.linalg.norm(g, 2))
+    return Autocovariance(lags=np.stack(lags))
 
 
 def scalar_grid(values):
@@ -128,6 +158,67 @@ def test_eval_rational_hermitian_everywhere():
     for l, omega in enumerate(default_omegas(32)):
         ref = rational_value(model, omega)
         assert np.max(np.abs(grid.values[l] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+GRIDS = pytest.mark.parametrize("n_freq", [8, 15, 64])
+DIMS = pytest.mark.parametrize("m", [1, 2, 3])
+
+
+@GRIDS
+@DIMS
+def test_rational_grid_matches_reference_at_every_frequency(m, n_freq):
+    # Mirrored rows, odd N included, against the model definition.
+    model = random_varma21(m, np.random.default_rng(10 * m + n_freq))
+    grid = rational_grid(model, n_freq)
+    assert grid.n_freq == n_freq
+    for l, omega in enumerate(default_omegas(n_freq)):
+        ref = rational_value(model, omega)
+        assert np.max(np.abs(grid.values[l] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@GRIDS
+@DIMS
+def test_autocov_to_spectrum_matches_full_fft(m, n_freq):
+    acov = random_acov(m, np.random.default_rng(10 * m + n_freq))
+    seq = np.zeros((n_freq, m, m))
+    seq[0] = acov.lags[0]
+    for k in range(1, acov.max_lag + 1):
+        seq[k], seq[n_freq - k] = acov.lags[k], acov.lags[k].T
+    ref = np.fft.fft(seq, axis=0)
+    grid = autocov_to_spectrum(acov, n_freq)
+    err = np.max(np.abs(grid.values - ref), axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
+
+
+@GRIDS
+def test_real_sources_are_exactly_mirrored(n_freq):
+    rng = np.random.default_rng(n_freq)
+    for m in (1, 2, 3):
+        for grid in (rational_grid(random_varma21(m, rng), n_freq),
+                     autocov_to_spectrum(random_acov(m, rng), n_freq)):
+            assert grid.real_symmetry
+            assert check_real_symmetry(grid) == 0.0
+            mirrored = np.conj(np.roll(grid.root[::-1], 1, axis=0))
+            assert np.array_equal(grid.root, mirrored)
+
+
+def test_flooring_count_matches_full_grid():
+    # 1 + z vanishes at pi, row N/2, which is its own mirror image.
+    assert rational_grid(ma_model(1.0, 1.0), 16).flooring_count == 1
+    # 1 + z + z^2 vanishes at +-2 pi / 3, rows 16 and 32 of 48: one
+    # evaluated interior row, counted for itself and its mirror.
+    assert rational_grid(ma_model(1.0, 1.0, 1.0), 48).flooring_count == 2
+
+
+@DIMS
+def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
+    model = random_varma21(m, np.random.default_rng(m))
+    conds = []
+    record_shapes(monkeypatch, ("cond",), conds)
+    eigs = count_eigensolves(monkeypatch)
+    rational_grid(model, 64)
+    assert eigs == [(33, m, m)]
+    assert conds == [(33, m, m)]
 
 
 def test_stability_checks():
@@ -233,16 +324,17 @@ def test_spectrum_to_autocov_trivial_cases():
 
 
 def test_autocov_spectrum_roundtrip():
-    rng = np.random.default_rng(9)
-    r0 = random_pd(2, rng)
-    margin = float(np.linalg.eigvalsh(r0)[0])
-    lags = [r0]
-    for k in (1, 2, 3):
-        g = rng.standard_normal((2, 2))
-        lags.append((0.1 * margin / k) * g / np.linalg.norm(g, 2))
-    acov = Autocovariance(lags=np.stack(lags))
+    acov = random_acov(2, np.random.default_rng(9))
     back = spectrum_to_autocov(autocov_to_spectrum(acov, 64), 3)
     assert np.max(np.abs(back.lags - acov.lags)) <= 1e-10
+
+
+def test_autocov_lags_own_their_memory():
+    # The kept lags are copied out of the grid-sized inverse transform.
+    grid = rational_grid(ar1_model(), 4096)
+    for acov in (spectrum_to_autocov(grid), spectrum_to_autocov(grid, 5),
+                 rational_to_autocov(ar1_model())):
+        assert acov.lags.base is None
 
 
 def test_nonreal_residue():
