@@ -10,6 +10,13 @@ distance replaces the coupling term with ``|A^{1/2} - B^{1/2}|_F^2``; since
 never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
 reported as a diagnostic.
+
+Model and autocovariance grids are exact mirror images,
+``value(N-l) = conj(value(l))`` bitwise, roots included.  A pair of such
+grids is coupled on ``l = 0..N/2`` only, because conjugation keeps every
+per-frequency quantity, and its per-frequency arrays are mirrored from
+those rows.  Any other pair, such as grid-CSV or Welch spectra whose
+symmetry holds only to round-off, is coupled on the whole grid.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, coupling_trace
-from .spectra import GridSpectrum
+from .spectra import GridSpectrum, _is_mirrored, _mirror
 
 __all__ = [
     "DistanceReport",
@@ -83,8 +90,12 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
         zeros = np.zeros(n)
         return _PairProfile(zeros, np.zeros(n), np.zeros(n), 0.0)
 
-    xv, yv = x.values, y.values
-    rx, ry = x.root, y.root
+    xv, yv, rx, ry = x.values, y.values, x.root, y.root
+    # A pair of exact mirror images is coupled on its rows l = 0..N/2, and
+    # the per-frequency arrays are mirrored back at the end.
+    half = all(_is_mirrored(a) for a in (xv, yv, rx, ry))
+    if half:
+        xv, yv, rx, ry = (a[: n // 2 + 1] for a in (xv, yv, rx, ry))
     tsp = coupling_trace(rx, yv, policy)
 
     tr_x = np.trace(xv, axis1=-2, axis2=-1).real
@@ -99,6 +110,8 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
 
     comm = xv @ yv - yv @ xv
     residual = float(np.max(np.linalg.norm(comm, axis=(-2, -1))))
+    if half:
+        w2, hell, alt = (_mirror(a, n) for a in (w2, hell, alt))
     return _PairProfile(w2, hell, alt, residual)
 
 

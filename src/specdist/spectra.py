@@ -56,7 +56,8 @@ REAL_SYMMETRY_TOL = 1e-10
 #: Trailing lags with ``|R(k)|_F < DECAY_TOL * |R(0)|_F`` are cut.
 DECAY_TOL = 1e-12
 
-#: Condition number above which the AR polynomial is treated as singular.
+#: 1-norm condition number above which the AR polynomial is treated as
+#: singular.
 AR_COND_LIMIT = 1e12
 
 _WINDOWS = {
@@ -206,12 +207,29 @@ def _build_real(
     if n_freq % 2 == 0:
         half[-1] = half[-1].real
     values, root, lo, hi, floored = _floor_and_root(half, policy, name)
-    # Rows N-l of the full grid, for l = ceil(N/2)-1 down to 1.
-    mirrored = slice((n_freq + 1) // 2 - 1, 0, -1)
-    values, root = (np.concatenate([a, np.conj(a[mirrored])]) for a in (values, root))
-    count = np.count_nonzero(floored) + np.count_nonzero(floored[mirrored])
-    return GridSpectrum(values=values, root=root, real_symmetry=True, min_eigenvalue=lo,
-                        max_eigenvalue=hi, flooring_count=int(count))
+    count = np.count_nonzero(floored) + np.count_nonzero(floored[_mirrored_rows(n_freq)])
+    return GridSpectrum(values=_mirror(values, n_freq), root=_mirror(root, n_freq),
+                        real_symmetry=True, min_eigenvalue=lo, max_eigenvalue=hi,
+                        flooring_count=int(count))
+
+
+def _mirrored_rows(n_freq: int) -> slice:
+    # The rows l of l = 0..N/2 whose images N-l complete the grid, in the
+    # order of those images: l = ceil(N/2)-1 down to 1.
+    return slice((n_freq + 1) // 2 - 1, 0, -1)
+
+
+def _mirror(half: np.ndarray, n_freq: int) -> np.ndarray:
+    """The full grid ``0..N-1`` from rows ``0..N/2``: row ``N-l`` is
+    ``conj(row l)``.  Real per-frequency arrays are mirrored as they are."""
+    return np.concatenate([half, np.conj(half[_mirrored_rows(n_freq)])])
+
+
+def _is_mirrored(a: np.ndarray) -> bool:
+    """True when row ``N-l`` of ``a`` equals ``conj(row l)`` exactly for
+    every ``l``, as :func:`_mirror` leaves it."""
+    n = a.shape[0]
+    return np.array_equal(a[n // 2 + 1 :], np.conj(a[_mirrored_rows(n)]))
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
@@ -334,7 +352,14 @@ def stability_radius(ar: np.ndarray) -> float:
 
 
 def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
-    """Transfer function H at each frequency, shape (n, m, m)."""
+    """Transfer function ``H = A^{-1} B`` at each frequency, shape (n, m, m).
+
+    ``A(w)`` is inverted once, and the inverse gives its exact 1-norm
+    condition number ``|A|_1 |A^{-1}|_1`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 15), which is refused above
+    ``AR_COND_LIMIT``, as is an ``A(w)`` that is exactly singular.  It is
+    within a factor ``m`` of the 2-norm condition number.
+    """
     m = model.dim
     p = model.ar.shape[0]
     q1 = model.ma.shape[0]
@@ -343,17 +368,23 @@ def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
     phases_ar = np.exp(-1j * np.outer(omegas, np.arange(1, p + 1)))
     a = eye - np.einsum("wr,rij->wij", phases_ar, model.ar)
 
-    cond = np.linalg.cond(a)
-    if float(np.max(cond)) > AR_COND_LIMIT:
-        idx = int(np.argmax(cond))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise SingularAr("AR polynomial is exactly singular at some frequency") from None
+    cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(a_inv, 1, axis=(-2, -1))
+    # ``not <=`` also refuses an inverse that overflowed to inf or NaN.
+    beyond = ~(cond <= AR_COND_LIMIT)
+    if beyond.any():
+        idx = int(np.argmax(beyond))
         raise SingularAr(
             f"AR polynomial is numerically singular at frequency index {idx} "
-            f"(condition {float(cond[idx]):.3e})"
+            f"(1-norm condition {float(cond[idx]):.6e})"
         )
 
     phases_ma = np.exp(-1j * np.outer(omegas, np.arange(q1)))
     b = np.einsum("ws,sij->wij", phases_ma, model.ma)
-    return np.linalg.solve(a, b)
+    return a_inv @ b
 
 
 def rational_grid(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from specdist.hermitian import DEFAULT_POLICY, check_hermitian, sqrt_psd_many
-from specdist.spectra import GridSpectrum, default_omegas
+from specdist.spectra import GridSpectrum, RationalSpectrum, default_omegas
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -33,6 +33,15 @@ def random_pd(m, rng, complex_=False, spread=4.0):
     q, _ = np.linalg.qr(g)
     eig = np.exp(rng.uniform(-np.log(spread), np.log(spread), size=m))
     return (q * eig) @ q.conj().T
+
+
+def random_varma21(m, rng):
+    """Stable VARMA(2,1): the AR norms sum to 1/2, so no AR root reaches
+    the unit circle."""
+    ar = np.stack([0.25 * g / np.linalg.norm(g, 2) for g in rng.standard_normal((2, m, m))])
+    b1 = rng.standard_normal((m, m))
+    ma = np.stack([np.eye(m), 0.5 * b1 / np.linalg.norm(b1, 2)])
+    return RationalSpectrum(ar=ar, ma=ma, noise_cov=random_pd(m, rng))
 
 
 def random_grid_spectrum(m, rng, n_freq=64):
@@ -112,6 +121,15 @@ def record_shapes(monkeypatch, names, calls) -> None:
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+
+def refuse_inverse(monkeypatch) -> None:
+    """Make ``np.linalg.inv`` raise as numpy does on an exactly singular
+    matrix."""
+    def singular(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
 
 
 def count_eigensolves(monkeypatch, choleskys=None) -> list:

@@ -11,7 +11,7 @@ import pytest
 
 import specdist.spectra
 from cli_cases import CASES, HERE, run_case
-from conftest import DATA_DIR, count_eigensolves
+from conftest import DATA_DIR, count_eigensolves, refuse_inverse
 from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
 from specdist.hermitian import PsdPolicy
 
@@ -204,6 +204,13 @@ def test_info_source_decomposes_once(monkeypatch, src, shape):
     calls = count_eigensolves(monkeypatch)
     assert run_case(("info", src))[0] == 0
     assert calls == [shape]
+
+
+def test_exactly_singular_ar_exits_1(monkeypatch):
+    refuse_inverse(monkeypatch)
+    code, out, err = run_case(("dist", "data/ar1.json", "data/white.json", "--n-freq", "64"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: SingularAr: ")
 
 
 def test_installed_entry_point():

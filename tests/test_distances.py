@@ -11,6 +11,7 @@ from conftest import (
     commuting_pair,
     count_eigensolves,
     random_grid_spectrum,
+    random_varma21,
     scalar_w2_squared,
 )
 from specdist.distances import gelbrich_lower_bound, hellinger, spectral_w2
@@ -21,10 +22,12 @@ from specdist.errors import (
     NotPositiveDefinite,
 )
 from specdist.fileio import json_dumps
+from specdist.hermitian import coupling_trace
 from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
     default_omegas,
+    estimate_welch,
     rational_grid,
 )
 
@@ -234,3 +237,56 @@ def test_negative_band_guard(monkeypatch):
         except NegativeDistance:
             raised += 1
     assert raised >= 1
+
+
+HALF_CASES = pytest.mark.parametrize(
+    "m, n_freq", [(m, n) for m in (1, 2, 3, 8) for n in (8, 15, 64)]
+)
+
+
+def model_pair(m, n_freq):
+    rng = np.random.default_rng(100 * m + n_freq)
+    return tuple(rational_grid(random_varma21(m, rng), n_freq) for _ in range(2))
+
+
+@HALF_CASES
+def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
+    x, y = model_pair(m, n_freq)
+    # The whole-grid reference, one coupling per frequency row.
+    scale = (np.trace(x.values, axis1=1, axis2=2) + np.trace(y.values, axis1=1, axis2=2)).real
+    tsp = coupling_trace(x.root, y.values)
+    hell = np.sum(np.abs(x.root - y.root) ** 2, axis=(1, 2))
+    alt = tsp - np.einsum("fij,fji->f", x.root, y.root).real
+    for fn, ref in ((spectral_w2, scale - 2.0 * tsp), (gelbrich_lower_bound, scale - 2.0 * tsp),
+                    (hellinger, hell)):
+        report = fn(x, y)
+        for got, want in ((report.per_freq_trace, ref), (report.alt_gap, alt)):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            # Row N-l is row l, bitwise.
+            assert np.array_equal(got[1:], got[1:][::-1])
+
+
+@HALF_CASES
+def test_mirrored_pair_couples_half_the_grid(monkeypatch, m, n_freq):
+    x, y = model_pair(m, n_freq)
+    calls = count_eigensolves(monkeypatch)
+    spectral_w2(x, y)
+    assert calls == [(n_freq // 2 + 1, m, m)]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    wx, wy = (estimate_welch(rng.standard_normal((512, m)), 32) for _ in range(2))
+    x, y = model_pair(m, 32)
+    # One row off its mirror image, in the values of x or the root of y
+    # (by little enough to keep the gap inside its round-off band).
+    values, root = x.values.copy(), y.root.copy()
+    values[3] *= 1.0 + 1e-14
+    root[30] *= 1.0 + 1e-14
+    pairs = ((wx, wy), (dataclasses.replace(x, values=values), y),
+             (x, dataclasses.replace(y, root=root)))
+    calls = count_eigensolves(monkeypatch)
+    for a, b in pairs:
+        spectral_w2(a, b)
+    assert calls == [(32, m, m)] * 3

@@ -1,5 +1,7 @@
 """Unit tests for spectrum representations, transforms and estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from conftest import (
     count_eigensolves,
     random_grid_spectrum,
     random_pd,
+    random_varma21,
     rational_value,
     record_shapes,
+    refuse_inverse,
 )
 from specdist.errors import (
     DimensionMismatch,
@@ -52,15 +56,6 @@ def white_model(var=1.0, m=1):
 def ma_model(*coefs):
     return RationalSpectrum(ar=np.zeros((0, 1, 1)), ma=np.array(coefs, float)[:, None, None],
                             noise_cov=np.eye(1))
-
-
-def random_varma21(m, rng):
-    """Stable VARMA(2,1): the AR norms sum to 1/2, so no AR root reaches
-    the unit circle."""
-    ar = np.stack([0.25 * g / np.linalg.norm(g, 2) for g in rng.standard_normal((2, m, m))])
-    b1 = rng.standard_normal((m, m))
-    ma = np.stack([np.eye(m), 0.5 * b1 / np.linalg.norm(b1, 2)])
-    return RationalSpectrum(ar=ar, ma=ma, noise_cov=random_pd(m, rng))
 
 
 def random_acov(m, rng, max_lag=3):
@@ -212,13 +207,17 @@ def test_flooring_count_matches_full_grid():
 
 @DIMS
 def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
+    # One inverse serves the transfer function and the condition guard;
+    # no SVD runs.
     model = random_varma21(m, np.random.default_rng(m))
-    conds = []
-    record_shapes(monkeypatch, ("cond",), conds)
+    invs, svds = [], []
+    record_shapes(monkeypatch, ("inv",), invs)
+    record_shapes(monkeypatch, ("cond", "svd"), svds)
     eigs = count_eigensolves(monkeypatch)
     rational_grid(model, 64)
     assert eigs == [(33, m, m)]
-    assert conds == [(33, m, m)]
+    assert invs == [(33, m, m)]
+    assert svds == []
 
 
 def test_stability_checks():
@@ -252,6 +251,26 @@ def test_singular_ar():
     )
     with pytest.raises(SingularAr):
         rational_grid(model, 8)
+
+
+def test_singular_ar_reports_the_one_norm_condition():
+    model = RationalSpectrum(
+        ar=np.array([[[1.0 - 1e-13, 0.0], [0.0, 0.0]]]),
+        ma=np.eye(2)[None],
+        noise_cov=np.eye(2),
+    )
+    with pytest.raises(SingularAr) as info:
+        rational_grid(model, 8)
+    found = re.search(r"frequency index (\d+) \(1-norm condition (\S+)\)", str(info.value))
+    idx, cond = int(found[1]), float(found[2])
+    a = np.eye(2) - model.ar[0] * np.exp(-1j * default_omegas(8)[idx])
+    assert abs(cond - np.linalg.cond(a, 1)) <= 1e-6 * np.linalg.cond(a, 1)
+
+
+def test_exactly_singular_ar_is_singular_ar(monkeypatch):
+    refuse_inverse(monkeypatch)
+    with pytest.raises(SingularAr):
+        rational_grid(ar1_model(), 8)
 
 
 def test_autocov_validations():
