@@ -76,6 +76,9 @@ def _config_from(args) -> RunConfig:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     horizons = getattr(args, "horizons", None)
+    max_lag = getattr(args, "max_lag", None)
+    if max_lag is not None and max_lag < 0:
+        raise ParseError(f"--max-lag must be nonnegative, got {max_lag}")
     return RunConfig(
         n_freq=args.n_freq,
         policy=policy,
@@ -85,7 +88,7 @@ def _config_from(args) -> RunConfig:
         seg_len=seg_len,
         overlap=overlap,
         window=getattr(args, "window", "hann"),
-        max_lag=getattr(args, "max_lag", None),
+        max_lag=max_lag,
     )
 
 

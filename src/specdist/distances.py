@@ -11,12 +11,12 @@ never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
 reported as a diagnostic.
 
-Model and autocovariance grids are exact mirror images,
+A grid that ``GridSpectrum.build`` made from an exact mirror (a model,
+autocovariance or Welch grid, or a grid CSV written from one) is one too,
 ``value(N-l) = conj(value(l))`` bitwise, roots included.  A pair of such
-grids is coupled on ``l = 0..N/2`` only, because conjugation keeps every
+grids is coupled on ``l = 0..N/2`` only, as conjugation keeps every
 per-frequency quantity, and its per-frequency arrays are mirrored from
-those rows.  Any other pair, such as grid-CSV or Welch spectra whose
-symmetry holds only to round-off, is coupled on the whole grid.
+those rows.  Any other pair is coupled on the whole grid.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ supported: a rational (vector ARMA) model with closed-form spectrum
 ``H(e^{jw}) Q H(e^{jw})*``, a truncated autocovariance sequence, and a
 spectrum sampled on the uniform frequency grid ``w_l = 2 pi l / N``.
 Conversions between them go through the FFT; a Welch estimator produces
-grid spectra from raw time series.  Model and autocovariance sources are
-real processes by construction, so their grids are evaluated, checked and
-decomposed on ``l = 0..N/2`` and mirrored, ``value(N-l) = conj(value(l))``.
+grid spectra from raw time series.  Models, autocovariances and series
+describe real processes, whose spectra satisfy ``value(N-l) =
+conj(value(l))``, so their grids are evaluated on ``l = 0..N/2`` and
+mirrored, and :meth:`GridSpectrum.build` checks and decomposes any exact
+mirror on those rows only.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ def default_omegas(n_freq: int) -> np.ndarray:
 
 def _symmetry_residual(values: np.ndarray) -> float:
     # Real-process symmetry: value at index N-l equals the transpose of the
-    # value at index l, which for a Hermitian value is its conjugate.
-    flipped = np.roll(values[::-1], 1, axis=0)
-    np.conj(flipped, out=flipped)
-    flipped -= values
-    num = float(np.max(np.abs(flipped)))
+    # value at index l, which for a Hermitian value is its conjugate.  Each
+    # pair (l, N-l) is compared once, from l = 0..N/2.
+    half = values.shape[0] // 2 + 1
+    gap = np.conj(values[-np.arange(half)])
+    gap -= values[:half]
+    num = float(np.max(np.abs(gap)))
     den = float(np.max(np.abs(values)))
     if den == 0.0:
         return 0.0
@@ -97,9 +100,10 @@ class GridSpectrum:
         Principal square root of each value, from the decomposition in build.
     real_symmetry : bool
         True when the grid satisfies the real-process symmetry
-        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.  Model
-        and autocovariance grids are mirrored from ``l = 0..N/2``, so for
-        them it holds exactly.
+        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.  Model,
+        autocovariance and Welch grids, and the grid CSVs written from
+        them, are exact mirrors with real rows 0 and N/2, so for them it
+        holds exactly.
     min_eigenvalue, max_eigenvalue : float
         Extreme eigenvalues over the grid after flooring.
     flooring_count : int
@@ -135,6 +139,10 @@ class GridSpectrum:
         anywhere on the grid, so isolated spectral zeros are lifted to a
         uniform small level and counted rather than left singular.
 
+        An exact mirror (row ``N-l`` bitwise ``conj(row l)``) is checked,
+        decomposed and floored on rows ``l = 0..N/2`` only and mirrored; a
+        floored row with an image counts twice, as on the whole grid.
+
         Raises
         ------
         NonHermitianInput
@@ -144,73 +152,50 @@ class GridSpectrum:
             If any eigenvalue is negative beyond the policy band, or the
             whole grid has no positive mass to floor against.
         """
-        values, root, lo, hi, floored = _floor_and_root(values, policy, name)
-        # The decomposition's temporaries are gone before the symmetry
-        # check allocates its own grid-sized ones.
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 3 or values.shape[1] != values.shape[2]:
+            raise DimensionMismatch(
+                f"{name} must have shape (n_freq, m, m), got {values.shape}"
+            )
+        n = values.shape[0]
+        mirrored = _is_mirrored(values)
+        rows = values[: n // 2 + 1] if mirrored else values
+        _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
+        # Measured before the eigensolve, whose peak it would otherwise raise.
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
-        return cls(values=values, root=root, real_symmetry=sym, min_eigenvalue=lo,
-                   max_eigenvalue=hi, flooring_count=int(np.count_nonzero(floored)))
+        rows = hermitian_part(rows)
 
-
-def _floor_and_root(values, policy: PsdPolicy, name: str):
-    """The body of :meth:`GridSpectrum.build` up to the symmetry flag:
-    shape and Hermitian checks, one ``eigh``, the negativity rule, flooring
-    and the root.  Returns ``(values, root, min_eig, max_eig, floored)``
-    with ``floored`` the per-frequency mask of lifted rows."""
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 3 or values.shape[1] != values.shape[2]:
-        raise DimensionMismatch(
-            f"{name} must have shape (n_freq, m, m), got {values.shape}"
-        )
-    _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
-    values = hermitian_part(values)
-
-    w, v = np.linalg.eigh(values)
-    scale = float(w.max())
-    if scale <= 0.0:
-        raise NotPositiveDefinite(
-            f"{name} has no positive eigenvalue mass; cannot floor"
-        )
-    neg_bound = policy.negativity_tol * scale
-    worst = float(w.min())
-    if worst < -neg_bound:
-        idx = int(np.argmin(w.min(axis=-1)))
-        raise NotPositiveDefinite(
-            f"{name} is indefinite at frequency index {idx}: eigenvalue "
-            f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
-        )
-    floor = policy.floor_eps * scale
-    floored = w.min(axis=-1) < floor
-    if floored.any():
-        np.maximum(w, floor, out=w)
-        vb = v[floored]
-        fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
-        values[floored] = hermitian_part(fixed)
-    # The root comes from the same decomposition.
-    root = psd_root(w, v)
-    return values, root, float(w.min()), float(w.max()), floored
-
-
-def _build_real(
-    half: np.ndarray, n_freq: int, policy: PsdPolicy, name: str
-) -> GridSpectrum:
-    """A real process's spectrum from its rows ``l = 0..n_freq // 2``.
-
-    ``value(N-l) = conj(value(l))`` for a real process, so the checks, the
-    decomposition and the flooring of :meth:`GridSpectrum.build` run on
-    these rows only and the values and roots are mirrored.  Rows 0 and N/2
-    are their own mirror images and are taken real.  ``flooring_count``
-    counts a floored interior row twice, as the full grid would, and
-    ``real_symmetry`` holds exactly.
-    """
-    half[0] = half[0].real
-    if n_freq % 2 == 0:
-        half[-1] = half[-1].real
-    values, root, lo, hi, floored = _floor_and_root(half, policy, name)
-    count = np.count_nonzero(floored) + np.count_nonzero(floored[_mirrored_rows(n_freq)])
-    return GridSpectrum(values=_mirror(values, n_freq), root=_mirror(root, n_freq),
-                        real_symmetry=True, min_eigenvalue=lo, max_eigenvalue=hi,
-                        flooring_count=int(count))
+        w, v = np.linalg.eigh(rows)
+        scale = float(w.max())
+        if scale <= 0.0:
+            raise NotPositiveDefinite(
+                f"{name} has no positive eigenvalue mass; cannot floor"
+            )
+        neg_bound = policy.negativity_tol * scale
+        worst = float(w.min())
+        if worst < -neg_bound:
+            idx = int(np.argmin(w.min(axis=-1)))
+            raise NotPositiveDefinite(
+                f"{name} is indefinite at frequency index {idx}: eigenvalue "
+                f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
+            )
+        floor = policy.floor_eps * scale
+        floored = w.min(axis=-1) < floor
+        if floored.any():
+            np.maximum(w, floor, out=w)
+            vb = v[floored]
+            fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
+            rows[floored] = hermitian_part(fixed)
+        # The root comes from the same decomposition.
+        root = psd_root(w, v)
+        del v  # peak memory: v, then each half, is freed before the next mirror
+        count = np.count_nonzero(floored)
+        if mirrored:
+            count += np.count_nonzero(floored[_mirrored_rows(n)])
+            rows = _mirror(rows, n)
+            root = _mirror(root, n)
+        return cls(values=rows, root=root, real_symmetry=sym, min_eigenvalue=float(w.min()),
+                   max_eigenvalue=float(w.max()), flooring_count=int(count))
 
 
 def _mirrored_rows(n_freq: int) -> slice:
@@ -223,6 +208,15 @@ def _mirror(half: np.ndarray, n_freq: int) -> np.ndarray:
     """The full grid ``0..N-1`` from rows ``0..N/2``: row ``N-l`` is
     ``conj(row l)``.  Real per-frequency arrays are mirrored as they are."""
     return np.concatenate([half, np.conj(half[_mirrored_rows(n_freq)])])
+
+
+def _real_process(half: np.ndarray, n_freq: int) -> np.ndarray:
+    """The grid from rows ``l = 0..N/2`` of a real process; rows 0 and N/2
+    are their own mirror images and are taken real."""
+    half[0] = half[0].real
+    if n_freq % 2 == 0:
+        half[-1] = half[-1].real
+    return _mirror(half, n_freq)
 
 
 def _is_mirrored(a: np.ndarray) -> bool:
@@ -399,8 +393,9 @@ def rational_grid(
     ``A(w_{N-l}) = conj A(w_l)`` and the other rows are mirror images.
     """
     h = _transfer(model, default_omegas(n_freq)[: n_freq // 2 + 1])
-    values = h @ model.noise_cov @ np.conj(np.swapaxes(h, -1, -2))
-    return _build_real(values, n_freq, policy, name="rational spectrum")
+    values = _real_process(h @ model.noise_cov @ np.conj(np.swapaxes(h, -1, -2)), n_freq)
+    del h  # not held through the build
+    return GridSpectrum.build(values, policy, name="rational spectrum")
 
 
 def autocov_to_spectrum(
@@ -435,8 +430,8 @@ def autocov_to_spectrum(
     for j in range(1, k + 1):
         seq[j] = acov.lags[j]
         seq[n_freq - j] = acov.lags[j].T
-    values = np.fft.rfft(seq, axis=0)
-    return _build_real(values, n_freq, policy, name="truncated spectrum")
+    values = _real_process(np.fft.rfft(seq, axis=0), n_freq)
+    return GridSpectrum.build(values, policy, name="truncated spectrum")
 
 
 def spectrum_to_autocov(
@@ -530,8 +525,9 @@ def estimate_welch(
 
     Notes
     -----
-    Each segment is windowed, transformed, and its per-frequency outer
-    product accumulated; the sum is divided by
+    Each segment is windowed, transformed by ``rfft`` onto
+    ``l = 0..segment_len / 2``, and its per-frequency outer product
+    accumulated; the other rows are mirror images.  The sum is divided by
     ``n_segments * sum(window**2)`` so unit-variance white noise yields a
     spectrum near the identity.
 
@@ -565,10 +561,10 @@ def estimate_welch(
             f"at {overlap:.0%} overlap; need at least 4"
         )
 
-    acc = np.zeros((segment_len, m, m), dtype=complex)
+    acc = np.zeros((segment_len // 2 + 1, m, m), dtype=complex)
     for s in range(n_seg):
         seg = x[s * step : s * step + segment_len]
-        spec = np.fft.fft(win[:, None] * seg, axis=0)
+        spec = np.fft.rfft(win[:, None] * seg, axis=0)
         acc += spec[:, :, None] * np.conj(spec[:, None, :])
     acc /= n_seg * float(np.sum(win**2))
-    return GridSpectrum.build(acc, policy, name="Welch estimate")
+    return GridSpectrum.build(_real_process(acc, segment_len), policy, name="Welch estimate")

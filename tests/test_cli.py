@@ -93,6 +93,23 @@ def test_estimate_writes_deterministic_grid(tmp_path):
     assert abs(mean_level - 1.0) < 0.05
 
 
+def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
+    # Welch grids are exact mirrors and the grid CSV round-trips every
+    # float, so each read-back build and the coupling run on rows 0..N/2.
+    rng = np.random.default_rng(2718)
+    outs = []
+    for name in ("x", "y"):
+        series = tmp_path / f"{name}.csv"
+        np.savetxt(series, rng.standard_normal((2048, 2)), fmt="%.17g", delimiter=",")
+        outs.append(str(tmp_path / f"{name}_grid.csv"))
+        assert run_case(("estimate", str(series), "--out", outs[-1], "--seg-len", "64"))[0] == 0
+    calls = count_eigensolves(monkeypatch)
+    code, stdout, _ = run_case(("dist", *outs))
+    assert code == 0 and json.loads(stdout)["n_freq"] == 64
+    assert calls == [(33, 2, 2)] * 3
+    assert read_grid_csv(outs[0]).real_symmetry
+
+
 def test_dist_series_against_true_model(tmp_path):
     series = tmp_path / "ar1_series.csv"
     write_series(series, simulate_ar1(0.5, 2**17, np.random.default_rng(20240817)))
@@ -115,6 +132,18 @@ def test_oracle_reports_forced_truncation_as_not_converged():
     # the truncated finite-horizon values must miss it.
     gap = abs(payload["extrapolated_limit"] - payload["spectral_target"])
     assert gap > 1e-3 * payload["spectral_target"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "data/acov_ma1.json", "data/flat_acov.json", "--horizons", "2,4"),
+    ("oracle", "data/ar1.json", "data/white.json", "--horizons", "2,4"),
+    ("dist", "data/acov_ma1.json", "data/flat_acov.json", "--oracle", "--horizons", "2,4"),
+])
+@pytest.mark.parametrize("lag", ["-1", "-2"])
+def test_negative_max_lag_is_a_parse_error(argv, lag):
+    assert run_case(argv + ("--max-lag", lag)) == (
+        3, "", f"error: ParseError: --max-lag must be nonnegative, got {lag}\n"
+    )
 
 
 def test_policy_reaches_r0_check(tmp_path):
@@ -192,8 +221,9 @@ def test_json_source_read_once(monkeypatch):
 
 def test_info_grid_decomposes_once(monkeypatch):
     calls = count_eigensolves(monkeypatch)
+    # flat4.csv is an exact mirror, so its build decomposes rows 0..N/2.
     assert run_case(("info", "data/flat4.csv"))[0] == 0
-    assert calls == [(8, 1, 1)]
+    assert calls == [(5, 1, 1)]
 
 
 @pytest.mark.parametrize("src, shape", [("data/var2_x.json", (2, 2)),

@@ -27,7 +27,6 @@ from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
     default_omegas,
-    estimate_welch,
     rational_grid,
 )
 
@@ -277,14 +276,14 @@ def test_mirrored_pair_couples_half_the_grid(monkeypatch, m, n_freq):
 @pytest.mark.parametrize("m", [1, 3])
 def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
     rng = np.random.default_rng(m)
-    wx, wy = (estimate_welch(rng.standard_normal((512, m)), 32) for _ in range(2))
+    gx, gy = (random_grid_spectrum(m, rng, 32) for _ in range(2))
     x, y = model_pair(m, 32)
     # One row off its mirror image, in the values of x or the root of y
     # (by little enough to keep the gap inside its round-off band).
     values, root = x.values.copy(), y.root.copy()
     values[3] *= 1.0 + 1e-14
     root[30] *= 1.0 + 1e-14
-    pairs = ((wx, wy), (dataclasses.replace(x, values=values), y),
+    pairs = ((gx, gy), (dataclasses.replace(x, values=values), y),
              (x, dataclasses.replace(y, root=root)))
     calls = count_eigensolves(monkeypatch)
     for a, b in pairs:

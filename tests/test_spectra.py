@@ -30,6 +30,7 @@ from specdist.spectra import (
     Autocovariance,
     GridSpectrum,
     RationalSpectrum,
+    _symmetry_residual,
     autocov_to_spectrum,
     check_real_symmetry,
     default_omegas,
@@ -287,10 +288,15 @@ def test_autocov_validations():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_refused(bad):
-    values = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-    values[1, 0, 1] = values[1, 1, 0] = bad
-    with pytest.raises(NonHermitianInput):
-        GridSpectrum.build(values)
+    # Rows [1, 3] make an exact mirror of an inf, which takes the half path
+    # (a NaN never compares equal).  The one symmetry rule refuses every
+    # case with the same message and no RuntimeWarning.
+    for rows in ([1], [1, 3]):
+        values = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        values[rows, 0, 1] = values[rows, 1, 0] = bad
+        with pytest.raises(NonHermitianInput, match=re.escape(
+                "spectrum has symmetry residual nan (tolerance 1.0e-08)")):
+            GridSpectrum.build(values)
     with pytest.raises(NotPositiveDefinite):
         Autocovariance(lags=np.array([[[1.0, 0.0], [0.0, bad]]]))
     with pytest.raises(ValueError):
@@ -468,3 +474,97 @@ def test_welch_validations():
         estimate_welch(np.ones(600), 512)
     with pytest.raises(NotPositiveDefinite):
         estimate_welch(x, 512)
+
+
+def roll_residual(values):
+    # The whole-grid formula: every row l against the conjugate of row N-l.
+    flipped = np.conj(np.roll(values[::-1], 1, axis=0))
+    return float(np.max(np.abs(flipped - values))) / float(np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("n_freq", [1, 2, 8, 15, 16, 33])
+@DIMS
+def test_symmetry_residual_meets_each_pair_once(m, n_freq):
+    # |conj a - b| = |conj b - a| entry by entry, so comparing each pair
+    # (l, N-l) once from l = 0..N/2 gives the whole-grid value bitwise.
+    rng = np.random.default_rng(n_freq + 100 * m)
+    for _ in range(3):
+        values = rng.standard_normal((n_freq, m, m)) + 1j * rng.standard_normal((n_freq, m, m))
+        assert _symmetry_residual(values) == roll_residual(values)
+
+
+def mirror_rows(half, n_freq):
+    # Rows 0..N/2 completed by row N-l = conj(row l), written out by hand.
+    full = np.empty((n_freq,) + half.shape[1:], dtype=complex)
+    full[: half.shape[0]] = half
+    for l in range(1, (n_freq + 1) // 2):
+        full[n_freq - l] = np.conj(half[l])
+    return full
+
+
+def mirrored_input(m, n_freq, rng, singular=(), real_ends=True):
+    """An exact mirror of Hermitian PSD rows ``G G*``.  The rows listed in
+    ``singular`` lose a column of ``G``, so their smallest eigenvalue is 0
+    to round-off and is floored."""
+    half = n_freq // 2 + 1
+    g = rng.standard_normal((half, m, m)) + 1j * rng.standard_normal((half, m, m))
+    if real_ends:
+        g[0] = g[0].real
+        if n_freq % 2 == 0:
+            g[-1] = g[-1].real
+    for l in singular:
+        g[l, :, 0] = 0.0
+    return mirror_rows(g @ np.conj(np.swapaxes(g, 1, 2)), n_freq)
+
+
+def whole_grid_build(values, policy=DEFAULT_POLICY):
+    """One ``eigh`` over every row, floored as the policy says."""
+    h = 0.5 * (values + np.conj(np.swapaxes(values, 1, 2)))
+    w, u = np.linalg.eigh(h)
+    floor = policy.floor_eps * w.max()
+    floored = w.min(axis=1) < floor
+    w = np.maximum(w, floor)
+    uh = np.conj(np.swapaxes(u, 1, 2))
+    h[floored] = ((u * w[:, None, :]) @ uh)[floored]
+    root = (u * np.sqrt(w)[:, None, :]) @ uh
+    return h, root, w.min(), w.max(), int(floored.sum())
+
+
+@pytest.mark.parametrize("m, n_freq, singular, real_ends, count", [
+    (3, 16, (8,), True, 1),       # row N/2 floored, its own image
+    (2, 15, (), True, 0),         # odd N: no row N/2
+    (3, 16, (3,), True, 2),       # an interior row and its image N-l
+    (2, 15, (5,), True, 2),
+    (2, 16, (), False, 0),        # rows 0 and N/2 complex: not real
+])
+def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, singular,
+                                                     real_ends, count):
+    values = mirrored_input(m, n_freq, np.random.default_rng(n_freq + m), singular, real_ends)
+    ref_values, ref_root, lo, hi, ref_count = whole_grid_build(values)
+    calls = count_eigensolves(monkeypatch)
+    spec = GridSpectrum.build(values)
+    assert calls == [(n_freq // 2 + 1, m, m)]
+    for got, want in ((spec.values, ref_values), (spec.root, ref_root)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert (spec.min_eigenvalue, spec.max_eigenvalue) == (lo, hi)
+    assert spec.flooring_count == ref_count == count
+    assert spec.real_symmetry == (roll_residual(values) <= 1e-10) == real_ends
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_welch_matches_full_fft_periodogram(monkeypatch, m):
+    rng = np.random.default_rng(60 + m)
+    x = rng.standard_normal((2048, m))
+    seg, step = 128, 64
+    win = np.hanning(seg)
+    ref = np.zeros((seg, m, m), dtype=complex)
+    starts = range(0, x.shape[0] - seg + 1, step)
+    for s in starts:
+        f = np.fft.fft(win[:, None] * x[s : s + seg], axis=0)
+        ref += f[:, :, None] * np.conj(f[:, None, :])
+    ref /= len(starts) * float(np.sum(win**2))
+    calls = count_eigensolves(monkeypatch)
+    grid = estimate_welch(x, seg)
+    assert calls == [(seg // 2 + 1, m, m)]
+    assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert check_real_symmetry(grid) == 0.0
