@@ -319,9 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     horiz = argparse.ArgumentParser(add_help=False)
     horiz.add_argument("--horizons", default=None,
-                       help="comma-separated increasing horizon list (default "
+                       help="comma-separated increasing horizon list, always run in "
+                            "full (default "
                             f"{','.join(map(str, toeplitz.DEFAULT_HORIZONS))}, "
-                            "keeping those within the dense budget at the source dim)")
+                            "keeping those within the dense budget at the source dim, "
+                            "and stopping from the fourth horizon on once two "
+                            "successive three-point tail fits agree)")
     horiz.add_argument("--max-lag", type=int, default=None,
                        help="force autocovariance truncation at this lag")
 

@@ -207,7 +207,10 @@ def _mirrored_rows(n_freq: int) -> slice:
 def _mirror(half: np.ndarray, n_freq: int) -> np.ndarray:
     """The full grid ``0..N-1`` from rows ``0..N/2``: row ``N-l`` is
     ``conj(row l)``.  Real per-frequency arrays are mirrored as they are."""
-    return np.concatenate([half, np.conj(half[_mirrored_rows(n_freq)])])
+    full = np.empty((n_freq,) + half.shape[1:], dtype=half.dtype)
+    full[: n_freq // 2 + 1] = half
+    np.conj(half[_mirrored_rows(n_freq)], out=full[n_freq // 2 + 1 :])
+    return full
 
 
 def _real_process(half: np.ndarray, n_freq: int) -> np.ndarray:

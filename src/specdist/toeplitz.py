@@ -155,8 +155,10 @@ def convergence_diagnostic(
     Parameters
     ----------
     horizons : sequence of int, strictly increasing, optional
-        Horizons to evaluate; each must respect the dense budget.  The
-        default is :func:`default_horizons` for the pair's dim.
+        Horizons to evaluate; each must respect the dense budget.  An
+        explicit list always runs in full.  The default is
+        :func:`default_horizons` for the pair's dim, run in increasing
+        order and stopped early once the tail fit settles (see Notes).
     spectral_target : float
         Squared spectral distance the sequence should approach, computed
         by the independent grid path.
@@ -167,12 +169,25 @@ def convergence_diagnostic(
     by at most ``max(1e-3 * target, 1e-8)``.  A non-monotone tail (beyond
     round-off) flags the fit as degenerate and emits
     :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
+
+    The default schedule refits the last three horizons after each horizon
+    from the third on, and stops, at the fourth horizon at the earliest,
+    once the fit ``L_k`` and the previous one agree to
+    ``|L_k - L_{k-1}| <= 1e-2 * max(1e-3 |L_k|, 1e-8)``: a hundredth of the
+    convergence tolerance, taken against the sequence's own limit and never
+    against the target.  For geometrically decaying lags the per-step value
+    is ``L + c/(i+1)`` up to geometrically vanishing terms (Szegő-type
+    trace asymptotics), so the fit settles early; a spectral zero or a
+    near-unit root leaves slower terms, and the whole schedule runs.
+    ``horizons`` records where the run stopped, and the verdict and the
+    degeneracy flag come from the last three horizons that ran.
     """
     if acx.dim != acy.dim:
         raise DimensionMismatch(
             f"autocovariances have different dims: {acx.dim} vs {acy.dim}"
         )
-    if horizons is None:
+    stop_early = horizons is None
+    if stop_early:
         horizons = default_horizons(acx.dim)
     horizons = [int(h) for h in horizons]
     if not horizons:
@@ -184,7 +199,8 @@ def convergence_diagnostic(
     min_eigs = []
     trace_x = []
     trace_y = []
-    for h in horizons:
+    fit = None
+    for i, h in enumerate(horizons):
         sx, min_x = build_block_toeplitz(acx, h, policy)
         sy, min_y = build_block_toeplitz(acy, h, policy)
         if np.array_equal(sx, sy):
@@ -195,6 +211,11 @@ def convergence_diagnostic(
         min_eigs.append((min_x, min_y))
         trace_x.append(float(np.trace(sx)) / (h + 1))
         trace_y.append(float(np.trace(sy)) / (h + 1))
+        if stop_early and i >= 2:
+            previous, fit = fit, _fit_tail(horizons[: i + 1], per_step)
+            if previous is not None and abs(fit - previous) <= 1e-2 * max(1e-3 * abs(fit), 1e-8):
+                break
+    horizons = horizons[: len(per_step)]
     if not np.all(np.isfinite(per_step)):
         raise NotPositiveDefinite("finite-horizon sequence contains non-finite values")
 

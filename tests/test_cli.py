@@ -50,7 +50,28 @@ def test_oracle_identical_models_all_zero():
 def test_oracle_default_schedule_converges():
     code, stdout, _ = run_case(("oracle", "data/ar1.json", "data/ma1.json"))
     assert code == 0
-    assert json.loads(stdout)["converged"] is True
+    payload = json.loads(stdout)
+    assert payload["converged"] is True
+    # Geometrically decaying lags: the tail fit settles at the earliest stop.
+    assert payload["horizons"] == [16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("x, y", [
+    ({"ar": [0.99], "ma": [1.0], "noise_cov": 1.0},
+     {"ar": [0.5], "ma": [1.0], "noise_cov": 1.0}),
+    ({"ma": [1.0, 1.0], "noise_cov": 1.0}, {"ma": [1.0], "noise_cov": 1.0}),
+], ids=["ar0.99_vs_ar0.5", "ma1_unit_zero_vs_white"])
+def test_oracle_default_schedule_runs_in_full_on_slow_tails(tmp_path, x, y):
+    # A near-unit root and a spectral zero leave tail terms the 1/(h+1)
+    # fit does not model, so the stop rule never fires.
+    px, py = tmp_path / "x.json", tmp_path / "y.json"
+    px.write_text(json.dumps(x))
+    py.write_text(json.dumps(y))
+    code, stdout, _ = run_case(("oracle", str(px), str(py)))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["horizons"] == [16, 32, 64, 128, 256, 512, 1024]
+    assert payload["converged"] is True
 
 
 def simulate_ar1(a: float, n: int, rng) -> np.ndarray:

@@ -249,3 +249,57 @@ def test_diagnostic_flags_nonmonotone_tail(monkeypatch):
         )
     assert diag.fit_degenerate
     assert diag.per_step_values == (1.0, 2.0, 1.5)
+
+
+def fake_sequence(monkeypatch, value):
+    """Drive the oracle with per-step values ``value(h)`` in place of the
+    transport cost; returns the horizons the kernel was asked for."""
+    asked = []
+
+    def fake_bures(a, b, policy):
+        h = a.shape[0] - 1
+        asked.append(h)
+        return value(h) * (h + 1)
+
+    monkeypatch.setattr(specdist.toeplitz, "bures_w2_squared", fake_bures)
+    return asked
+
+
+@pytest.mark.parametrize("rho, stop", [(0.4, 128), (0.7, 256), (0.8, 512)])
+def test_default_schedule_stops_once_geometric_term_fades(monkeypatch, rho, stop):
+    # The three-point fit absorbs L + c/(h+1) exactly, so two successive
+    # fits differ by about the geometric term at the first point of the
+    # earlier window.  The rule (a step under 1e-2 * 1e-3 |L|) fires at the
+    # first horizon whose earlier window starts where rho^h < 2e-5.
+    limit = 0.8
+    asked = fake_sequence(monkeypatch, lambda h: limit + 2.0 / (h + 1) + rho**h)
+    diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=limit)
+    ran = DEFAULT_HORIZONS[: DEFAULT_HORIZONS.index(stop) + 1]
+    assert diag.horizons == ran and asked == list(ran)
+    starts = [DEFAULT_HORIZONS[k - 3] for k in range(3, len(ran))]
+    assert rho ** starts[-1] < 2e-5 and all(rho**h > 2e-5 for h in starts[:-1])
+    assert abs(diag.extrapolated_limit - limit) <= 1e-5 * limit
+    assert diag.converged and not diag.fit_degenerate
+    assert len(diag.per_step_values) == len(diag.min_eigenvalues) == len(ran)
+
+
+def test_default_schedule_runs_in_full_on_an_algebraic_tail(monkeypatch):
+    # A (h+1)^(-1/2) term is outside the fit model: successive fits keep
+    # moving by far more than the step tolerance, so no horizon is skipped.
+    fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + (h + 1) ** -0.5)
+    diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=0.8)
+    assert diag.horizons == DEFAULT_HORIZONS
+
+
+def test_explicit_horizons_run_in_full(monkeypatch):
+    asked = fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + 0.4**h)
+    diag = convergence_diagnostic(ar1_acov(), white_acov(), DEFAULT_HORIZONS, 0.8)
+    assert diag.horizons == DEFAULT_HORIZONS and asked == list(DEFAULT_HORIZONS)
+
+
+def test_identical_pair_stops_at_the_earliest_horizon():
+    acov = ar1_acov()
+    diag = convergence_diagnostic(acov, acov)
+    assert diag.horizons == (16, 32, 64, 128)
+    assert diag.per_step_values == (0.0, 0.0, 0.0, 0.0)
+    assert diag.extrapolated_limit == 0.0 and diag.converged
