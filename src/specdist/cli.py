@@ -10,8 +10,8 @@ residuals, stability).
 Sources are identified by content: ``.json`` files hold rational models or
 autocovariance sequences, ``.csv`` files hold either grid spectra (by
 header) or raw time series.  Every documented failure maps to a fixed exit
-code: missing file 2, unparseable input 3, dimension/grid mismatch 4,
-non-positive-definite input 5.
+code: missing file 2, unparseable input or bad option, argument or value 3,
+dimension/grid mismatch 4, non-positive-definite input 5.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +30,11 @@ from .hermitian import DEFAULT_POLICY, PsdPolicy
 __all__ = ["main", "run"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the subcommands."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ParseError`` (exit 3) instead of exiting 2."""
 
-    n_freq: int
-    policy: PsdPolicy
-    horizons: tuple | None
-    fmt: str
-    out: str | None
-    seg_len: int
-    overlap: float
-    window: str
-    max_lag: int | None
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _is_pow2(n: int) -> bool:
@@ -62,40 +53,31 @@ def _parse_horizons(text: str):
     return values
 
 
-def _config_from(args) -> RunConfig:
-    if not _is_pow2(args.n_freq):
+def _check_options(args) -> None:
+    """Validate the subcommand's options in place.
+
+    Sets ``args.policy`` and replaces ``args.horizons`` by the parsed tuple.
+    """
+    if "n_freq" in args and not _is_pow2(args.n_freq):
         raise ParseError(f"--n-freq must be a power of two, got {args.n_freq}")
-    seg_len = getattr(args, "seg_len", 512)
-    if not _is_pow2(seg_len):
-        raise ParseError(f"--seg-len must be a power of two, got {seg_len}")
-    overlap = getattr(args, "overlap", 0.5)
-    if not 0.0 <= overlap < 1.0:
-        raise ParseError(f"--overlap must lie in [0, 1), got {overlap}")
+    if "seg_len" in args and not _is_pow2(args.seg_len):
+        raise ParseError(f"--seg-len must be a power of two, got {args.seg_len}")
+    if "overlap" in args and not 0.0 <= args.overlap < 1.0:
+        raise ParseError(f"--overlap must lie in [0, 1), got {args.overlap}")
     try:
-        policy = PsdPolicy(args.floor_eps, args.negativity_tol)
+        args.policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    horizons = getattr(args, "horizons", None)
-    max_lag = getattr(args, "max_lag", None)
-    if max_lag is not None and max_lag < 0:
-        raise ParseError(f"--max-lag must be nonnegative, got {max_lag}")
-    return RunConfig(
-        n_freq=args.n_freq,
-        policy=policy,
-        horizons=_parse_horizons(horizons) if horizons is not None else None,
-        fmt=args.format,
-        out=args.out,
-        seg_len=seg_len,
-        overlap=overlap,
-        window=getattr(args, "window", "hann"),
-        max_lag=max_lag,
-    )
+    if getattr(args, "max_lag", None) is not None and args.max_lag < 0:
+        raise ParseError(f"--max-lag must be nonnegative, got {args.max_lag}")
+    if getattr(args, "horizons", None) is not None:
+        args.horizons = _parse_horizons(args.horizons)
 
 
 # -- source handling ---------------------------------------------------------
 
 
-def _load_source(path_str: str, cfg: RunConfig):
+def _load_source(path_str: str, policy: PsdPolicy):
     """Read one input file into (kind, object) with kind in
     {"model", "autocov", "grid", "series"}."""
     path = Path(path_str)
@@ -103,38 +85,30 @@ def _load_source(path_str: str, cfg: RunConfig):
         raise FileNotFoundError(f"{path}: no such file")
     suffix = path.suffix.lower()
     if suffix == ".json":
-        obj = fileio.read_json_source(path, cfg.policy)
+        obj = fileio.read_json_source(path, policy)
         return ("autocov" if isinstance(obj, spectra.Autocovariance) else "model"), obj
     if suffix == ".csv":
         with open(path) as fh:
             first = fh.readline()
         if first.strip().replace(" ", "").lower().startswith("omega_index,"):
-            return "grid", fileio.read_grid_csv(path, cfg.policy)
+            return "grid", fileio.read_grid_csv(path, policy)
         return "series", fileio.read_timeseries_csv(path)
     raise ParseError(f"{path}: unsupported source type (expected .json or .csv)")
 
 
-def _fixed_n_freq(kind: str, obj, cfg: RunConfig):
-    if kind == "grid":
-        return obj.n_freq
-    if kind == "series":
-        return cfg.seg_len
-    return None
-
-
-def _resolve_grid(kind: str, obj, n_freq: int, cfg: RunConfig) -> spectra.GridSpectrum:
+def _resolve_grid(kind: str, obj, n_freq: int | None, args) -> spectra.GridSpectrum:
     if kind == "grid":
         return obj
     if kind == "series":
         return spectra.estimate_welch(
-            obj, cfg.seg_len, cfg.overlap, cfg.window, cfg.policy
+            obj, args.seg_len, args.overlap, args.window, args.policy
         )
     if kind == "model":
-        return spectra.rational_grid(obj, n_freq, cfg.policy)
-    return spectra.autocov_to_spectrum(obj, n_freq, cfg.policy)
+        return spectra.rational_grid(obj, n_freq, args.policy)
+    return spectra.autocov_to_spectrum(obj, n_freq, args.policy)
 
 
-def _derive_acov(kind, obj, grid, cfg: RunConfig) -> spectra.Autocovariance:
+def _derive_acov(kind, obj, grid, args) -> spectra.Autocovariance:
     """Autocovariance for the oracle, honoring a forced --max-lag.
 
     Models, grids and series go through the grid the spectral side already
@@ -143,26 +117,53 @@ def _derive_acov(kind, obj, grid, cfg: RunConfig) -> spectra.Autocovariance:
     grid such a cut is an error.
     """
     if kind == "autocov":
-        if cfg.max_lag is not None:
-            return spectra.Autocovariance(obj.lags[: cfg.max_lag + 1], cfg.policy)
+        if args.max_lag is not None:
+            return spectra.Autocovariance(obj.lags[: args.max_lag + 1], args.policy)
         return obj
-    max_lag = cfg.max_lag
+    max_lag = args.max_lag
     if kind == "model" and max_lag is not None:
         max_lag = min(max_lag, grid.n_freq // 2 - 1)
     return spectra.spectrum_to_autocov(grid, max_lag)
 
 
-def _oracle(sources, grids, target: float, cfg: RunConfig):
-    """Convergence diagnostic of the two sources against ``target``."""
-    acx, acy = (_derive_acov(k, o, g, cfg) for (k, o), g in zip(sources, grids))
-    return toeplitz.convergence_diagnostic(acx, acy, cfg.horizons, target, cfg.policy)
+def _compare(args):
+    """Report on the sources ``args.x`` and ``args.y``, plus the oracle's
+    diagnostic when ``args.oracle`` is set (else ``None``)."""
+    sources = [_load_source(p, args.policy) for p in (args.x, args.y)]
+    if args.command == "oracle":
+        for (kind, _), p in zip(sources, (args.x, args.y)):
+            if kind not in ("model", "autocov"):
+                raise ParseError(
+                    f"{p}: oracle requires model or autocovariance sources, got {kind}"
+                )
+    # Grid and series sources pin the grid size; models and autocovariances
+    # are evaluated at whatever size wins.  Two pinned-but-different sizes
+    # fall through to the GridMismatch check inside the distance itself.
+    fixed = [obj.n_freq if kind == "grid" else args.seg_len
+             for kind, obj in sources if kind in ("grid", "series")]
+    n_freq = fixed[0] if fixed else args.n_freq
+    grids = [_resolve_grid(k, o, n_freq, args) for k, o in sources]
+
+    if getattr(args, "semantics", None) == "gelbrich":
+        report = distances.gelbrich_lower_bound(grids[0], grids[1], args.policy)
+    else:
+        report = distances.spectral_w2(grids[0], grids[1], args.policy)
+    if not args.oracle:
+        return report, None
+    # The spectral target always comes from the full source definition;
+    # --max-lag truncation applies only to the finite-horizon side, so an
+    # over-aggressive truncation shows up as converged=false.
+    acx, acy = (_derive_acov(k, o, g, args) for (k, o), g in zip(sources, grids))
+    return report, toeplitz.convergence_diagnostic(
+        acx, acy, args.horizons, report.squared, args.policy
+    )
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -194,22 +195,9 @@ def _diag_csv(diag: toeplitz.ConvergenceDiagnostic) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_dist(args, cfg: RunConfig) -> int:
-    sources = [_load_source(p, cfg) for p in (args.x, args.y)]
-    # Grid and series sources pin the grid size; models and autocovariances
-    # are evaluated at whatever size wins.  Two pinned-but-different sizes
-    # fall through to the GridMismatch check inside the distance itself.
-    fixed = [n for n in (_fixed_n_freq(k, o, cfg) for k, o in sources) if n]
-    n_freq = fixed[0] if fixed else cfg.n_freq
-    grids = [_resolve_grid(k, o, n_freq, cfg) for k, o in sources]
-
-    if args.semantics == "gelbrich":
-        report = distances.gelbrich_lower_bound(grids[0], grids[1], cfg.policy)
-    else:
-        report = distances.spectral_w2(grids[0], grids[1], cfg.policy)
-
-    diag = _oracle(sources, grids, report.squared, cfg) if args.oracle else None
-    if cfg.fmt == "csv":
+def cmd_dist(args) -> int:
+    report, diag = _compare(args)
+    if args.format == "csv":
         text = _report_csv(report)
         if diag is not None:
             text += "\n" + _diag_csv(diag)
@@ -218,48 +206,37 @@ def cmd_dist(args, cfg: RunConfig) -> int:
     else:
         # The payload is a copy of the report's fields; the report is unchanged.
         text = fileio.json_dumps({**dataclasses.asdict(report), "oracle": diag})
-    _emit(text, cfg)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_estimate(args, cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_estimate(args) -> int:
+    if args.out is None:
         raise ParseError("estimate requires --out for the grid CSV")
-    kind, obj = _load_source(args.series, cfg)
+    kind, obj = _load_source(args.series, args.policy)
     if kind != "series":
         raise ParseError(f"{args.series}: estimate requires a time-series CSV")
-    grid = spectra.estimate_welch(obj, cfg.seg_len, cfg.overlap, cfg.window, cfg.policy)
-    fileio.write_grid_csv(cfg.out, grid)
+    grid = _resolve_grid(kind, obj, None, args)
+    fileio.write_grid_csv(args.out, grid)
     summary = {
         "dim": grid.dim,
         "n_freq": grid.n_freq,
         "real_symmetry": grid.real_symmetry,
         "flooring_count": grid.flooring_count,
-        "out": str(cfg.out),
+        "out": str(args.out),
     }
     sys.stdout.write(fileio.json_dumps(summary) + "\n")
     return 0
 
 
-def cmd_oracle(args, cfg: RunConfig) -> int:
-    sources = [_load_source(p, cfg) for p in (args.x, args.y)]
-    for (kind, _), p in zip(sources, (args.x, args.y)):
-        if kind not in ("model", "autocov"):
-            raise ParseError(
-                f"{p}: oracle requires model or autocovariance sources, got {kind}"
-            )
-    # The spectral target always comes from the full source definition;
-    # --max-lag truncation applies only to the finite-horizon side, so an
-    # over-aggressive truncation shows up as converged=false.
-    grids = [_resolve_grid(k, o, cfg.n_freq, cfg) for k, o in sources]
-    target = distances.spectral_w2(grids[0], grids[1], cfg.policy).squared
-    diag = _oracle(sources, grids, target, cfg)
-    _emit(_diag_csv(diag) if cfg.fmt == "csv" else fileio.json_dumps(diag), cfg)
+def cmd_oracle(args) -> int:
+    diag = _compare(args)[1]
+    _emit(_diag_csv(diag) if args.format == "csv" else fileio.json_dumps(diag), args.out)
     return 0
 
 
-def cmd_info(args, cfg: RunConfig) -> int:
-    kind, obj = _load_source(args.src, cfg)
+def cmd_info(args) -> int:
+    kind, obj = _load_source(args.src, args.policy)
     summary: dict = {"kind": kind, "source": str(args.src)}
     if kind == "model":
         summary.update(
@@ -288,7 +265,7 @@ def cmd_info(args, cfg: RunConfig) -> int:
         )
     else:
         summary.update(dim=int(obj.shape[1]), length=int(obj.shape[0]))
-    _emit(fileio.json_dumps(summary), cfg)
+    _emit(fileio.json_dumps(summary), args.out)
     return 0
 
 
@@ -297,17 +274,19 @@ def cmd_info(args, cfg: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-freq", type=int, default=4096,
-                        help="frequency grid size (power of two, default 4096)")
     common.add_argument("--floor-eps", type=float, default=DEFAULT_POLICY.floor_eps,
                         help="relative eigenvalue floor (default %(default)g)")
     common.add_argument("--negativity-tol", type=float,
                         default=DEFAULT_POLICY.negativity_tol,
                         help="relative negativity tolerance (default %(default)g)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output here instead of stdout")
+
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--n-freq", type=int, default=4096,
+                        help="frequency grid size (power of two, default 4096)")
+    report.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default json)")
 
     welch = argparse.ArgumentParser(add_help=False)
     welch.add_argument("--seg-len", type=int, default=512,
@@ -328,14 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
     horiz.add_argument("--max-lag", type=int, default=None,
                        help="force autocovariance truncation at this lag")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specdist",
         description="Distances between stationary processes from their power "
                     "spectra, with a finite-horizon brute-force cross-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common, welch, horiz],
+    p = sub.add_parser("dist", parents=[common, report, welch, horiz],
                        help="distance or lower bound between two spectrum sources")
     p.add_argument("x")
     p.add_argument("y")
@@ -352,11 +331,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("series")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("oracle", parents=[common, horiz],
+    p = sub.add_parser("oracle", parents=[common, report, horiz],
                        help="finite-horizon convergence diagnostic")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, oracle=True)
 
     p = sub.add_parser("info", parents=[common],
                        help="summarize a source (margins, symmetry, stability)")
@@ -366,10 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
+        args = _build_parser().parse_args(argv)
+        _check_options(args)
+        return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: FileNotFoundError: {exc}", file=sys.stderr)
         return 2

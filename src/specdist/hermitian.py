@@ -8,8 +8,12 @@ factors ``A = L L*`` by Cholesky and uses the congruence ``L* B L``, which
 has the same eigenvalues, falling back to the root when ``A`` has no
 Cholesky factor.  Everything here is a pure function of its inputs; real
 symmetric matrices are handled as the special case of complex Hermitian
-ones and stay in real arithmetic throughout.  Each PSD rule of the package
-(symmetry, negativity, round-off) lives here.
+ones and stay in real arithmetic throughout.  The package's symmetry,
+per-matrix negativity and round-off rules live here.  Two definiteness
+rules are applied in ``spectra`` instead: the grid-wide negativity and
+flooring rule, measured against the grid's largest eigenvalue, in
+``GridSpectrum.build``, and the strict ``noise_cov`` rule in
+``RationalSpectrum``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """CLI behavior: frozen outputs, determinism, and end-to-end flows."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import specdist.spectra
 from cli_cases import CASES, HERE, run_case
 from conftest import DATA_DIR, count_eigensolves, refuse_inverse
+from specdist import cli
 from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
 from specdist.hermitian import PsdPolicy
 
@@ -165,6 +167,73 @@ def test_negative_max_lag_is_a_parse_error(argv, lag):
     assert run_case(argv + ("--max-lag", lag)) == (
         3, "", f"error: ParseError: --max-lag must be nonnegative, got {lag}\n"
     )
+
+
+OPTION_VALUE_ERRORS = [
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--seg-len", "100"),
+     "--seg-len must be a power of two, got 100"),
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--overlap", "1"),
+     "--overlap must lie in [0, 1), got 1.0"),
+    (("oracle", "data/ar1.json", "data/white.json", "--horizons", "8,4"),
+     "horizons must be strictly increasing, got [8, 4]"),
+    (("oracle", "data/ar1.json", "data/white.json", "--horizons", ","),
+     "horizon list is empty"),
+    (("oracle", "data/ar1.json", "data/white.json", "--horizons", "a"),
+     "cannot parse horizon list 'a'"),
+    (("oracle", "data/ar1.json", "data/white.json", "--n-freq", "100"),
+     "--n-freq must be a power of two, got 100"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_VALUE_ERRORS,
+                         ids=["seg_len", "overlap", "horizons_decreasing",
+                              "horizons_empty", "horizons_not_int", "n_freq"])
+def test_bad_option_value_is_a_parse_error(argv, message):
+    assert run_case(argv) == (3, "", f"error: ParseError: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "data/flat4.csv", "data/flat1.csv", "--format", "xml"),
+    ("dist", "data/flat4.csv", "data/flat1.csv", "--n-freq", "abc"),
+    ("dist", "data/flat4.csv"),
+    (),
+    ("info", "data/flat4.csv", "--format", "csv"),
+    ("estimate", "data/series_tiny.csv", "--out", "/dev/null", "--n-freq", "8"),
+], ids=["bad_choice", "bad_int", "missing_positional", "no_subcommand",
+        "info_format", "estimate_n_freq"])
+def test_usage_error_is_a_parse_error(argv):
+    code, out, err = run_case(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ParseError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dist", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: specdist dist ")
+
+
+OPTIONS = {
+    "dist": {"--floor-eps", "--negativity-tol", "--out", "--n-freq", "--format",
+             "--seg-len", "--overlap", "--window", "--horizons", "--max-lag",
+             "--semantics", "--oracle"},
+    "estimate": {"--floor-eps", "--negativity-tol", "--out",
+                 "--seg-len", "--overlap", "--window"},
+    "oracle": {"--floor-eps", "--negativity-tol", "--out", "--n-freq", "--format",
+               "--horizons", "--max-lag"},
+    "info": {"--floor-eps", "--negativity-tol", "--out"},
+}
+
+
+def test_subcommand_options_pinned():
+    # Each subcommand declares exactly the options it reads.
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert found == OPTIONS
 
 
 def test_policy_reaches_r0_check(tmp_path):
