@@ -40,7 +40,6 @@ from .spectra import (
     check_real_symmetry,
     estimate_welch,
     rational_grid,
-    rational_to_autocov,
     spectrum_to_autocov,
     stability_radius,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "gelbrich_lower_bound",
     "hellinger",
     "rational_grid",
-    "rational_to_autocov",
     "spectral_w2",
     "spectrum_to_autocov",
     "stability_radius",

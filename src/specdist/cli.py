@@ -29,6 +29,9 @@ from .hermitian import DEFAULT_POLICY, PsdPolicy
 
 __all__ = ["main", "run"]
 
+#: Grid size when neither --n-freq nor a grid or series source fixes it.
+DEFAULT_N_FREQ = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ``ParseError`` (exit 3) instead of exiting 2."""
@@ -58,7 +61,7 @@ def _check_options(args) -> None:
 
     Sets ``args.policy`` and replaces ``args.horizons`` by the parsed tuple.
     """
-    if "n_freq" in args and not _is_pow2(args.n_freq):
+    if getattr(args, "n_freq", None) is not None and not _is_pow2(args.n_freq):
         raise ParseError(f"--n-freq must be a power of two, got {args.n_freq}")
     if "seg_len" in args and not _is_pow2(args.seg_len):
         raise ParseError(f"--seg-len must be a power of two, got {args.seg_len}")
@@ -68,6 +71,10 @@ def _check_options(args) -> None:
         args.policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if not getattr(args, "oracle", True):
+        for flag, value in (("--horizons", args.horizons), ("--max-lag", args.max_lag)):
+            if value is not None:
+                raise ParseError(f"{flag} acts only with --oracle")
     if getattr(args, "max_lag", None) is not None and args.max_lag < 0:
         raise ParseError(f"--max-lag must be nonnegative, got {args.max_lag}")
     if getattr(args, "horizons", None) is not None:
@@ -111,19 +118,15 @@ def _resolve_grid(kind: str, obj, n_freq: int | None, args) -> spectra.GridSpect
 def _derive_acov(kind, obj, grid, args) -> spectra.Autocovariance:
     """Autocovariance for the oracle, honoring a forced --max-lag.
 
-    Models, grids and series go through the grid the spectral side already
-    built with the run's policy.  A model has lags at every order, so a
-    forced cut beyond the grid's bandwidth is clamped to it; for a sampled
-    grid such a cut is an error.
+    An autocovariance source is re-sliced.  Every other source goes through
+    the grid the spectral side already built with the run's policy, so a
+    forced cut at or beyond the grid's bandwidth is a ``LagTooLarge``.
     """
     if kind == "autocov":
         if args.max_lag is not None:
             return spectra.Autocovariance(obj.lags[: args.max_lag + 1], args.policy)
         return obj
-    max_lag = args.max_lag
-    if kind == "model" and max_lag is not None:
-        max_lag = min(max_lag, grid.n_freq // 2 - 1)
-    return spectra.spectrum_to_autocov(grid, max_lag)
+    return spectra.spectrum_to_autocov(grid, args.max_lag)
 
 
 def _compare(args):
@@ -136,12 +139,20 @@ def _compare(args):
                 raise ParseError(
                     f"{p}: oracle requires model or autocovariance sources, got {kind}"
                 )
-    # Grid and series sources pin the grid size; models and autocovariances
-    # are evaluated at whatever size wins.  Two pinned-but-different sizes
-    # fall through to the GridMismatch check inside the distance itself.
-    fixed = [obj.n_freq if kind == "grid" else args.seg_len
-             for kind, obj in sources if kind in ("grid", "series")]
-    n_freq = fixed[0] if fixed else args.n_freq
+    # Grid and series sources pin the grid size, which an explicit --n-freq
+    # must match; models and autocovariances are evaluated at whatever size
+    # wins.  Two pinned-but-different sizes fall through to the
+    # GridMismatch check inside the distance itself.
+    fixed = [(p, obj.n_freq if kind == "grid" else args.seg_len)
+             for (kind, obj), p in zip(sources, (args.x, args.y))
+             if kind in ("grid", "series")]
+    for p, size in fixed:
+        if args.n_freq not in (None, size):
+            raise ParseError(
+                f"--n-freq {args.n_freq} conflicts with {p}, which fixes the grid "
+                f"at {size} points"
+            )
+    n_freq = fixed[0][1] if fixed else args.n_freq or DEFAULT_N_FREQ
     grids = [_resolve_grid(k, o, n_freq, args) for k, o in sources]
 
     if getattr(args, "semantics", None) == "gelbrich":
@@ -243,7 +254,7 @@ def cmd_info(args) -> int:
             dim=obj.dim,
             ar_order=int(obj.ar.shape[0]),
             ma_order=int(obj.ma.shape[0] - 1),
-            stability_radius=spectra.stability_radius(obj.ar),
+            stability_radius=obj.stability_radius,
             noise_cov_min_eig=obj.noise_cov_min_eigenvalue,
         )
     elif kind == "autocov":
@@ -283,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
 
     report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--n-freq", type=int, default=4096,
-                        help="frequency grid size (power of two, default 4096)")
+    report.add_argument("--n-freq", type=int, default=None,
+                        help="frequency grid size (power of two, default "
+                             f"{DEFAULT_N_FREQ}); a grid or series source fixes it")
     report.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
 

@@ -46,7 +46,6 @@ __all__ = [
     "check_real_symmetry",
     "estimate_welch",
     "rational_grid",
-    "rational_to_autocov",
     "spectrum_to_autocov",
     "stability_radius",
 ]
@@ -282,7 +281,8 @@ class RationalSpectrum:
     ``noise_cov_min_eigenvalue``, must exceed ``policy.floor_eps`` times its
     largest (``policy`` is a constructor argument that is not stored).
     Stability (spectral radius of the AR companion matrix strictly below
-    one) is enforced at construction.
+    one) is enforced at construction, and the radius kept as
+    ``stability_radius``.
     """
 
     ar: np.ndarray
@@ -290,6 +290,7 @@ class RationalSpectrum:
     noise_cov: np.ndarray
     policy: InitVar[PsdPolicy] = DEFAULT_POLICY
     noise_cov_min_eigenvalue: float = field(init=False)
+    stability_radius: float = field(init=False)
 
     def __post_init__(self, policy: PsdPolicy):
         ar = np.asarray(self.ar, dtype=float)
@@ -325,6 +326,7 @@ class RationalSpectrum:
         object.__setattr__(self, "ma", ma)
         object.__setattr__(self, "noise_cov", q)
         object.__setattr__(self, "noise_cov_min_eigenvalue", float(w[0]))
+        object.__setattr__(self, "stability_radius", radius)
 
     @property
     def dim(self) -> int:
@@ -481,28 +483,6 @@ def spectrum_to_autocov(
         lags = lags[: int(keep.max()) + 1 if keep.size else 1]
     # A copy, so the kept lags do not pin the grid-sized transform.
     return Autocovariance(lags=lags.copy())
-
-
-def rational_to_autocov(
-    model: RationalSpectrum,
-    n_freq: int = 4096,
-    max_lag: int | None = None,
-) -> Autocovariance:
-    """Autocovariance sequence of a rational model via its sampled spectrum.
-
-    Parameters
-    ----------
-    n_freq : int
-        Grid resolution used for the inverse transform; must comfortably
-        exceed the model's effective memory.
-    max_lag : int, optional
-        Forced truncation point, clamped to the grid's bandwidth
-        ``n_freq // 2 - 1``.  By default the cut of
-        :func:`spectrum_to_autocov` applies.
-    """
-    if max_lag is not None:
-        max_lag = min(max_lag, n_freq // 2 - 1)
-    return spectrum_to_autocov(rational_grid(model, n_freq), max_lag)
 
 
 def estimate_welch(

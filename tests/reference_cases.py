@@ -17,7 +17,7 @@ import numpy as np
 
 from specdist.distances import hellinger, spectral_w2
 from specdist.errors import FitDegenerateWarning
-from specdist.spectra import RationalSpectrum, rational_grid, rational_to_autocov
+from specdist.spectra import RationalSpectrum, rational_grid, spectrum_to_autocov
 from specdist.toeplitz import convergence_diagnostic
 
 TABLE = Path(__file__).parent / "data" / "reference_pairs.json"
@@ -40,8 +40,7 @@ def numbers(spec_x: dict, spec_y: dict) -> dict:
     x, y = model_from(spec_x), model_from(spec_y)
     gx, gy = rational_grid(x, N_FREQ), rational_grid(y, N_FREQ)
     w2 = spectral_w2(gx, gy)
-    acx = rational_to_autocov(x, n_freq=N_FREQ)
-    acy = rational_to_autocov(y, n_freq=N_FREQ)
+    acx, acy = spectrum_to_autocov(gx), spectrum_to_autocov(gy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitDegenerateWarning)
         diag = convergence_diagnostic(acx, acy, HORIZONS, w2.squared)

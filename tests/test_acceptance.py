@@ -46,15 +46,10 @@ def _per_step(acx, acy, horizon):
 def test_oracle_matches_spectral_distance(verdict):
     t0 = time.monotonic()
     rels = {}
-    ar1, white = _model("ar1"), _model("white")
-    target = distances.spectral_w2(
-        spectra.rational_grid(ar1, 8192), spectra.rational_grid(white, 8192)
-    ).squared
-    v = _per_step(
-        spectra.rational_to_autocov(ar1, n_freq=8192),
-        spectra.rational_to_autocov(white, n_freq=8192),
-        1024,
-    )
+    x = spectra.rational_grid(_model("ar1"), 8192)
+    y = spectra.rational_grid(_model("white"), 8192)
+    target = distances.spectral_w2(x, y).squared
+    v = _per_step(spectra.spectrum_to_autocov(x), spectra.spectrum_to_autocov(y), 1024)
     rels["scalar"] = abs(v - target) / target
 
     vx, vy = _model("var2_x"), _model("var2_y")
@@ -62,8 +57,8 @@ def test_oracle_matches_spectral_distance(verdict):
         spectra.rational_grid(vx, 8192), spectra.rational_grid(vy, 8192)
     )
     v2 = _per_step(
-        spectra.rational_to_autocov(vx, n_freq=4096),
-        spectra.rational_to_autocov(vy, n_freq=4096),
+        spectra.spectrum_to_autocov(spectra.rational_grid(vx, 4096)),
+        spectra.spectrum_to_autocov(spectra.rational_grid(vy, 4096)),
         1024,
     )
     rels["2x2"] = abs(v2 - report.squared) / report.squared
@@ -218,11 +213,10 @@ def _naive_block_toeplitz(lags: np.ndarray, horizon: int) -> np.ndarray:
 def test_variance_consistency(verdict):
     worst = 0.0
     for name in ("ar1", "white", "ma1", "var2_x", "var2_y"):
-        model = _model(name)
-        acov = spectra.rational_to_autocov(model, n_freq=4096)
+        grid = spectra.rational_grid(_model(name), 4096)
+        acov = spectra.spectrum_to_autocov(grid)
         sigma = _naive_block_toeplitz(acov.lags, 1024)
         per_step = float(np.trace(sigma)) / 1025.0
-        grid = spectra.rational_grid(model, 4096)
         mean_trace = float(np.trace(grid.values, axis1=1, axis2=2).real.mean())
         worst = max(worst, abs(per_step - mean_trace) / mean_trace)
 

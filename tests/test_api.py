@@ -40,7 +40,6 @@ PUBLIC = [
     "gelbrich_lower_bound",
     "hellinger",
     "rational_grid",
-    "rational_to_autocov",
     "spectral_w2",
     "spectrum_to_autocov",
     "stability_radius",

@@ -12,7 +12,7 @@ import pytest
 
 import specdist.spectra
 from cli_cases import CASES, HERE, run_case
-from conftest import DATA_DIR, count_eigensolves, refuse_inverse
+from conftest import DATA_DIR, count_eigensolves, record_shapes, refuse_inverse
 from specdist import cli
 from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
 from specdist.hermitian import PsdPolicy
@@ -182,14 +182,87 @@ OPTION_VALUE_ERRORS = [
      "cannot parse horizon list 'a'"),
     (("oracle", "data/ar1.json", "data/white.json", "--n-freq", "100"),
      "--n-freq must be a power of two, got 100"),
+    # The oracle's options would be ignored on dist without --oracle, so
+    # they are refused before any of them is parsed.
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--horizons", "4,8", "--max-lag", "2"),
+     "--horizons acts only with --oracle"),
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--horizons", "8,4"),
+     "--horizons acts only with --oracle"),
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--max-lag", "-1"),
+     "--max-lag acts only with --oracle"),
+    # A grid or series source fixes the grid size.
+    (("dist", "data/flat4.csv", "data/flat1.csv", "--n-freq", "64"),
+     "--n-freq 64 conflicts with data/flat4.csv, which fixes the grid at 8 points"),
+    (("dist", "data/ar1.json", "data/flat1_n16.csv", "--n-freq", "4096"),
+     "--n-freq 4096 conflicts with data/flat1_n16.csv, which fixes the grid at 16 points"),
+    (("dist", "data/series_tiny.csv", "data/ar1.json", "--n-freq", "1024"),
+     "--n-freq 1024 conflicts with data/series_tiny.csv, which fixes the grid at 512 points"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", OPTION_VALUE_ERRORS,
                          ids=["seg_len", "overlap", "horizons_decreasing",
-                              "horizons_empty", "horizons_not_int", "n_freq"])
+                              "horizons_empty", "horizons_not_int", "n_freq",
+                              "oracle_options_without_oracle", "horizons_without_oracle",
+                              "max_lag_without_oracle", "n_freq_vs_grid",
+                              "n_freq_vs_second_grid", "n_freq_vs_series"])
 def test_bad_option_value_is_a_parse_error(argv, message):
     assert run_case(argv) == (3, "", f"error: ParseError: {message}\n")
+
+
+def test_matching_n_freq_is_accepted():
+    golden = next(c for c in CASES if c.name == "dist_flat_json")
+    assert run_case(golden.argv + ("--n-freq", "8")) == (0, golden.golden_out.read_text(), "")
+
+
+def test_n_freq_not_given():
+    code, stdout, stderr = run_case(("dist", "data/acov_ma1.json", "data/ar1.json"))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["n_freq"] == 4096
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "data/ar1.json", "data/white.json", "--oracle"),
+    ("oracle", "data/ar1.json", "data/white.json"),
+], ids=["dist", "oracle"])
+@pytest.mark.parametrize("lag", ["32", "40"])
+def test_model_max_lag_beyond_grid_bandwidth(argv, lag):
+    # A model's lags come from the run's grid, so a cut at or beyond
+    # n_freq/2 is refused as for any other grid-derived source.
+    argv = argv + ("--n-freq", "64", "--horizons", "2,4,8")
+    assert run_case(argv + ("--max-lag", lag)) == (
+        4, "", f"error: LagTooLarge: max_lag {lag} out of range for a 64-point grid "
+               "(must be below 32)\n"
+    )
+    assert run_case(argv + ("--max-lag", "31"))[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("info", "golden/info_model.out.txt"),
+     "golden/info_model.out.txt: unsupported source type (expected .json or .csv)"),
+    (("estimate", "data/ar1.json", "--out", "/dev/null"),
+     "data/ar1.json: estimate requires a time-series CSV"),
+], ids=["suffix", "estimate_json"])
+def test_unsupported_source_is_a_parse_error(argv, message):
+    assert run_case(argv) == (3, "", f"error: ParseError: {message}\n")
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.expected_exit == 0],
+                         ids=lambda c: c.name)
+def test_out_writes_the_golden_bytes(tmp_path, case):
+    out = tmp_path / "out.txt"
+    assert run_case(case.argv + ("--out", str(out))) == (0, "", "")
+    assert out.read_bytes() == case.golden_out.read_bytes()
+
+
+def test_linalg_error_exits_1(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    assert run_case(("dist", "data/flat4.csv", "data/flat1.csv")) == (
+        1, "", "error: LinAlgError: Eigenvalues did not converge\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,10 +393,15 @@ def test_info_grid_decomposes_once(monkeypatch):
                                         ("data/acov_ma1.json", (1, 1))])
 def test_info_source_decomposes_once(monkeypatch, src, shape):
     # info prints the smallest eigenvalue of noise_cov or R(0) that the
-    # source's constructor already computed for its definiteness check.
+    # source's constructor already computed for its definiteness check,
+    # and a model's stability radius from the constructor's one companion
+    # eigensolve (var2_x is a VAR(1) at dim 2, so its companion is 2x2).
     calls = count_eigensolves(monkeypatch)
+    companions = []
+    record_shapes(monkeypatch, ("eigvals",), companions)
     assert run_case(("info", src))[0] == 0
     assert calls == [shape]
+    assert companions == ([] if "acov" in src else [(2, 2)])
 
 
 def test_exactly_singular_ar_exits_1(monkeypatch):

@@ -217,6 +217,9 @@ GRID_PARITY_CASES = [
     ("nan-entry", "0,0,0,4,0\n1,0,0,nan,0\n", None, "entry (1,0,0) is not a finite number"),
     ("inf-entry", "0,0,0,4,0\n1,0,0,4,-inf\n", None, "entry (1,0,0) is not a finite number"),
     ("nan-and-missing", "0,0,0,nan,0\n2,0,0,4,0\n", None, "grid is missing entries"),
+    # Enough rows to fill the grid, but a duplicate stands in for row 1.
+    ("duplicate-leaves-hole", "0,0,0,4,0\n0,0,0,5,0\n2,0,0,4,0\n", None,
+     "grid is missing entries"),
     ("sidecar-pads-grid", TWO_ROWS, '{"dim": 1, "n_freq": 4}', "grid is missing entries"),
     ("duplicate-last-wins", TWO_ROWS + "0,0,0,9,0\n1,0,0,3,0\n0,0,0,7,0\n", None, None),
     ("duplicate-quoted", TWO_ROWS + '"0",0,0,9,0\n', None, None),
@@ -300,6 +303,17 @@ def test_read_model_json(tmp_path):
     model = read_json_source(path)
     assert model.dim == 2
     assert model.ar.shape == (0, 2, 2)
+
+    # A bare matrix is one coefficient.
+    path.write_text('{"ar": [[0.5, 0.0], [0.0, 0.25]], "ma": [[[1.0, 0.0], [0.0, 1.0]]], '
+                    '"noise_cov": [[1.0, 0.0], [0.0, 1.0]]}')
+    model = read_json_source(path)
+    assert model.ar.shape == (1, 2, 2)
+    assert model.ar[0, 1, 1] == 0.25
+
+    path.write_text('{"ma": [1.0], "noise_cov": [[[1.0]]]}')
+    with pytest.raises(ParseError, match="noise_cov must be a matrix"):
+        read_json_source(path)
 
     # The policy reaches the noise_cov check.
     path.write_text('{"ma": [[[1.0, 0.0], [0.0, 1.0]]], "noise_cov": [[1.0, 0.0], [0.0, 1e-13]]}')

@@ -25,7 +25,7 @@ from specdist.spectra import (
     RationalSpectrum,
     default_omegas,
     rational_grid,
-    rational_to_autocov,
+    spectrum_to_autocov,
     stability_radius,
 )
 from specdist.toeplitz import convergence_diagnostic
@@ -192,12 +192,10 @@ def varma11_model(draw, m):
 
 def assert_oracle_converges(x, y):
     n = 512
-    target = spectral_w2(rational_grid(x, n), rational_grid(y, n)).squared
+    gx, gy = rational_grid(x, n), rational_grid(y, n)
+    target = spectral_w2(gx, gy).squared
     diag = convergence_diagnostic(
-        rational_to_autocov(x, n_freq=n),
-        rational_to_autocov(y, n_freq=n),
-        (16, 32, 64),
-        target,
+        spectrum_to_autocov(gx), spectrum_to_autocov(gy), (16, 32, 64), target
     )
     assert diag.converged, (diag.extrapolated_limit, target)
 

@@ -36,7 +36,6 @@ from specdist.spectra import (
     default_omegas,
     estimate_welch,
     rational_grid,
-    rational_to_autocov,
     spectrum_to_autocov,
     stability_radius,
 )
@@ -237,6 +236,8 @@ def test_rational_validations():
         RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=eye, noise_cov=np.diag([1.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         RationalSpectrum(ar=np.zeros((2, 3, 3)), ma=eye, noise_cov=np.eye(2))
+    with pytest.raises(DimensionMismatch, match="noise_cov must be square"):
+        RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=eye, noise_cov=np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):
         RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=np.zeros((0, 2, 2)),
                          noise_cov=np.eye(2))
@@ -357,8 +358,7 @@ def test_autocov_spectrum_roundtrip():
 def test_autocov_lags_own_their_memory():
     # The kept lags are copied out of the grid-sized inverse transform.
     grid = rational_grid(ar1_model(), 4096)
-    for acov in (spectrum_to_autocov(grid), spectrum_to_autocov(grid, 5),
-                 rational_to_autocov(ar1_model())):
+    for acov in (spectrum_to_autocov(grid), spectrum_to_autocov(grid, 5)):
         assert acov.lags.base is None
 
 
@@ -375,17 +375,18 @@ def test_trace_mean_matches_lag_zero():
     # Discrete Parseval identity: grid mean of tr(value) equals tr R(0).
     for model in (ar1_model(), white_model(m=2)):
         grid = rational_grid(model, 256)
-        acov = rational_to_autocov(model, n_freq=256)
+        acov = spectrum_to_autocov(grid)
         mean_trace = float(np.mean(np.trace(grid.values, axis1=-2, axis2=-1).real))
         assert abs(mean_trace - np.trace(acov.lags[0])) <= 1e-10
 
 
 def test_rational_to_autocov_decay():
-    acov = rational_to_autocov(ar1_model())
+    grid = rational_grid(ar1_model(), 4096)
+    acov = spectrum_to_autocov(grid)
     assert acov.max_lag == 39
     assert abs(acov.lags[0, 0, 0] - 4.0 / 3.0) <= 1e-12
     assert abs(acov.lags[5, 0, 0] - (4.0 / 3.0) * 0.5**5) <= 1e-10
-    forced = rational_to_autocov(ar1_model(), max_lag=10)
+    forced = spectrum_to_autocov(grid, max_lag=10)
     assert forced.max_lag == 10
 
 

@@ -17,7 +17,7 @@ from specdist.spectra import (
     RationalSpectrum,
     autocov_to_spectrum,
     rational_grid,
-    rational_to_autocov,
+    spectrum_to_autocov,
 )
 from specdist.distances import spectral_w2
 from specdist.fileio import json_dumps
@@ -41,7 +41,7 @@ MA1 = Autocovariance(lags=np.array([[[1.25]], [[0.5]]]))
 
 
 def ar1_acov():
-    return rational_to_autocov(AR1)
+    return spectrum_to_autocov(rational_grid(AR1, 4096))
 
 
 def white_acov():
