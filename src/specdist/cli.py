@@ -361,8 +361,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         _check_options(args)
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFoundError: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SpecDistError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

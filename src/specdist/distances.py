@@ -11,12 +11,12 @@ never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
 reported as a diagnostic.
 
-A grid that ``GridSpectrum.build`` made from an exact mirror (a model,
-autocovariance or Welch grid, or a grid CSV written from one) is one too,
-``value(N-l) = conj(value(l))`` bitwise, roots included.  A pair of such
-grids is coupled on ``l = 0..N/2`` only, as conjugation keeps every
-per-frequency quantity, and its per-frequency arrays are mirrored from
-those rows.  Any other pair is coupled on the whole grid.
+``GridSpectrum.build`` records on each grid whether it made it from an
+exact mirror (``mirrored``: values and roots satisfy ``value(N-l) =
+conj(value(l))`` bitwise, as for model, autocovariance and Welch grids).
+A pair whose grids are both mirrored is coupled on ``l = 0..N/2`` only, as
+conjugation keeps every per-frequency quantity, and its per-frequency
+arrays are mirrored from those rows.  Any other pair is coupled whole.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, coupling_trace
-from .spectra import GridSpectrum, _is_mirrored, _mirror
+from .spectra import GridSpectrum, _mirror
 
 __all__ = [
     "DistanceReport",
@@ -91,9 +91,8 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
         return _PairProfile(zeros, np.zeros(n), np.zeros(n), 0.0)
 
     xv, yv, rx, ry = x.values, y.values, x.root, y.root
-    # A pair of exact mirror images is coupled on its rows l = 0..N/2, and
-    # the per-frequency arrays are mirrored back at the end.
-    half = all(_is_mirrored(a) for a in (xv, yv, rx, ry))
+    # A mirrored pair is coupled on rows l = 0..N/2 and its arrays mirrored.
+    half = x.mirrored and y.mirrored
     if half:
         xv, yv, rx, ry = (a[: n // 2 + 1] for a in (xv, yv, rx, ry))
     tsp = coupling_trace(rx, yv, policy)

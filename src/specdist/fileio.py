@@ -208,7 +208,8 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     ------
     ParseError
         On a bad header, malformed row, out-of-range index, missing or
-        non-finite grid entry, or a sidecar that contradicts the data.
+        non-finite grid entry, or a sidecar that is not a JSON object with
+        integer ``dim`` and ``n_freq`` or that contradicts the data.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -236,11 +237,12 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
 
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        try:
-            meta = json.loads(meta_file.read_text())
-        except ValueError as exc:
-            raise ParseError(f"{meta_file}: {exc}") from None
-        md, mn = int(meta.get("dim", m)), int(meta.get("n_freq", n_freq))
+        meta = load_json_object(meta_file)
+        for key in ("dim", "n_freq"):
+            if key in meta and type(meta[key]) is not int:
+                raise ParseError(f"{meta_file}: {key!r} must be an integer, "
+                                 f"got {json.dumps(meta[key])}")
+        md, mn = meta.get("dim", m), meta.get("n_freq", n_freq)
         if md < m or mn < n_freq:
             raise ParseError(
                 f"{path}: data indices exceed sidecar shape "

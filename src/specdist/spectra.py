@@ -99,15 +99,18 @@ class GridSpectrum:
         Principal square root of each value, from the decomposition in build.
     real_symmetry : bool
         True when the grid satisfies the real-process symmetry
-        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``.  Model,
-        autocovariance and Welch grids, and the grid CSVs written from
-        them, are exact mirrors with real rows 0 and N/2, so for them it
-        holds exactly.
+        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``; exactly
+        for a mirrored grid with real rows 0 and N/2.
     min_eigenvalue, max_eigenvalue : float
         Extreme eigenvalues over the grid after flooring.
     flooring_count : int
         Number of frequencies whose eigenvalues were lifted to the policy
         floor during construction.  Zero for healthy PD input.
+    mirrored : bool
+        Set by :meth:`build` alone, when it made the grid from an exact
+        mirror's rows ``0..N/2`` (every model, autocovariance and Welch
+        grid): values and roots satisfy ``row(N-l) = conj(row l)`` bitwise.
+        Any other grid reads False, a ``dataclasses.replace`` copy too.
     """
 
     values: np.ndarray
@@ -116,6 +119,7 @@ class GridSpectrum:
     min_eigenvalue: float
     max_eigenvalue: float
     flooring_count: int = 0
+    mirrored: bool = field(default=False, init=False)
 
     @property
     def dim(self) -> int:
@@ -139,8 +143,8 @@ class GridSpectrum:
         uniform small level and counted rather than left singular.
 
         An exact mirror (row ``N-l`` bitwise ``conj(row l)``) is checked,
-        decomposed and floored on rows ``l = 0..N/2`` only and mirrored; a
-        floored row with an image counts twice, as on the whole grid.
+        decomposed and floored on rows ``l = 0..N/2`` only, mirrored and
+        marked ``mirrored``; a floored row with an image counts twice.
 
         Raises
         ------
@@ -157,7 +161,7 @@ class GridSpectrum:
                 f"{name} must have shape (n_freq, m, m), got {values.shape}"
             )
         n = values.shape[0]
-        mirrored = _is_mirrored(values)
+        mirrored = np.array_equal(values[n // 2 + 1 :], np.conj(values[_mirrored_rows(n)]))
         rows = values[: n // 2 + 1] if mirrored else values
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
         # Measured before the eigensolve, whose peak it would otherwise raise.
@@ -193,8 +197,10 @@ class GridSpectrum:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
             rows = _mirror(rows, n)
             root = _mirror(root, n)
-        return cls(values=rows, root=root, real_symmetry=sym, min_eigenvalue=float(w.min()),
+        spec = cls(values=rows, root=root, real_symmetry=sym, min_eigenvalue=float(w.min()),
                    max_eigenvalue=float(w.max()), flooring_count=int(count))
+        object.__setattr__(spec, "mirrored", mirrored)
+        return spec
 
 
 def _mirrored_rows(n_freq: int) -> slice:
@@ -219,13 +225,6 @@ def _real_process(half: np.ndarray, n_freq: int) -> np.ndarray:
     if n_freq % 2 == 0:
         half[-1] = half[-1].real
     return _mirror(half, n_freq)
-
-
-def _is_mirrored(a: np.ndarray) -> bool:
-    """True when row ``N-l`` of ``a`` equals ``conj(row l)`` exactly for
-    every ``l``, as :func:`_mirror` leaves it."""
-    n = a.shape[0]
-    return np.array_equal(a[n // 2 + 1 :], np.conj(a[_mirrored_rows(n)]))
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
@@ -531,11 +530,10 @@ def estimate_welch(
         raise ValueError(f"segment_len must be a power of two, got {segment_len}")
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    try:
-        win = _WINDOWS[window](segment_len)
-    except KeyError:
-        raise ValueError(f"unknown window {window!r}") from None
+    if window not in _WINDOWS:
+        raise ValueError(f"unknown window {window!r}")
 
+    # Checked before anything segment-sized is allocated.
     step = max(int(segment_len * (1.0 - overlap)), 1)
     n_seg = (n - segment_len) // step + 1 if n >= segment_len else 0
     if n_seg < 4:
@@ -544,6 +542,7 @@ def estimate_welch(
             f"at {overlap:.0%} overlap; need at least 4"
         )
 
+    win = _WINDOWS[window](segment_len)
     acc = np.zeros((segment_len // 2 + 1, m, m), dtype=complex)
     for s in range(n_seg):
         seg = x[s * step : s * step + segment_len]

@@ -85,6 +85,7 @@ CASES = (
     CliCase("bad_grid_header", ("info", "data/bad_header.csv"), 3),
     CliCase("missing_grid_rows", ("info", "data/truncated.csv"), 3),
     CliCase("bad_grid_number", ("info", "data/bad_number.csv"), 3),
+    CliCase("bad_grid_sidecar", ("info", "data/bad_meta.csv"), 3),
     CliCase("indefinite_grid", ("info", "data/indefinite.csv"), 5),
     CliCase("grid_size_mismatch",
             ("dist", "data/flat4.csv", "data/flat1_n16.csv"), 4),

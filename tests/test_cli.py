@@ -130,7 +130,8 @@ def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
     code, stdout, _ = run_case(("dist", *outs))
     assert code == 0 and json.loads(stdout)["n_freq"] == 64
     assert calls == [(33, 2, 2)] * 3
-    assert read_grid_csv(outs[0]).real_symmetry
+    grid = read_grid_csv(outs[0])
+    assert grid.real_symmetry and grid.mirrored
 
 
 def test_dist_series_against_true_model(tmp_path):
@@ -433,3 +434,20 @@ def test_module_invocation_matches_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == (HERE / "golden" / "info_model.out.txt").read_bytes()
+
+
+@pytest.mark.parametrize("sidecar", ['[1, 2]', '"text"', '{"dim": null}', '{"n_freq": 1e400}',
+                                     '{"dim": "x"}', '{"dim": 1.5}', '{"dim": true}'])
+def test_malformed_grid_sidecar_exits_3(tmp_path, sidecar):
+    grid = tmp_path / "grid.csv"
+    grid.write_text((DATA_DIR / "flat1.csv").read_text())
+    sidecar_path(grid).write_text(sidecar)
+    code, out, err = run_case(("info", str(grid)))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: ParseError: {sidecar_path(grid)}: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    code, out, err = run_case(("dist", "data/flat4.csv", "data/flat1.csv", "--out", str(tmp_path)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1

@@ -1,6 +1,8 @@
 """Unit tests for spectrum representations, transforms and estimation."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,3 +571,29 @@ def test_welch_matches_full_fft_periodogram(monkeypatch, m):
     assert calls == [(seg // 2 + 1, m, m)]
     assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert check_real_symmetry(grid) == 0.0
+
+
+def test_build_records_the_mirror_decision():
+    rng = np.random.default_rng(61)
+    model_grid = rational_grid(random_varma21(2, rng), 32)
+    acov_grid = autocov_to_spectrum(Autocovariance(lags=np.array([[[2.0]], [[0.5]]])), 16)
+    welch_grid = estimate_welch(rng.standard_normal((1024, 2)), 64)
+    for grid in (model_grid, acov_grid, welch_grid):
+        assert grid.mirrored
+    # Every grid not made by build from an exact mirror reads False.
+    direct = GridSpectrum(values=model_grid.values, root=model_grid.root, real_symmetry=True,
+                          min_eigenvalue=model_grid.min_eigenvalue,
+                          max_eigenvalue=model_grid.max_eigenvalue)
+    for grid in (random_grid_spectrum(2, rng, 32), direct, dataclasses.replace(model_grid)):
+        assert not grid.mirrored
+
+
+def test_welch_refuses_too_few_segments_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooFewSegments):
+            estimate_welch(np.zeros((16, 1)), 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
