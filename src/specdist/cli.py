@@ -29,7 +29,8 @@ from .hermitian import DEFAULT_POLICY, PsdPolicy
 
 __all__ = ["main", "run"]
 
-#: Grid size when neither --n-freq nor a grid or series source fixes it.
+#: Grid size when neither --n-freq nor a grid or series source fixes it; an
+#: autocovariance source with lags 0..K raises it to a power of two >= 2K+1.
 DEFAULT_N_FREQ = 4096
 
 
@@ -68,6 +69,8 @@ def _check_options(args) -> None:
     if "overlap" in args and not 0.0 <= args.overlap < 1.0:
         raise ParseError(f"--overlap must lie in [0, 1), got {args.overlap}")
     try:
+        if "seg_len" in args:
+            spectra._welch_window(args.window, args.seg_len)
         args.policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -152,7 +155,10 @@ def _compare(args):
                 f"--n-freq {args.n_freq} conflicts with {p}, which fixes the grid "
                 f"at {size} points"
             )
-    n_freq = fixed[0][1] if fixed else args.n_freq or DEFAULT_N_FREQ
+    # The default grows to the smallest power of two that holds the 2K+1
+    # lags -K..K of each autocovariance source.
+    fits = [1 << (2 * o.max_lag).bit_length() for k, o in sources if k == "autocov"]
+    n_freq = fixed[0][1] if fixed else args.n_freq or max([DEFAULT_N_FREQ, *fits])
     grids = [_resolve_grid(k, o, n_freq, args) for k, o in sources]
 
     if getattr(args, "semantics", None) == "gelbrich":

@@ -79,12 +79,12 @@ def _format_rows(row_format: str, table: np.ndarray) -> str:
 
 def _csv_text(obj, meta: tuple, columns: dict) -> str:
     """CSV text: a ``# key=value`` line per ``meta`` field of ``obj``,
-    rendered as in JSON, a header, then a line per element of the
-    broadcast ``columns``; integer columns render with ``%d``."""
+    rendered as in JSON, a header, then a line per element of the equally
+    long 1-D ``columns``; integer columns render with ``%d``."""
     lines = [f"# {k}={json_dumps(getattr(obj, k))}\n" for k in meta]
-    cols = np.broadcast_arrays(*map(np.asarray, columns.values()))
+    cols = [np.asarray(c) for c in columns.values()]
     fields = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in cols]
-    table = np.stack(cols, axis=-1).astype(float, copy=False).reshape(-1, len(cols))
+    table = np.stack(cols, axis=-1).astype(float, copy=False)
     head = "".join(lines) + ",".join(columns) + "\n"
     return head + _format_rows(",".join(fields) + "\n", table)
 
@@ -139,14 +139,32 @@ def sidecar_path(path) -> Path:
 def grid_csv_text(grid: GridSpectrum) -> str:
     """CSV body for a grid spectrum (header plus one line per entry).
 
+    Each row's ``re`` and ``im`` are rendered once with ``%.17g`` and every
+    line comes from one per-shape template.  A ``mirrored`` grid renders rows
+    ``0..N/2`` only: row ``N-l`` is row ``l``'s text with the sign of ``im``
+    flipped, exact because ``build`` wrote it as ``conj(row l)`` bitwise.
+
     Raises
     ------
     ValueError
         If any value is non-finite, with the message of :func:`format_float`.
     """
     n, m, v = grid.n_freq, grid.dim, grid.values
-    index = (np.arange(n)[:, None, None], np.arange(m)[:, None], np.arange(m))
-    return _csv_text(grid, (), dict(zip(GRID_HEADER, (*index, v.real, v.imag))))
+    h = n // 2 + 1 if grid.mirrored else n
+    cells = _format_rows("%.17g\n%.17g\n", np.stack([v[:h].real, v[:h].imag], -1).reshape(-1, 2))
+    cells = np.array(cells[:-1].split("\n"), dtype=object).reshape(h, m * m, 2)
+    flip = np.frompyfunc(lambda s: s[1:] if s[0] == "-" else "-" + s, 1, 1)
+    template = "".join(f"%s{i},{j},%s,%s\n" for i in range(m) for j in range(m))
+    step = max(1, _WRITE_BLOCK_ROWS // (m * m))
+    pieces = [",".join(GRID_HEADER) + "\n"]
+    for start in range(0, n, step):
+        l = np.arange(start, min(start + step, n))
+        line = np.empty((len(l), m * m, 3), dtype=object)  # (prefix, re, im)
+        line[:, :, 0] = np.array([f"{k}," for k in l.tolist()], dtype=object)[:, None]
+        line[:, :, 1:] = cells[np.where(l < h, l, n - l)]  # row l >= h: image of N-l
+        line[l >= h, :, 2] = flip(line[l >= h, :, 2])
+        pieces.append(template * len(l) % tuple(line.ravel().tolist()))
+    return "".join(pieces)
 
 
 def write_grid_csv(path, grid: GridSpectrum) -> None:
@@ -271,8 +289,9 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     if not finite.all():
         lb, ib, jb = np.unravel_index(int(np.argmin(finite)), (n_freq, m, m))
         raise ParseError(f"{path}: entry ({lb},{ib},{jb}) is not a finite number")
-    values = re + 1j * im
-    return GridSpectrum.build(values.reshape(n_freq, m, m), policy, name=str(path))
+    # Each part as read: re + 1j * im would turn a -0.0 into +0.0.
+    values = np.stack([re, im], axis=-1).view(complex).reshape(n_freq, m, m)
+    return GridSpectrum.build(values, policy, name=str(path))
 
 
 def load_json_object(path) -> dict:

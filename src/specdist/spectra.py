@@ -484,6 +484,15 @@ def spectrum_to_autocov(
     return Autocovariance(lags=lags.copy())
 
 
+def _welch_window(window: str, segment_len: int) -> np.ndarray:
+    """The taper of ``segment_len`` samples.  One whose ``sum(win**2)`` is 0
+    is refused, because the estimate is divided by that sum."""
+    win = _WINDOWS[window](segment_len)
+    if not np.sum(win**2) > 0.0:
+        raise ValueError(f"the {window} window of length {segment_len} has zero energy")
+    return win
+
+
 def estimate_welch(
     samples,
     segment_len: int,
@@ -515,6 +524,8 @@ def estimate_welch(
 
     Raises
     ------
+    ValueError
+        If the window has no energy (Hann at ``segment_len`` 2 is all zero).
     TooFewSegments
         If the series yields fewer than 4 segments.
     NotPositiveDefinite
@@ -542,7 +553,7 @@ def estimate_welch(
             f"at {overlap:.0%} overlap; need at least 4"
         )
 
-    win = _WINDOWS[window](segment_len)
+    win = _welch_window(window, segment_len)
     acc = np.zeros((segment_len // 2 + 1, m, m), dtype=complex)
     for s in range(n_seg):
         seg = x[s * step : s * step + segment_len]

@@ -175,6 +175,11 @@ OPTION_VALUE_ERRORS = [
      "--seg-len must be a power of two, got 100"),
     (("dist", "data/flat4.csv", "data/flat1.csv", "--overlap", "1"),
      "--overlap must lie in [0, 1), got 1.0"),
+    # np.hanning(2) is [0, 0]; refused before the series is read.
+    (("estimate", "data/series_tiny.csv", "--out", "unwritten.csv", "--seg-len", "2"),
+     "the hann window of length 2 has zero energy"),
+    (("dist", "data/series_tiny.csv", "data/series_tiny.csv", "--seg-len", "2"),
+     "the hann window of length 2 has zero energy"),
     (("oracle", "data/ar1.json", "data/white.json", "--horizons", "8,4"),
      "horizons must be strictly increasing, got [8, 4]"),
     (("oracle", "data/ar1.json", "data/white.json", "--horizons", ","),
@@ -202,7 +207,8 @@ OPTION_VALUE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, message", OPTION_VALUE_ERRORS,
-                         ids=["seg_len", "overlap", "horizons_decreasing",
+                         ids=["seg_len", "overlap", "zero_energy_window_estimate",
+                              "zero_energy_window_dist", "horizons_decreasing",
                               "horizons_empty", "horizons_not_int", "n_freq",
                               "oracle_options_without_oracle", "horizons_without_oracle",
                               "max_lag_without_oracle", "n_freq_vs_grid",
@@ -220,6 +226,32 @@ def test_n_freq_not_given():
     code, stdout, stderr = run_case(("dist", "data/acov_ma1.json", "data/ar1.json"))
     assert (code, stderr) == (0, "")
     assert json.loads(stdout)["n_freq"] == 4096
+
+
+def test_n_freq_not_given_holds_every_autocovariance_lag(tmp_path):
+    # 3,000 lags need 6,001 points: the default grid grows to 8192.
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"lags": [0.5**k for k in range(3001)]}))
+    code, stdout, stderr = run_case(("dist", str(long), "data/ar1.json"))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["n_freq"] == 8192
+    code, stdout, stderr = run_case(("oracle", str(long), "data/ar1.json"))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["converged"] is True
+    # An explicit grid size is taken as given.
+    assert run_case(("dist", str(long), "data/ar1.json", "--n-freq", "4096")) == (
+        4, "", "error: GridTooCoarse: grid of 4096 frequencies cannot resolve lags up "
+               "to 3000 (need at least 6001)\n"
+    )
+
+
+@pytest.mark.parametrize("window", ["hamming", "rectangular"])
+def test_windows_with_energy_pass_at_seg_len_2(tmp_path, window):
+    out = str(tmp_path / "grid.csv")
+    for argv in (("estimate", "data/series_tiny.csv", "--out", out),
+                 ("dist", "data/series_tiny.csv", "data/series_tiny.csv")):
+        code, _, stderr = run_case(argv + ("--seg-len", "2", "--window", window))
+        assert (code, stderr) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [

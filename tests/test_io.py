@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specdist.fileio
+
 from conftest import random_grid_spectrum
 from specdist.distances import DistanceReport
 from specdist.errors import NotPositiveDefinite, ParseError
@@ -26,7 +28,7 @@ from specdist.fileio import (
     write_grid_csv,
 )
 from specdist.hermitian import PsdPolicy
-from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum
+from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum, estimate_welch
 
 GRID_HEADER_LINE = "omega_index,row,col,re,im"
 
@@ -134,6 +136,71 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
     assert str(exc.value) == f"refusing to serialize non-finite value {np.float64(np.inf)!r}"
     assert not path.exists()
     assert not sidecar_path(path).exists()
+
+
+def per_entry_grid_text(grid) -> str:
+    return "".join([GRID_HEADER_LINE + "\n"] + [
+        f"{l},{i},{j},{float(v.real):.17g},{float(v.imag):.17g}\n"
+        for (l, i, j), v in np.ndenumerate(grid.values)
+    ])
+
+
+def special_mirror(n_freq):
+    """A build-made mirror of dim 2 whose rows 1..N/2-1 hold -0.0, 5e-324
+    and 1e300; their images then hold 0.0, -5e-324 and -0.0.
+
+    Each off-diagonal pair is a fixed point of the build's Hermitian part
+    (``0.5 * complex`` can turn a -0.0 into +0.0), so the build that reads
+    the grid back keeps every zero's sign.
+    """
+    rng = np.random.default_rng(n_freq)
+    rows = np.zeros((n_freq // 2 + 1, 2, 2), dtype=complex)
+    rows[:, 0, 0] = rows[:, 1, 1] = 1.5e300
+    rows[1:, 0, 1] = rng.standard_normal(len(rows) - 1) + 1j * rng.standard_normal(len(rows) - 1)
+    rows[:, 1, 0] = np.conj(rows[:, 0, 1])
+    rows[0, 0, 1] = rows[0, 1, 0] = 0.0  # row 0 is its own image
+    rows[1, 0, 1] = rows[1, 1, 0] = complex(-0.0, 0.0)
+    rows[2, 0, 1], rows[2, 1, 0] = complex(0.5, 5e-324), complex(0.5, -5e-324)
+    rows[3, 0, 0] = 1e300
+    rows[4, 0, 1], rows[4, 1, 0] = complex(-0.25, -0.0), complex(-0.25, 0.0)
+    if n_freq % 2 == 0:
+        rows[-1, 0, 1] = rows[-1, 1, 0] = 0.0  # so is row N/2
+    grid = GridSpectrum.build(np.concatenate([rows, np.conj(rows[(n_freq + 1) // 2 - 1:0:-1])]))
+    inner = grid.values[1:n_freq // 2]
+    assert np.any((inner.real == 0.0) & np.signbit(inner.real))
+    assert np.any((inner.imag == 0.0) & np.signbit(inner.imag))
+    assert np.any(inner.imag == 5e-324) and np.any(inner.real == 1e300)
+    return grid
+
+
+def welch_mirror(n_freq):
+    return estimate_welch(np.random.default_rng(8).standard_normal((4 * n_freq, 3)), n_freq)
+
+
+@pytest.mark.parametrize("make, n_freq", [
+    (special_mirror, 16), (special_mirror, 15), (welch_mirror, 64),
+], ids=["build_specials", "build_odd_n", "welch"])
+def test_grid_csv_text_of_a_mirror_matches_per_entry_rendering(tmp_path, monkeypatch,
+                                                                make, n_freq):
+    grid = make(n_freq)
+    assert grid.mirrored
+    rendered = []
+
+    def counting(row_format, table):
+        rendered.append(table.size)
+        return format_rows(row_format, table)
+
+    format_rows = specdist.fileio._format_rows
+    monkeypatch.setattr(specdist.fileio, "_format_rows", counting)
+    text = grid_csv_text(grid)
+    assert text == per_entry_grid_text(grid)
+    # Only rows 0..N/2 are rendered from numbers.
+    assert rendered == [2 * (n_freq // 2 + 1) * grid.dim**2]
+    path = tmp_path / "mirror.csv"
+    write_grid_csv(path, grid)
+    back = read_grid_csv(path)
+    assert back.values.tobytes() == grid.values.tobytes()
+    assert back.mirrored
 
 
 def reference_read_grid_csv(path):

@@ -463,6 +463,20 @@ def test_welch_window_wiring():
         assert 0.9 <= float(np.mean(grid.values[:, 0, 0].real)) <= 1.1
 
 
+def test_welch_refuses_a_zero_energy_window(monkeypatch):
+    # np.hanning(2) is [0, 0]: the estimate would divide by sum(win**2) = 0.
+    x = np.random.default_rng(98).standard_normal((64, 2))
+    for window in ("hamming", "rectangular"):
+        assert estimate_welch(x, 2, 0.5, window).n_freq == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a segment was transformed")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    with pytest.raises(ValueError, match="^the hann window of length 2 has zero energy$"):
+        estimate_welch(x, 2)
+
+
 def test_welch_validations():
     x = np.zeros(4096)
     with pytest.raises(ValueError):
