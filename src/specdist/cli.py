@@ -70,7 +70,9 @@ def _check_options(args) -> None:
         raise ParseError(f"--overlap must lie in [0, 1), got {args.overlap}")
     try:
         if "seg_len" in args:
-            spectra._welch_window(args.window, args.seg_len)
+            # From 4 samples up every window has a nonzero sample, so a short
+            # window decides without building one of --seg-len samples.
+            spectra._welch_window(args.window, min(args.seg_len, 4))
         args.policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

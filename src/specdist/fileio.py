@@ -139,10 +139,9 @@ def sidecar_path(path) -> Path:
 def grid_csv_text(grid: GridSpectrum) -> str:
     """CSV body for a grid spectrum (header plus one line per entry).
 
-    Each row's ``re`` and ``im`` are rendered once with ``%.17g`` and every
-    line comes from one per-shape template.  A ``mirrored`` grid renders rows
-    ``0..N/2`` only: row ``N-l`` is row ``l``'s text with the sign of ``im``
-    flipped, exact because ``build`` wrote it as ``conj(row l)`` bitwise.
+    Every line comes from one per-shape template.  A ``mirrored`` grid renders
+    rows ``0..N/2`` only: row ``N-l`` is row ``l``'s text with ``im``'s sign
+    flipped, exact as ``build`` wrote it as ``conj(row l)`` bitwise.
 
     Raises
     ------
@@ -289,9 +288,8 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     if not finite.all():
         lb, ib, jb = np.unravel_index(int(np.argmin(finite)), (n_freq, m, m))
         raise ParseError(f"{path}: entry ({lb},{ib},{jb}) is not a finite number")
-    # Each part as read: re + 1j * im would turn a -0.0 into +0.0.
-    values = np.stack([re, im], axis=-1).view(complex).reshape(n_freq, m, m)
-    return GridSpectrum.build(values, policy, name=str(path))
+    values = np.stack([re, im], axis=-1).view(complex)  # re + 1j * im loses a -0.0
+    return GridSpectrum.build(values.reshape(n_freq, m, m), policy, name=str(path))
 
 
 def load_json_object(path) -> dict:

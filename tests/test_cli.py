@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,24 @@ def test_windows_with_energy_pass_at_seg_len_2(tmp_path, window):
                  ("dist", "data/series_tiny.csv", "data/series_tiny.csv")):
         code, _, stderr = run_case(argv + ("--seg-len", "2", "--window", window))
         assert (code, stderr) == (0, "")
+
+
+def test_window_check_does_not_build_a_long_window(tmp_path):
+    # A window of 2**22 samples takes 32 MB; the series has too few samples
+    # for one segment, and the models do not read --seg-len at all.
+    seg = ("--seg-len", str(2**22))
+    tracemalloc.start()
+    try:
+        code, _, stderr = run_case(("estimate", "data/series_tiny.csv",
+                                    "--out", str(tmp_path / "grid.csv")) + seg)
+        estimate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert run_case(("dist", "data/ar1.json", "data/white.json") + seg)[0] == 0
+        dist_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and stderr.startswith("error: TooFewSegments: ")
+    assert estimate_peak < 2**20 and dist_peak < 2**23
 
 
 @pytest.mark.parametrize("argv", [
