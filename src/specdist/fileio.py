@@ -8,9 +8,9 @@ order); identical inputs therefore produce byte-identical output files.
 
 Formats:
 
-* grid spectrum: CSV with header ``omega_index,row,col,re,im`` plus a JSON
-  sidecar (same stem, ``.meta.json``) holding dim, n_freq and the
-  real-symmetry flag;
+* grid spectrum: CSV with header ``omega_index,row,col,re,im``, written in
+  blocks with each distinct number rendered once, plus a JSON sidecar (same
+  stem, ``.meta.json``) holding dim, n_freq and the real-symmetry flag;
 * rational model: JSON object with ``ar``, ``ma``, ``noise_cov`` arrays;
 * autocovariance: JSON object with a ``lags`` array of matrices (a JSON
   source is classified by these keys);
@@ -136,45 +136,65 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
+def _grid_csv_blocks(grid: GridSpectrum):
+    """Yield :func:`grid_csv_text` in blocks, once the whole grid is checked.
+    Rows ``0..h-1`` are rendered (``h = N/2+1`` for a ``mirrored`` grid, else
+    ``N``), each cell once as ``re,im``; a lower entry that is bitwise ``conj``
+    of its transpose reuses that text with ``im``'s sign flipped, as does row
+    ``N-l`` of a mirror, whose text is held and yielded last."""
+    n, m = grid.n_freq, grid.dim
+    parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(n, m, m, 2)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        format_float(parts.flat[np.argmin(finite)])  # always raises
+    yield ",".join(GRID_HEADER) + "\n"
+    h = n // 2 + 1 if grid.mirrored else n
+    row = "".join(f"@,{i},{j},%s\n" for i in range(m) for j in range(m))  # @: omega_index
+
+    def lines(labels, texts):
+        return "".join([row.replace("@", str(l)) for l in labels]) % tuple(texts.flat)
+
+    step, images = max(1, _WRITE_BLOCK_ROWS // (m * m)), []
+    for s in range(0, h, step):
+        block = parts[s:min(s + step, h)]
+        bits = block.view(np.uint64)
+        conj = np.swapaxes(bits, 1, 2) ^ np.array([0, 1 << 63], dtype=np.uint64)
+        reused = (bits == conj).all(-1) & np.tri(m, k=-1, dtype=bool)
+        pos = np.cumsum(~reused).reshape(reused.shape) - 1
+        src = np.where(reused, np.swapaxes(pos, 1, 2), pos)
+        text = _format_rows("%.17g,%.17g\n", block[~reused])
+        flipped = text.replace(",-", ",@").replace(",", ",-").replace(",-@", ",")
+        cells = np.array((text + flipped).split("\n"), dtype=object)
+        k = (len(cells) - 1) // 2  # cell c's flipped text is at c + k
+        yield lines(range(s, s + len(block)), cells[src + k * reused])
+        lo, hi = max(s, 1), min(s + step, n - h + 1)  # sources of image rows
+        if lo < hi:
+            images.append(lines(range(n - hi + 1, n - lo + 1),
+                                cells[(src + k * ~reused)[lo - s:hi - s][::-1]]))
+    yield from reversed(images)
+
+
 def grid_csv_text(grid: GridSpectrum) -> str:
     """CSV body for a grid spectrum (header plus one line per entry).
-
-    Every line comes from one per-shape template.  A ``mirrored`` grid renders
-    rows ``0..N/2`` only: row ``N-l`` is row ``l``'s text with ``im``'s sign
-    flipped, exact as ``build`` wrote it as ``conj(row l)`` bitwise.
 
     Raises
     ------
     ValueError
         If any value is non-finite, with the message of :func:`format_float`.
     """
-    n, m, v = grid.n_freq, grid.dim, grid.values
-    h = n // 2 + 1 if grid.mirrored else n
-    cells = _format_rows("%.17g\n%.17g\n", np.stack([v[:h].real, v[:h].imag], -1).reshape(-1, 2))
-    cells = np.array(cells[:-1].split("\n"), dtype=object).reshape(h, m * m, 2)
-    flip = np.frompyfunc(lambda s: s[1:] if s[0] == "-" else "-" + s, 1, 1)
-    template = "".join(f"%s{i},{j},%s,%s\n" for i in range(m) for j in range(m))
-    step = max(1, _WRITE_BLOCK_ROWS // (m * m))
-    pieces = [",".join(GRID_HEADER) + "\n"]
-    for start in range(0, n, step):
-        l = np.arange(start, min(start + step, n))
-        line = np.empty((len(l), m * m, 3), dtype=object)  # (prefix, re, im)
-        line[:, :, 0] = np.array([f"{k}," for k in l.tolist()], dtype=object)[:, None]
-        line[:, :, 1:] = cells[np.where(l < h, l, n - l)]  # row l >= h: image of N-l
-        line[l >= h, :, 2] = flip(line[l >= h, :, 2])
-        pieces.append(template * len(l) % tuple(line.ravel().tolist()))
-    return "".join(pieces)
+    return "".join(_grid_csv_blocks(grid))
 
 
 def write_grid_csv(path, grid: GridSpectrum) -> None:
-    """Write a grid spectrum CSV together with its metadata sidecar."""
+    """Write a grid spectrum CSV block by block, together with its metadata
+    sidecar; a non-finite value leaves neither file."""
     path = Path(path)
-    path.write_text(grid_csv_text(grid))
-    meta = {
-        "dim": grid.dim,
-        "n_freq": grid.n_freq,
-        "real_symmetry": grid.real_symmetry,
-    }
+    blocks = _grid_csv_blocks(grid)
+    header = next(blocks)  # the whole grid is checked before the file opens
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(blocks)
+    meta = {"dim": grid.dim, "n_freq": grid.n_freq, "real_symmetry": grid.real_symmetry}
     sidecar_path(path).write_text(json_dumps(meta) + "\n")
 
 

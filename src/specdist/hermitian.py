@@ -78,8 +78,12 @@ DEFAULT_POLICY = PsdPolicy()
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return ``(A + A*) / 2``, batched over leading axes."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    """Return ``(A + A*) / 2``, batched over leading axes.  The parts are
+    halved as reals: a complex ``0.5`` would turn a ``-0.0`` into ``+0.0``."""
+    s = a + np.conj(np.swapaxes(a, -1, -2))
+    for part in (s.real, s.imag) if np.iscomplexobj(s) else (s,):
+        part *= 0.5
+    return s
 
 
 def hermitian_residual(a: np.ndarray) -> float:

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import specdist.fileio
 
@@ -147,12 +150,7 @@ def per_entry_grid_text(grid) -> str:
 
 def special_mirror(n_freq):
     """A build-made mirror of dim 2 whose rows 1..N/2-1 hold -0.0, 5e-324
-    and 1e300; their images then hold 0.0, -5e-324 and -0.0.
-
-    Each off-diagonal pair is a fixed point of the build's Hermitian part
-    (``0.5 * complex`` can turn a -0.0 into +0.0), so the build that reads
-    the grid back keeps every zero's sign.
-    """
+    and 1e300; their images then hold 0.0, -5e-324 and -0.0."""
     rng = np.random.default_rng(n_freq)
     rows = np.zeros((n_freq // 2 + 1, 2, 2), dtype=complex)
     rows[:, 0, 0] = rows[:, 1, 1] = 1.5e300
@@ -163,6 +161,7 @@ def special_mirror(n_freq):
     rows[2, 0, 1], rows[2, 1, 0] = complex(0.5, 5e-324), complex(0.5, -5e-324)
     rows[3, 0, 0] = 1e300
     rows[4, 0, 1], rows[4, 1, 0] = complex(-0.25, -0.0), complex(-0.25, 0.0)
+    rows[5, 0, 1], rows[5, 1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
     if n_freq % 2 == 0:
         rows[-1, 0, 1] = rows[-1, 1, 0] = 0.0  # so is row N/2
     grid = GridSpectrum.build(np.concatenate([rows, np.conj(rows[(n_freq + 1) // 2 - 1:0:-1])]))
@@ -177,13 +176,49 @@ def welch_mirror(n_freq):
     return estimate_welch(np.random.default_rng(8).standard_normal((4 * n_freq, 3)), n_freq)
 
 
-@pytest.mark.parametrize("make, n_freq", [
-    (special_mirror, 16), (special_mirror, 15), (welch_mirror, 64),
-], ids=["build_specials", "build_odd_n", "welch"])
+def whole_grid(n_freq):
+    return random_grid_spectrum(3, np.random.default_rng(9), n_freq)
+
+
+def direct_grid(n_freq):
+    """A grid made without the build, not Hermitian: some lower entries are
+    bitwise conjugates of their transposes, the rest are unrelated."""
+    rng = np.random.default_rng(n_freq)
+    values = rng.standard_normal((n_freq, 3, 3)) + 1j * rng.standard_normal((n_freq, 3, 3))
+    values[:, 1, 0] = np.conj(values[:, 0, 1])
+    values[1, 2, 0], values[1, 0, 2] = complex(-0.0, 5e-324), complex(-0.0, 5e-324)
+    values[2, 2, 1], values[2, 1, 2] = complex(1e300, -0.0), complex(1e300, 0.0)
+    return GridSpectrum(values=values, root=values, real_symmetry=False,
+                        min_eigenvalue=np.nan, max_eigenvalue=np.nan)
+
+
+def rendered_floats(grid) -> int:
+    """How many floats the writer renders: the diagonal and upper triangle of
+    rows 0..h-1 (h = N/2+1 for a mirror, N otherwise), and each lower entry
+    there that is not bitwise the conjugate of its transpose."""
+    h, m = (grid.n_freq // 2 + 1 if grid.mirrored else grid.n_freq), grid.dim
+    v = grid.values[:h]
+    bits = [np.stack([x.real, x.imag], -1).view(np.uint64)
+            for x in (v, np.conj(np.swapaxes(v, 1, 2)))]
+    conjugate = (bits[0] == bits[1]).all(-1)
+    lower = np.tri(m, k=-1, dtype=bool)
+    return 2 * (h * m * (m + 1) // 2 + np.count_nonzero(lower & ~conjugate))
+
+
+def file_values(path, shape) -> np.ndarray:
+    """The numbers of a grid CSV written in entry order, without the build."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 3:].copy().view(complex).reshape(shape)
+
+
+@pytest.mark.parametrize("make, n_freq, mirrored", [
+    (special_mirror, 16, True), (special_mirror, 15, True), (welch_mirror, 64, True),
+    (whole_grid, 12, False), (direct_grid, 9, False),
+], ids=["build_specials", "build_odd_n", "welch", "build_whole", "direct"])
 def test_grid_csv_text_of_a_mirror_matches_per_entry_rendering(tmp_path, monkeypatch,
-                                                                make, n_freq):
+                                                                make, n_freq, mirrored):
     grid = make(n_freq)
-    assert grid.mirrored
+    assert grid.mirrored == mirrored
     rendered = []
 
     def counting(row_format, table):
@@ -194,13 +229,91 @@ def test_grid_csv_text_of_a_mirror_matches_per_entry_rendering(tmp_path, monkeyp
     monkeypatch.setattr(specdist.fileio, "_format_rows", counting)
     text = grid_csv_text(grid)
     assert text == per_entry_grid_text(grid)
-    # Only rows 0..N/2 are rendered from numbers.
-    assert rendered == [2 * (n_freq // 2 + 1) * grid.dim**2]
+    # Each distinct number is rendered once: a mirror's rows N/2+1..N-1 and
+    # the lower entries that are conjugates of their transposes reuse text.
+    assert sum(rendered) == rendered_floats(grid)
     path = tmp_path / "mirror.csv"
     write_grid_csv(path, grid)
-    back = read_grid_csv(path)
-    assert back.values.tobytes() == grid.values.tobytes()
-    assert back.mirrored
+    assert file_values(path, grid.values.shape).tobytes() == grid.values.tobytes()
+    if make is not direct_grid:  # the read's build refuses a non-Hermitian grid
+        back = read_grid_csv(path)
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert back.mirrored == mirrored
+
+
+@pytest.mark.parametrize("entries", [
+    [((3, 1, 0), complex(np.nan, 1.0)), ((13, 0, 1), complex(1.0, np.inf))],
+    [((12, 1, 0), complex(2.0, -np.inf)), ((14, 1, 1), np.nan)],
+], ids=["lower_triangle", "image_row"])
+def test_write_grid_csv_refuses_non_finite_at_a_reused_position(tmp_path, entries):
+    grid = special_mirror(16)
+    for index, value in entries:
+        grid.values[index] = value
+    parts = np.stack([grid.values.real, grid.values.imag], -1).ravel()
+    with pytest.raises(ValueError) as expected:
+        format_float(parts[~np.isfinite(parts)][0])  # the first in file order
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as exc:
+        write_grid_csv(path, grid)
+    assert str(exc.value) == str(expected.value)
+    assert not path.exists()
+    assert not sidecar_path(path).exists()
+
+
+def test_build_keeps_signed_zeros_so_a_grid_reads_back_bit_for_bit(tmp_path):
+    values = np.zeros((4, 2, 2), dtype=complex)
+    values[:, 0, 0] = values[:, 1, 1] = 1.0
+    values[1, 0, 1], values[1, 1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
+    values[3] = np.conj(values[1])
+    grid = GridSpectrum.build(values)
+    assert grid.values.tobytes() == values.tobytes()
+    assert GridSpectrum.build(grid.values).values.tobytes() == grid.values.tobytes()
+    path = tmp_path / "zeros.csv"
+    write_grid_csv(path, grid)
+    assert read_grid_csv(path).values.tobytes() == grid.values.tobytes()
+
+
+SPECIALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -2.5])
+
+
+@st.composite
+def written_grids(draw):
+    """A grid at dims 1-4 and N 1-33, made by the build from a mirror's rows
+    or a whole grid, or made directly and not Hermitian, and whether the build
+    made it; its entries in both triangles are drawn from -0.0, 5e-324, 1e300
+    and a few others."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 33))
+    built, mirror = draw(st.booleans()), draw(st.booleans())
+    shape = (n // 2 + 1 if mirror else n, m, m)
+    values = draw(hnp.arrays(np.float64, shape + (2,), elements=SPECIALS)).view(complex)[..., 0]
+    conj = np.conj(np.swapaxes(values, 1, 2))
+    # Adding +0.0 turns a -0.0 part into +0.0: no longer a bitwise conjugate.
+    conj = np.where(draw(hnp.arrays(bool, shape)), conj + 0.0, conj)
+    lower = np.tri(m, k=-1, dtype=bool) & (built | draw(hnp.arrays(bool, shape)))
+    values = np.where(lower, conj, values)
+    if built:
+        # Diagonally dominant, so positive definite; rising along the rows,
+        # so that a whole grid is no mirror.
+        values[:, range(m), range(m)] = 8e300 + 1e299 * np.arange(len(values))[:, None]
+    if mirror:
+        values = np.concatenate([values, np.conj(values[(n + 1) // 2 - 1:0:-1])])
+    if built:
+        return GridSpectrum.build(values), True
+    return GridSpectrum(values=values, root=values, real_symmetry=False,
+                        min_eigenvalue=np.nan, max_eigenvalue=np.nan), False
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(made=written_grids())
+def test_grid_csv_writer_matches_per_entry_rendering_on_generated_grids(tmp_path, made):
+    grid, built = made
+    assert grid_csv_text(grid) == per_entry_grid_text(grid)
+    path = tmp_path / "generated.csv"
+    write_grid_csv(path, grid)
+    assert file_values(path, grid.values.shape).tobytes() == grid.values.tobytes()
+    if built:
+        assert read_grid_csv(path).values.tobytes() == grid.values.tobytes()
 
 
 def reference_read_grid_csv(path):
