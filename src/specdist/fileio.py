@@ -137,11 +137,10 @@ def sidecar_path(path) -> Path:
 
 
 def _grid_csv_blocks(grid: GridSpectrum):
-    """Yield :func:`grid_csv_text` in blocks, once the whole grid is checked.
-    Rows ``0..h-1`` are rendered (``h = N/2+1`` for a ``mirrored`` grid, else
-    ``N``), each cell once as ``re,im``; a lower entry that is bitwise ``conj``
-    of its transpose reuses that text with ``im``'s sign flipped, as does row
-    ``N-l`` of a mirror, whose text is held and yielded last."""
+    """Yield :func:`grid_csv_text` in blocks once the whole grid is checked.
+    Each cell of rows ``0..h-1`` (``h = N/2+1`` if ``mirrored``, else ``N``) is
+    rendered once as ``re,im``; a lower entry bitwise ``conj`` of its transpose,
+    and a mirror's row ``N-l`` (held, yielded last), flip ``im`` in that text."""
     n, m = grid.n_freq, grid.dim
     parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(n, m, m, 2)
     finite = np.isfinite(parts)

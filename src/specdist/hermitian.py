@@ -81,7 +81,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return ``(A + A*) / 2``, batched over leading axes.  The parts are
     halved as reals: a complex ``0.5`` would turn a ``-0.0`` into ``+0.0``."""
     s = a + np.conj(np.swapaxes(a, -1, -2))
-    for part in (s.real, s.imag) if np.iscomplexobj(s) else (s,):
+    if not np.iscomplexobj(s):
+        return 0.5 * s
+    for part in (s.real, s.imag):
         part *= 0.5
     return s
 
