@@ -14,6 +14,21 @@ rules are applied in ``spectra`` instead: the grid-wide negativity and
 flooring rule, measured against the grid's largest eigenvalue, in
 ``GridSpectrum.build``, and the strict ``noise_cov`` rule in
 ``RationalSpectrum``.
+
+At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
+the Bures-Wasserstein distance between positive definite matrices",
+Expo. Math. 2019), which replaces LAPACK's per-matrix overhead on the
+grid: ``_eigvalsh_2x2`` gives the eigenvalues from each matrix's trace and
+determinant (the one of larger magnitude first, the other as ``det`` over
+it, never as a difference), and ``_psd_root_2x2`` the principal root
+``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
+scaled by a power of two before any product, so that no product
+overflows, and none underflows unless negligible against the matrix.  The coupling trace takes its eigenvalues from
+the closed form at m = 2 and from ``eigvalsh`` otherwise, under the same
+negativity rule.  ``GridSpectrum.build`` takes the closed form only for a
+grid with nothing to floor or refuse; any other grid, and every m other
+than 2, runs the general ``eigh`` path, which the tests also keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -182,11 +197,65 @@ def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.
     return psd_root(np.maximum(w, floors[..., None]), v)
 
 
+def _scaled_2x2(h):
+    # The entries h00, h11, Re h01 and Im h01 of each 2x2 matrix times
+    # 4**-k, with k per matrix such that the largest lands in [1/2, 2): the
+    # products of the closed forms then cannot overflow, nor underflow
+    # but for entries negligible against the largest.  Exact, being a
+    # power of two.
+    parts = (h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1].real, h[..., 0, 1].imag)
+    k = np.frexp(np.max(np.abs(parts), axis=0))[1] // 2
+    return [np.ldexp(p, -2 * k) for p in parts], k
+
+
+def _eig_scaled_2x2(h):
+    # The scaled entries, the eigenvalues of the scaled matrices in
+    # ascending order, and k.  The eigenvalue of larger magnitude is
+    # mean +- radius with no cancellation; the other is det over it, never
+    # a difference of nearby numbers.  The zero matrix gets two zeros.
+    (a, d, br, bi), k = _scaled_2x2(h)
+    mean = 0.5 * (a + d)
+    half_gap = 0.5 * (a - d)
+    radius = np.sqrt(half_gap * half_gap + br * br + bi * bi)
+    det = a * d - (br * br + bi * bi)
+    big = np.where(mean >= 0.0, mean + radius, mean - radius)
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
+    return (a, d, br, bi), np.minimum(small, big), np.maximum(small, big), k
+
+
+def _eigvalsh_2x2(h) -> np.ndarray:
+    """Eigenvalues of a stack ``(..., 2, 2)`` of Hermitian matrices in
+    closed form, ascending, as ``(..., 2)``; only ``h00``, ``h11`` and
+    ``h01`` are read."""
+    _, lo, hi, k = _eig_scaled_2x2(h)
+    return np.ldexp(np.stack([lo, hi], axis=-1), 2 * k[..., None])
+
+
+def _psd_root_2x2(h) -> np.ndarray:
+    """Principal roots of a stack ``(..., 2, 2)`` of Hermitian matrices
+    that are positive definite, or singular but not zero, in closed form:
+    ``(H + sqrt(det H) I) / sqrt(tr H + 2 sqrt(det H))``, with
+    ``sqrt(det H) = sqrt(w0) sqrt(w1)`` and ``sqrt(tr H + 2 sqrt(det H)) =
+    sqrt(w0) + sqrt(w1)`` from the eigenvalues.  Exactly Hermitian."""
+    (a, d, br, bi), lo, hi, k = _eig_scaled_2x2(h)
+    lo, hi = np.sqrt(lo), np.sqrt(hi)
+    s, t = lo * hi, lo + hi
+    root = np.empty(np.shape(h), dtype=complex)
+    root[..., 0, 0] = np.ldexp((a + s) / t, k)
+    root[..., 1, 1] = np.ldexp((d + s) / t, k)
+    off = root[..., 0, 1]
+    off.real = np.ldexp(br / t, k)
+    off.imag = np.ldexp(bi / t, k)
+    root[..., 1, 0] = np.conj(off)
+    return root
+
+
 def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
     # Square roots of a coupling congruence's eigenvalues, summed per
     # matrix, after the negativity rule.  A congruence keeps the sign of
     # B's eigenvalues, so this is where an indefinite B is refused.
-    wm = np.linalg.eigvalsh(hermitian_part(congruence))
+    h = hermitian_part(congruence)
+    wm = _eigvalsh_2x2(h) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
     _refuse_indefinite(wm, policy, "coupling matrix")
     return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
 

@@ -32,6 +32,8 @@ from .hermitian import (
     DEFAULT_POLICY,
     GRID_HERMITIAN_TOL,
     PsdPolicy,
+    _eigvalsh_2x2,
+    _psd_root_2x2,
     _refuse_asymmetric,
     _refuse_indefinite,
     hermitian_part,
@@ -142,9 +144,15 @@ class GridSpectrum:
         anywhere on the grid, so isolated spectral zeros are lifted to a
         uniform small level and counted rather than left singular.
 
-        An exact mirror (row ``N-l`` bitwise ``conj(row l)``) is checked,
-        decomposed and floored on rows ``l = 0..N/2`` only, mirrored and
-        marked ``mirrored``; a floored row with an image counts twice.
+        An exact mirror (row ``N-l`` bitwise ``conj(row l)``, signed zeros
+        included) is checked, decomposed and floored on rows ``l = 0..N/2``
+        only, mirrored and marked ``mirrored``; a floored row with an image
+        counts twice.
+
+        At m = 2 a grid whose every eigenvalue is positive and at least the
+        floor takes its eigenvalues and roots from the closed forms in
+        ``hermitian``; any other grid is decomposed by ``eigh``, which
+        alone floors and refuses.
 
         Raises
         ------
@@ -161,14 +169,24 @@ class GridSpectrum:
                 f"{name} must have shape (n_freq, m, m), got {values.shape}"
             )
         n = values.shape[0]
-        mirrored = np.array_equal(values[n // 2 + 1 :], np.conj(values[_mirrored_rows(n)]))
+        # Compared as bits, so that a +0.0 image of a +0.0 is not rewritten as -0.0.
+        images = np.conj(values[_mirrored_rows(n)])
+        mirrored = np.array_equal(_bits(values[n // 2 + 1 :]), _bits(images))
+        del images
         rows = values[: n // 2 + 1] if mirrored else values
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
         # Measured before the eigensolve, whose peak it would otherwise raise.
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
         rows = hermitian_part(rows)
 
-        w, v = np.linalg.eigh(rows)
+        w = v = None
+        if values.shape[-1] == 2:
+            w = _eigvalsh_2x2(rows)
+            lo = w[:, 0].min()
+            if not (lo > 0.0 and lo >= policy.floor_eps * w.max()):
+                w = None
+        if w is None:
+            w, v = np.linalg.eigh(rows)
         scale = float(w.max())
         if scale <= 0.0:
             raise NotPositiveDefinite(
@@ -190,7 +208,7 @@ class GridSpectrum:
             fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
             rows[floored] = hermitian_part(fixed)
         # The root comes from the same decomposition.
-        root = psd_root(w, v)
+        root = _psd_root_2x2(rows) if v is None else psd_root(w, v)
         del v  # peak memory: v, then each half, is freed before the next mirror
         count = np.count_nonzero(floored)
         if mirrored:
@@ -201,6 +219,11 @@ class GridSpectrum:
                    max_eigenvalue=float(w.max()), flooring_count=int(count))
         object.__setattr__(spec, "mirrored", mirrored)
         return spec
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    # The raw bits of a complex array, one uint64 per real and imaginary part.
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _mirrored_rows(n_freq: int) -> slice:

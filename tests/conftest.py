@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+import specdist.hermitian
+import specdist.spectra
 from specdist.hermitian import DEFAULT_POLICY, check_hermitian, sqrt_psd_many
 from specdist.spectra import GridSpectrum, RationalSpectrum, default_omegas
 
@@ -130,6 +132,21 @@ def refuse_inverse(monkeypatch) -> None:
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
+
+
+def count_closed_forms(monkeypatch) -> list:
+    """Record the input shape of every call of the closed-form 2x2
+    eigenvalue kernel, from the grid build and from the coupling."""
+    calls = []
+    kernel = specdist.hermitian._eigvalsh_2x2
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return kernel(h)
+
+    for module in (specdist.hermitian, specdist.spectra):
+        monkeypatch.setattr(module, "_eigvalsh_2x2", counted)
+    return calls
 
 
 def count_eigensolves(monkeypatch, choleskys=None) -> list:

@@ -13,7 +13,13 @@ import pytest
 
 import specdist.spectra
 from cli_cases import CASES, HERE, run_case
-from conftest import DATA_DIR, count_eigensolves, record_shapes, refuse_inverse
+from conftest import (
+    DATA_DIR,
+    count_closed_forms,
+    count_eigensolves,
+    record_shapes,
+    refuse_inverse,
+)
 from specdist import cli
 from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
 from specdist.hermitian import PsdPolicy
@@ -119,7 +125,8 @@ def test_estimate_writes_deterministic_grid(tmp_path):
 
 def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
     # Welch grids are exact mirrors and the grid CSV round-trips every
-    # float, so each read-back build and the coupling run on rows 0..N/2.
+    # float, so each read-back build and the coupling run on rows 0..N/2,
+    # at m = 2 through the closed form.
     rng = np.random.default_rng(2718)
     outs = []
     for name in ("x", "y"):
@@ -128,9 +135,10 @@ def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
         outs.append(str(tmp_path / f"{name}_grid.csv"))
         assert run_case(("estimate", str(series), "--out", outs[-1], "--seg-len", "64"))[0] == 0
     calls = count_eigensolves(monkeypatch)
+    closed = count_closed_forms(monkeypatch)
     code, stdout, _ = run_case(("dist", *outs))
     assert code == 0 and json.loads(stdout)["n_freq"] == 64
-    assert calls == [(33, 2, 2)] * 3
+    assert (closed, calls) == ([(33, 2, 2)] * 3, [])
     grid = read_grid_csv(outs[0])
     assert grid.real_symmetry and grid.mirrored
 
@@ -434,11 +442,19 @@ def test_json_source_read_once(monkeypatch):
     assert reads == ["ar1.json", "acov_ma1.json"]
 
 
-def test_info_grid_decomposes_once(monkeypatch):
+def test_info_grid_decomposes_once(tmp_path, monkeypatch):
+    # flat4.csv writes +0 imaginary parts in rows 5..7, which are not
+    # bitwise the conjugates (-0) of rows 3..1, so its build decomposes
+    # the whole grid.  With -0 there the grid is an exact mirror, and its
+    # build decomposes rows 0..N/2.
+    lines = (DATA_DIR / "flat4.csv").read_text().splitlines()
+    mirror = tmp_path / "flat4_mirror.csv"
+    images = [line.removesuffix(",0") + ",-0" for line in lines[6:]]
+    mirror.write_text("\n".join(lines[:6] + images) + "\n")
     calls = count_eigensolves(monkeypatch)
-    # flat4.csv is an exact mirror, so its build decomposes rows 0..N/2.
-    assert run_case(("info", "data/flat4.csv"))[0] == 0
-    assert calls == [(5, 1, 1)]
+    for path in ("data/flat4.csv", str(mirror)):
+        assert run_case(("info", path))[0] == 0
+    assert calls == [(8, 1, 1), (5, 1, 1)]
 
 
 @pytest.mark.parametrize("src, shape", [("data/var2_x.json", (2, 2)),

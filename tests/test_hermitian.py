@@ -1,8 +1,12 @@
 """Unit tests for the dense Hermitian kernel."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specdist.hermitian
 from conftest import count_eigensolves, random_pd, sqrt_psd, tsp_reference
@@ -11,10 +15,12 @@ from specdist.errors import (
     IndefiniteInput,
     NegativeDistance,
     NonHermitianInput,
+    NotPositiveDefinite,
 )
 from specdist.hermitian import (
     DEFAULT_POLICY,
     PsdPolicy,
+    _eigvalsh_2x2,
     bures_w2_squared,
     check_hermitian,
     coupling_trace,
@@ -23,6 +29,7 @@ from specdist.hermitian import (
     sqrt_psd_many,
     trace_sqrt_product,
 )
+from specdist.spectra import GridSpectrum
 
 
 def test_policy_validation():
@@ -240,3 +247,117 @@ def test_bures_negative_band_guard(monkeypatch):
         except NegativeDistance:
             raised += 1
     assert raised >= 1
+
+
+#: A generated 2x2 row: its kind, rotation and phase, the ratio of its
+#: eigenvalues lo / hi, hi relative to the stack's scale, and a diagonal
+#: row's zero off-diagonal parts.  Against the grid's largest eigenvalue every lo lands at least a
+#: factor of five away from the floor (1e-12) and the negativity band
+#: (-1e-10), so both paths must take the same decisions: cond up to 1e11
+#: kept, 1e13, 0 and -1e-12 floored, -1e-9 and -1 refused.
+ROWS_2X2 = st.tuples(
+    st.sampled_from(["complex", "real", "diagonal", "zero"]),
+    st.floats(0.0, np.pi / 2),
+    st.floats(-np.pi, np.pi),
+    st.one_of(st.floats(-11.0, 0.0).map(lambda x: 10.0**x),
+              st.sampled_from([1.0, 1e-13, 0.0, -1e-12, -1e-9, -1.0])),
+    st.floats(0.5, 1.0),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def stacks_2x2(draw, max_exp, size=None):
+    """A stack of 1-6 (or ``size``) Hermitian 2x2 matrices ``U diag(lo, hi)
+    U*`` times ``2**e``, ``|e| <= max_exp``: complex, real (``+0`` imaginary
+    parts), diagonal with signed-zero off-diagonal entries, or zero."""
+    e = draw(st.integers(-max_exp, max_exp))
+    rows = []
+    sizes = dict(min_size=size, max_size=size) if size else dict(min_size=1, max_size=6)
+    for kind, theta, phi, ratio, hi, zr, zi in draw(st.lists(ROWS_2X2, **sizes)):
+        c, s = np.cos(theta), np.sin(theta)
+        z = np.exp(1j * phi) if kind == "complex" else np.sign(phi) or 1.0
+        u = np.array([[c, -s * np.conj(z)], [s * z, c]])
+        h = (u * [ratio * hi, hi]) @ np.conj(u.T) * (kind != "zero")
+        if kind == "real":
+            h = h.real.astype(complex)
+        if kind == "diagonal":
+            h = np.diag([ratio * hi, hi][:: 1 if theta < 0.7 else -1]).astype(complex)
+            h[0, 1], h[1, 0] = complex(zr, zi), complex(zr, -zi)
+        h[1, 0] = np.conj(h[0, 1])
+        h[0, 0], h[1, 1] = h[0, 0].real, h[1, 1].real
+        rows.append(h)
+    h = np.array(rows)
+    return np.ldexp(h.real, e) + 1j * np.ldexp(h.imag, e) if e else h
+
+
+def build_outcome(h):
+    """``GridSpectrum.build(h)`` and its flooring count, or None and the
+    refused frequency index (-1 for a grid with no positive mass)."""
+    try:
+        spec = GridSpectrum.build(h)
+    except NotPositiveDefinite as exc:
+        index = re.search(r"frequency index (\d+)", str(exc))
+        return None, int(index.group(1)) if index else -1
+    return spec, spec.flooring_count
+
+
+def general_outcome(h, policy=DEFAULT_POLICY):
+    """The build's decisions on eigh's eigenvalues: the flooring count, or
+    the refused frequency index as in ``build_outcome``."""
+    w = np.linalg.eigvalsh(h)
+    scale = w.max()
+    if scale <= 0.0:
+        return -1
+    if w.min() < -policy.negativity_tol * scale:
+        return int(np.argmin(w[:, 0]))
+    return int(np.count_nonzero(w[:, 0] < policy.floor_eps * scale))
+
+
+@st.composite
+def coupled_stacks_2x2(draw):
+    """Two stacks of one size at scales up to ``2**500``, so that their
+    coupling's products stay in range."""
+    hx = draw(stacks_2x2(500))
+    return hx, draw(stacks_2x2(500, len(hx)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(stacks_2x2(1000), coupled_stacks_2x2())
+def test_closed_form_2x2_matches_the_general_path(h, pair):
+    hx, hy = pair
+    # The closed form against LAPACK at m = 2: eigenvalues; the build's
+    # decisions, and the root of each grid it makes; the coupling trace,
+    # on stacks whose products stay in range, and its refusal.
+    eps = np.finfo(float).eps
+    for stack in (h, hx, hy):
+        w, ref = _eigvalsh_2x2(stack), np.linalg.eigvalsh(stack)
+        assert np.all(np.abs(w - ref) <= 8 * eps * np.max(np.abs(ref), axis=-1, keepdims=True))
+        # A diagonal matrix's small eigenvalue is det / big, so it keeps
+        # its relative accuracy; a difference would cancel.
+        diag = stack[:, 0, 1] == 0.0
+        exact = np.sort(stack[diag][:, [0, 1], [0, 1]].real, axis=-1)
+        assert np.all(np.abs(w[diag] - exact) <= 2 * eps * np.abs(exact))
+        spec, outcome = build_outcome(stack)
+        assert outcome == general_outcome(stack)
+        if spec is not None:
+            residual = np.max(np.abs(spec.root @ spec.root - spec.values))
+            assert residual <= 16 * eps * spec.max_eigenvalue
+    x = build_outcome(hx)[0]
+    if x is None:
+        return
+    congruence = hermitian_part(x.root @ hy @ x.root)
+    ref = np.linalg.eigvalsh(congruence)
+    bound = DEFAULT_POLICY.negativity_tol * np.max(np.abs(ref), axis=-1)
+    try:
+        got = coupling_trace(x.root, hy)
+    except IndefiniteInput:
+        got = None
+    if np.all(ref[:, 0] >= -bound):
+        scale = np.trace(x.values, axis1=1, axis2=2).real + np.trace(hy, axis1=1, axis2=2).real
+        want = np.sum(np.sqrt(np.maximum(ref, 0.0)), axis=-1)
+        assert got is not None and np.all(np.abs(got - want) <= 1e-10 * scale)
+    elif np.all(np.abs(ref[:, 0] + bound) > 1e-6 * bound):
+        # Refused, unless a row sits at the band edge to round-off.
+        assert got is None

@@ -273,6 +273,20 @@ def test_build_keeps_signed_zeros_so_a_grid_reads_back_bit_for_bit(tmp_path):
     assert read_grid_csv(path).values.tobytes() == grid.values.tobytes()
 
 
+def test_a_grid_whose_images_hold_plus_zeros_reads_back_bit_for_bit(tmp_path):
+    # Rows 1 and 3 are equal and real, with +0 imaginary parts: row 3 is
+    # conj(row 1) by value, not by bits (that would hold -0), so the build
+    # takes the grid whole and keeps row 3 as written.
+    values = np.array([[[2.0, 0.5], [0.5, 1.0]], [[3.0, -0.25], [-0.25, 2.0]],
+                       [[1.0, 0.0], [0.0, 1.5]], [[3.0, -0.25], [-0.25, 2.0]]], dtype=complex)
+    path = tmp_path / "plus_zeros.csv"
+    path.write_text(GRID_HEADER_LINE + "\n" + "".join(
+        f"{l},{i},{j},{values[l, i, j].real:.17g},0\n" for l, i, j in np.ndindex(values.shape)))
+    grid = read_grid_csv(path)
+    assert not grid.mirrored
+    assert grid.values.tobytes() == values.tobytes()
+
+
 SPECIALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -2.5])
 
 

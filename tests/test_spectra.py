@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_closed_forms,
     count_eigensolves,
     random_grid_spectrum,
     random_pd,
@@ -27,7 +28,7 @@ from specdist.errors import (
     TooFewSegments,
     UnstableModel,
 )
-from specdist.hermitian import DEFAULT_POLICY, sqrt_psd_many
+from specdist.hermitian import DEFAULT_POLICY, PsdPolicy, sqrt_psd_many
 from specdist.spectra import (
     Autocovariance,
     GridSpectrum,
@@ -210,14 +211,15 @@ def test_flooring_count_matches_full_grid():
 @DIMS
 def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
     # One inverse serves the transfer function and the condition guard;
-    # no SVD runs.
+    # no SVD runs.  At m = 2 the closed form takes the rows, not eigh.
     model = random_varma21(m, np.random.default_rng(m))
     invs, svds = [], []
     record_shapes(monkeypatch, ("inv",), invs)
     record_shapes(monkeypatch, ("cond", "svd"), svds)
     eigs = count_eigensolves(monkeypatch)
+    closed = count_closed_forms(monkeypatch)
     rational_grid(model, 64)
-    assert eigs == [(33, m, m)]
+    assert (closed, eigs) == (([(33, m, m)], []) if m == 2 else ([], [(33, m, m)]))
     assert invs == [(33, m, m)]
     assert svds == []
 
@@ -559,13 +561,36 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
     values = mirrored_input(m, n_freq, np.random.default_rng(n_freq + m), singular, real_ends)
     ref_values, ref_root, lo, hi, ref_count = whole_grid_build(values)
     calls = count_eigensolves(monkeypatch)
+    closed = count_closed_forms(monkeypatch)
     spec = GridSpectrum.build(values)
-    assert calls == [(n_freq // 2 + 1, m, m)]
+    half = [(n_freq // 2 + 1, m, m)]
+    # At m = 2 the closed form sees the rows first; a grid with a row to
+    # floor then goes through eigh as a whole.
+    assert closed == (half if m == 2 else [])
+    assert calls == ([] if m == 2 and not count else half)
     for got, want in ((spec.values, ref_values), (spec.root, ref_root)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert (spec.min_eigenvalue, spec.max_eigenvalue) == (lo, hi)
+    if calls:
+        assert (spec.min_eigenvalue, spec.max_eigenvalue) == (lo, hi)
+    else:
+        # The closed form's eigenvalues agree with eigh's to round-off.
+        bound = 4 * np.finfo(float).eps * hi
+        assert abs(spec.min_eigenvalue - lo) <= bound and abs(spec.max_eigenvalue - hi) <= bound
     assert spec.flooring_count == ref_count == count
     assert spec.real_symmetry == (roll_residual(values) <= 1e-10) == real_ends
+
+
+def test_build_at_m2_without_a_floor_takes_singular_rows_to_eigh(monkeypatch):
+    # With floor_eps 0 a zero row and a rank-one row are at the floor, not
+    # below it; the closed form, whose root would divide by zero on the
+    # zero row, leaves the grid to eigh.
+    values = np.array([np.eye(2), np.zeros((2, 2)), np.ones((2, 2))], dtype=complex)
+    policy = PsdPolicy(floor_eps=0.0)
+    _, ref_root, _, _, ref_count = whole_grid_build(values, policy)
+    calls = count_eigensolves(monkeypatch)
+    spec = GridSpectrum.build(values, policy)
+    assert calls == [(3, 2, 2)] and spec.flooring_count == ref_count
+    assert np.max(np.abs(spec.root - ref_root)) <= 1e-15
 
 
 @pytest.mark.parametrize("m", [1, 3])
