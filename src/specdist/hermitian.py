@@ -256,6 +256,7 @@ def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
     # B's eigenvalues, so this is where an indefinite B is refused.
     h = hermitian_part(congruence)
     wm = _eigvalsh_2x2(h) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
+    del h  # grid-sized, so not held through the rule and the sum
     _refuse_indefinite(wm, policy, "coupling matrix")
     return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
 
