@@ -23,12 +23,12 @@ determinant (the one of larger magnitude first, the other as ``det`` over
 it, never as a difference), and ``_psd_root_2x2`` the principal root
 ``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
 scaled by a power of two before any product, so that no product
-overflows, and none underflows unless negligible against the matrix.  The coupling trace takes its eigenvalues from
-the closed form at m = 2 and from ``eigvalsh`` otherwise, under the same
-negativity rule.  ``GridSpectrum.build`` takes the closed form only for a
-grid with nothing to floor or refuse; any other grid, and every m other
-than 2, runs the general ``eigh`` path, which the tests also keep as the
-reference.
+overflows, and none underflows unless negligible against the matrix.
+The coupling trace takes its eigenvalues from the closed form at m = 2
+and from ``eigvalsh`` otherwise, under the same negativity rule.
+``GridSpectrum.build`` takes the closed form only for a grid with nothing
+to floor or refuse; any other grid, and every m other than 2, runs the
+general ``eigh`` path, which the tests also keep as the reference.
 """
 
 from __future__ import annotations
@@ -197,23 +197,17 @@ def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.
     return psd_root(np.maximum(w, floors[..., None]), v)
 
 
-def _scaled_2x2(h):
-    # The entries h00, h11, Re h01 and Im h01 of each 2x2 matrix times
-    # 4**-k, with k per matrix such that the largest lands in [1/2, 2): the
-    # products of the closed forms then cannot overflow, nor underflow
-    # but for entries negligible against the largest.  Exact, being a
-    # power of two.
+def _eig_scaled_2x2(h):
+    # Each 2x2 matrix's entries h00, h11, Re h01 and Im h01 times 4**-k,
+    # with k per matrix such that the largest lands in [1/2, 2) (exact, a
+    # power of two, and no product below can overflow or needlessly
+    # underflow); the eigenvalues of those scaled matrices in ascending
+    # order; and k.  The eigenvalue of larger magnitude is mean +- radius
+    # with no cancellation; the other is det over it, never a difference
+    # of nearby numbers.  The zero matrix gets two zeros.
     parts = (h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1].real, h[..., 0, 1].imag)
     k = np.frexp(np.max(np.abs(parts), axis=0))[1] // 2
-    return [np.ldexp(p, -2 * k) for p in parts], k
-
-
-def _eig_scaled_2x2(h):
-    # The scaled entries, the eigenvalues of the scaled matrices in
-    # ascending order, and k.  The eigenvalue of larger magnitude is
-    # mean +- radius with no cancellation; the other is det over it, never
-    # a difference of nearby numbers.  The zero matrix gets two zeros.
-    (a, d, br, bi), k = _scaled_2x2(h)
+    a, d, br, bi = (np.ldexp(p, -2 * k) for p in parts)
     mean = 0.5 * (a + d)
     half_gap = 0.5 * (a - d)
     radius = np.sqrt(half_gap * half_gap + br * br + bi * bi)
