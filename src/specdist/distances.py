@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, coupling_trace
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, _matmul, coupling_trace
 from .spectra import GridSpectrum, _mirror
 
 __all__ = [
@@ -107,7 +107,7 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
     alt = tsp - np.einsum("fij,fji->f", rx, ry).real
     _clamp_round_off(alt, scale, "coupling-trace gap")
 
-    comm = xv @ yv - yv @ xv
+    comm = _matmul(xv, yv) - _matmul(yv, xv)
     residual = float(np.max(np.linalg.norm(comm, axis=(-2, -1))))
     if half:
         w2, hell, alt = (_mirror(a, n) for a in (w2, hell, alt))

@@ -109,7 +109,14 @@ def _emit(obj, out: list) -> None:
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        out.append("[" + _format_rows("%.17g, ", obj[:, None])[:-2] + "]")
+        values = np.ascontiguousarray(obj, dtype=float)
+        finite = np.isfinite(values)  # in array order, so the first bad value is named
+        if not finite.all():
+            format_float(values[np.argmin(finite)])  # always raises
+        # Each distinct bit pattern is rendered once and placed by index.
+        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+        texts = _format_rows("%.17g\n", bits.view(float)[:, None]).split("\n")
+        out.append("[" + ", ".join([texts[i] for i in index.tolist()]) + "]")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     elif isinstance(obj, dict):

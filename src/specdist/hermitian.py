@@ -244,6 +244,19 @@ def _psd_root_2x2(h) -> np.ndarray:
     return root
 
 
+def _matmul(a, b) -> np.ndarray:
+    """``a @ b``, batched and broadcast over leading axes.  At m = 2 each
+    entry is written out as ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``, which is
+    elementwise arithmetic in place of a product per matrix."""
+    if not a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
     # Square roots of a coupling congruence's eigenvalues, summed per
     # matrix, after the negativity rule.  A congruence keeps the sign of
@@ -263,7 +276,7 @@ def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     eigenvalues, so an indefinite ``B`` raises
     :class:`~specdist.errors.IndefiniteInput` here.
     """
-    return _sum_of_roots(root_a @ b @ root_a, policy)
+    return _sum_of_roots(_matmul(_matmul(root_a, b), root_a), policy)
 
 
 def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:

@@ -33,6 +33,7 @@ from .hermitian import (
     GRID_HERMITIAN_TOL,
     PsdPolicy,
     _eigvalsh_2x2,
+    _matmul,
     _psd_root_2x2,
     _refuse_asymmetric,
     _refuse_indefinite,
@@ -405,7 +406,7 @@ def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
 
     phases_ma = np.exp(-1j * np.outer(omegas, np.arange(q1)))
     b = np.einsum("ws,sij->wij", phases_ma, model.ma)
-    return a_inv @ b
+    return _matmul(a_inv, b)
 
 
 def rational_grid(
@@ -420,8 +421,9 @@ def rational_grid(
     ``A(w_{N-l}) = conj A(w_l)`` and the other rows are mirror images.
     """
     h = _transfer(model, default_omegas(n_freq)[: n_freq // 2 + 1])
-    values = _real_process(h @ model.noise_cov @ np.conj(np.swapaxes(h, -1, -2)), n_freq)
-    del h  # not held through the build
+    hq = _matmul(h, model.noise_cov)
+    values = _real_process(_matmul(hq, np.conj(np.swapaxes(h, -1, -2))), n_freq)
+    del h, hq  # not held through the build
     return GridSpectrum.build(values, policy, name="rational spectrum")
 
 

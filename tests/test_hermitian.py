@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import specdist.hermitian
 from conftest import count_eigensolves, random_pd, sqrt_psd, tsp_reference
@@ -21,6 +22,7 @@ from specdist.hermitian import (
     DEFAULT_POLICY,
     PsdPolicy,
     _eigvalsh_2x2,
+    _matmul,
     bures_w2_squared,
     check_hermitian,
     coupling_trace,
@@ -361,3 +363,39 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
     elif np.all(np.abs(ref[:, 0] + bound) > 1e-6 * bound):
         # Refused, unless a row sits at the band edge to round-off.
         assert got is None
+
+
+def scaled_parts(shape):
+    """Floats of ``shape`` that are 0 or +-[1, 2) times ``2**e``, ``|e| <=
+    500``: every product of two is a normal number or zero."""
+    mantissas = st.one_of(st.just(0.0), st.floats(1.0, 2.0, exclude_max=True),
+                          st.floats(-2.0, -1.0, exclude_min=True))
+    return st.tuples(hnp.arrays(float, shape, elements=mantissas),
+                     hnp.arrays(np.int64, shape, elements=st.integers(-500, 500)),
+                     ).map(lambda parts: np.ldexp(*parts))
+
+
+@st.composite
+def product_operands(draw):
+    """A complex stack ``(1-4, m, m)``, another of its shape, and a real
+    ``(m, m)`` matrix that broadcasts against it."""
+    m = draw(st.sampled_from([1, 2, 2, 3, 8]))
+    shape = (draw(st.integers(1, 4)), m, m)
+    a, b = (draw(scaled_parts(shape)) + 1j * draw(scaled_parts(shape)) for _ in range(2))
+    return a, b, draw(scaled_parts((m, m)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(product_operands())
+def test_products_match_matmul(operands):
+    # At m = 2 the entry-by-entry product agrees with ``@`` to round-off in
+    # the entry's own scale; at every other m it is ``@``, bit for bit.
+    a, b, q = operands
+    eps = np.finfo(float).eps
+    for right in (b, q):
+        got, want = _matmul(a, right), a @ right
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if a.shape[-1] == 2:
+            assert np.all(np.abs(got - want) <= 4 * eps * (np.abs(a) @ np.abs(right)))
+        else:
+            assert got.tobytes() == want.tobytes()

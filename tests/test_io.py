@@ -31,7 +31,13 @@ from specdist.fileio import (
     write_grid_csv,
 )
 from specdist.hermitian import PsdPolicy
-from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum, estimate_welch
+from specdist.spectra import (
+    Autocovariance,
+    GridSpectrum,
+    RationalSpectrum,
+    _mirror,
+    estimate_welch,
+)
 
 GRID_HEADER_LINE = "omega_index,row,col,re,im"
 
@@ -77,13 +83,23 @@ def test_json_float_arrays_match_per_entry_rendering():
         '"commutation_residual": 4.9406564584124654e-324, "flooring_count": 3, '
         '"is_lower_bound": true}'
     )
+    # A mirrored array repeats rows 1..N/2-1, and an all-zero one a single value.
+    mirrored = _mirror(np.random.default_rng(3).normal(size=2049), 4096)
+    for repeated in (mirrored, np.zeros(4096)):
+        assert json_dumps(repeated) == per_entry_json(repeated)
+
+    def refusal(array):
+        with pytest.raises(ValueError) as exc:
+            json_dumps(dataclasses.replace(report, alt_gap=array))
+        return str(exc.value)
+
+    # The error names the first non-finite value in array order, as
+    # format_float words it; in bit order -inf would come after NaN.
     bad = values.copy()
     bad[4100] = np.nan
-    with pytest.raises(ValueError) as expected:
-        format_float(bad[4100])
-    with pytest.raises(ValueError) as exc:
-        json_dumps(dataclasses.replace(report, alt_gap=bad))
-    assert str(exc.value) == str(expected.value)
+    assert refusal(bad) == f"refusing to serialize non-finite value {bad[4100]!r}"
+    bad[10] = -np.inf
+    assert refusal(bad) == f"refusing to serialize non-finite value {bad[10]!r}"
 
 
 def test_sidecar_path(tmp_path):
