@@ -5,6 +5,7 @@ floats are rendered with 17 significant digits so values survive a
 write/read round trip bit-exactly, a non-finite value is refused, and all
 containers serialize in a fixed key order (a dataclass in its field
 order); identical inputs therefore produce byte-identical output files.
+A JSON float array, like a grid, renders each distinct number once.
 
 Formats:
 
@@ -113,7 +114,6 @@ def _emit(obj, out: list) -> None:
         finite = np.isfinite(values)  # in array order, so the first bad value is named
         if not finite.all():
             format_float(values[np.argmin(finite)])  # always raises
-        # Each distinct bit pattern is rendered once and placed by index.
         bits, index = np.unique(values.view(np.uint64), return_inverse=True)
         texts = _format_rows("%.17g\n", bits.view(float)[:, None]).split("\n")
         out.append("[" + ", ".join([texts[i] for i in index.tolist()]) + "]")

@@ -29,6 +29,10 @@ and from ``eigvalsh`` otherwise, under the same negativity rule.
 ``GridSpectrum.build`` takes the closed form only for a grid with nothing
 to floor or refuse; any other grid, and every m other than 2, runs the
 general ``eigh`` path, which the tests also keep as the reference.
+The batched products at m = 2 are written entry by entry by ``_matmul``
+(``@`` at every other m): the transfer function and ``H Q H*`` in
+``spectra``, the coupling sandwich here, and the commutator in
+``distances``.
 """
 
 from __future__ import annotations
