@@ -9,7 +9,9 @@ distance replaces the coupling term with ``|A^{1/2} - B^{1/2}|_F^2``; since
 ``tr[(AB)^{1/2}] >= tr[A^{1/2} B^{1/2}]`` on positive definite pairs, it
 never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
-reported as a diagnostic.
+reported as a diagnostic.  One function builds each report; the two
+distances differ only in the integrand it averages, and the Hellinger
+integrand is computed only by :func:`hellinger`.
 
 ``GridSpectrum.build`` records on each grid whether it made it from an
 exact mirror (``mirrored``: values and roots satisfy ``value(N-l) =
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,31 +65,20 @@ class DistanceReport:
     is_lower_bound: bool = False
 
 
-class _PairProfile(NamedTuple):
-    per_freq_w2: np.ndarray
-    per_freq_hell: np.ndarray
-    alt_gap: np.ndarray
-    commutation_residual: float
-
-
-def _check_same_grid(x: GridSpectrum, y: GridSpectrum) -> None:
+def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
+              hellinger: bool) -> DistanceReport:
+    """The transport report for one spectrum pair, or with ``hellinger``
+    the Hellinger one.  Both run the transport trace's round-off guard."""
     if x.dim != y.dim:
         raise GridMismatch(f"spectra have different dims: {x.dim} vs {y.dim}")
-    if x.n_freq != y.n_freq:
-        raise GridMismatch(
-            f"spectra sampled on different grids: {x.n_freq} vs {y.n_freq} points"
-        )
-
-
-def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairProfile:
-    """All per-frequency quantities for one spectrum pair, in one pass."""
-    _check_same_grid(x, y)
     n = x.n_freq
+    if n != y.n_freq:
+        raise GridMismatch(f"spectra sampled on different grids: {n} vs {y.n_freq} points")
+    flooring_count = x.flooring_count + y.flooring_count
     if np.array_equal(x.values, y.values):
         # Bitwise-equal grids are reported as exactly coincident; this keeps
         # the identity axiom and output determinism free of round-off.
-        zeros = np.zeros(n)
-        return _PairProfile(zeros, np.zeros(n), np.zeros(n), 0.0)
+        return DistanceReport(0.0, 0.0, n, np.zeros(n), np.zeros(n), 0.0, flooring_count)
 
     xv, yv, rx, ry = x.values, y.values, x.root, y.root
     # A mirrored pair is coupled on rows l = 0..N/2 and its arrays mirrored.
@@ -100,8 +90,9 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
     tr_x = np.trace(xv, axis1=-2, axis2=-1).real
     tr_y = np.trace(yv, axis1=-2, axis2=-1).real
     scale = tr_x + tr_y
-    w2 = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
-    hell = np.sum(np.abs(rx - ry) ** 2, axis=(-2, -1))
+    integrand = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
+    if hellinger:
+        integrand = np.sum(np.abs(rx - ry) ** 2, axis=(-2, -1))
 
     # The gap is guarded like the transport trace but reported unclamped.
     alt = tsp - np.einsum("fij,fji->f", rx, ry).real
@@ -110,26 +101,10 @@ def _pair_profile(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy) -> _PairP
     comm = _matmul(xv, yv) - _matmul(yv, xv)
     residual = float(np.max(np.linalg.norm(comm, axis=(-2, -1))))
     if half:
-        w2, hell, alt = (_mirror(a, n) for a in (w2, hell, alt))
-    return _PairProfile(w2, hell, alt, residual)
-
-
-def _report(
-    x: GridSpectrum,
-    y: GridSpectrum,
-    integrand: np.ndarray,
-    profile: _PairProfile,
-) -> DistanceReport:
+        integrand, alt = _mirror(integrand, n), _mirror(alt, n)
     squared = float(np.mean(integrand))
-    return DistanceReport(
-        value=float(np.sqrt(squared)),
-        squared=squared,
-        n_freq=x.n_freq,
-        per_freq_trace=integrand,
-        alt_gap=profile.alt_gap,
-        commutation_residual=profile.commutation_residual,
-        flooring_count=x.flooring_count + y.flooring_count,
-    )
+    return DistanceReport(float(np.sqrt(squared)), squared, n, integrand, alt, residual,
+                          flooring_count)
 
 
 def spectral_w2(
@@ -149,8 +124,7 @@ def spectral_w2(
     GridMismatch
         If the spectra differ in dimension or grid size.
     """
-    profile = _pair_profile(x, y, policy)
-    return _report(x, y, profile.per_freq_w2, profile)
+    return _distance(x, y, policy, hellinger=False)
 
 
 def gelbrich_lower_bound(
@@ -178,5 +152,4 @@ def hellinger(
     Never falls below :func:`spectral_w2` on the same pair (the coupling-trace
     inequality runs that way); equality holds exactly on commuting families.
     """
-    profile = _pair_profile(x, y, policy)
-    return _report(x, y, profile.per_freq_hell, profile)
+    return _distance(x, y, policy, hellinger=True)

@@ -18,17 +18,19 @@ flooring rule, measured against the grid's largest eigenvalue, in
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
 Expo. Math. 2019), which replaces LAPACK's per-matrix overhead on the
-grid: ``_eigvalsh_2x2`` gives the eigenvalues from each matrix's trace and
-determinant (the one of larger magnitude first, the other as ``det`` over
-it, never as a difference), and ``_psd_root_2x2`` the principal root
+grid: ``_eig_scaled_2x2`` decomposes each matrix from its trace and
+determinant (the eigenvalue of larger magnitude first, the other as
+``det`` over it, never as a difference); ``_eigvals_2x2`` reads the
+eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
 ``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
 scaled by a power of two before any product, so that no product
 overflows, and none underflows unless negligible against the matrix.
 The coupling trace takes its eigenvalues from the closed form at m = 2
 and from ``eigvalsh`` otherwise, under the same negativity rule.
-``GridSpectrum.build`` takes the closed form only for a grid with nothing
-to floor or refuse; any other grid, and every m other than 2, runs the
-general ``eigh`` path, which the tests also keep as the reference.
+``GridSpectrum.build`` takes the closed form, one pass per row, only for
+a grid with nothing to floor or refuse; any other grid, and every m
+other than 2, runs the general ``eigh`` path, which the tests also keep
+as the reference.
 The batched products at m = 2 are written entry by entry by ``_matmul``
 (``@`` at every other m): the transfer function and ``H Q H*`` in
 ``spectra``, the coupling sandwich here, and the commutator in
@@ -221,24 +223,30 @@ def _eig_scaled_2x2(h):
     return (a, d, br, bi), np.minimum(small, big), np.maximum(small, big), k
 
 
-def _eigvalsh_2x2(h) -> np.ndarray:
-    """Eigenvalues of a stack ``(..., 2, 2)`` of Hermitian matrices in
-    closed form, ascending, as ``(..., 2)``; only ``h00``, ``h11`` and
-    ``h01`` are read."""
-    _, lo, hi, k = _eig_scaled_2x2(h)
+def _eigvals_2x2(eig) -> np.ndarray:
+    """Eigenvalues, ascending, as ``(..., 2)``, of a stack of Hermitian
+    matrices from its closed form ``eig = _eig_scaled_2x2(h)``."""
+    _, lo, hi, k = eig
     return np.ldexp(np.stack([lo, hi], axis=-1), 2 * k[..., None])
 
 
-def _psd_root_2x2(h) -> np.ndarray:
-    """Principal roots of a stack ``(..., 2, 2)`` of Hermitian matrices
-    that are positive definite, or singular but not zero, in closed form:
-    ``(H + sqrt(det H) I) / sqrt(tr H + 2 sqrt(det H))``, with
-    ``sqrt(det H) = sqrt(w0) sqrt(w1)`` and ``sqrt(tr H + 2 sqrt(det H)) =
-    sqrt(w0) + sqrt(w1)`` from the eigenvalues.  Exactly Hermitian."""
-    (a, d, br, bi), lo, hi, k = _eig_scaled_2x2(h)
+def _eigvalsh_2x2(h) -> np.ndarray:
+    """Eigenvalues of a stack ``(..., 2, 2)`` of Hermitian matrices in
+    closed form; only ``h00``, ``h11`` and ``h01`` are read."""
+    return _eigvals_2x2(_eig_scaled_2x2(h))
+
+
+def _psd_root_2x2(eig) -> np.ndarray:
+    """Principal roots, from the closed form ``eig = _eig_scaled_2x2(h)``,
+    of a stack ``h`` of Hermitian matrices that are positive definite, or
+    singular but not zero: ``(H + sqrt(det H) I) / sqrt(tr H + 2 sqrt(det
+    H))``, with ``sqrt(det H) = sqrt(w0) sqrt(w1)`` and ``sqrt(tr H + 2
+    sqrt(det H)) = sqrt(w0) + sqrt(w1)`` from the eigenvalues.  Exactly
+    Hermitian."""
+    (a, d, br, bi), lo, hi, k = eig
     lo, hi = np.sqrt(lo), np.sqrt(hi)
     s, t = lo * hi, lo + hi
-    root = np.empty(np.shape(h), dtype=complex)
+    root = np.empty(np.shape(a) + (2, 2), dtype=complex)
     root[..., 0, 0] = np.ldexp((a + s) / t, k)
     root[..., 1, 1] = np.ldexp((d + s) / t, k)
     off = root[..., 0, 1]

@@ -32,7 +32,8 @@ from .hermitian import (
     DEFAULT_POLICY,
     GRID_HERMITIAN_TOL,
     PsdPolicy,
-    _eigvalsh_2x2,
+    _eig_scaled_2x2,
+    _eigvals_2x2,
     _matmul,
     _psd_root_2x2,
     _refuse_asymmetric,
@@ -180,12 +181,13 @@ class GridSpectrum:
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
         rows = hermitian_part(rows)
 
-        w = v = None
+        w = v = eig = None
         if values.shape[-1] == 2:
-            w = _eigvalsh_2x2(rows)
+            eig = _eig_scaled_2x2(rows)
+            w = _eigvals_2x2(eig)
             lo = w[:, 0].min()
             if not (lo > 0.0 and lo >= policy.floor_eps * w.max()):
-                w = None
+                w = eig = None
         if w is None:
             w, v = np.linalg.eigh(rows)
         scale = float(w.max())
@@ -209,8 +211,8 @@ class GridSpectrum:
             fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
             rows[floored] = hermitian_part(fixed)
         # The root comes from the same decomposition.
-        root = _psd_root_2x2(rows) if v is None else psd_root(w, v)
-        del v  # peak memory: v, then each half, is freed before the next mirror
+        root = _psd_root_2x2(eig) if v is None else psd_root(w, v)
+        del v, eig  # peak memory: v, then each half, is freed before the next mirror
         count = np.count_nonzero(floored)
         if mirrored:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
@@ -455,10 +457,8 @@ def autocov_to_spectrum(
             f"(need at least {2 * k + 1})"
         )
     seq = np.zeros((n_freq, m, m))
-    seq[0] = acov.lags[0]
-    for j in range(1, k + 1):
-        seq[j] = acov.lags[j]
-        seq[n_freq - j] = acov.lags[j].T
+    seq[: k + 1] = acov.lags
+    seq[n_freq - k :] = np.swapaxes(acov.lags[:0:-1], 1, 2)
     values = _real_process(np.fft.rfft(seq, axis=0), n_freq)
     return GridSpectrum.build(values, policy, name="truncated spectrum")
 

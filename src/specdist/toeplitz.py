@@ -87,10 +87,9 @@ def build_block_toeplitz(
     # Lay out R(-i..i) in one table, then gather by offset; exact symmetry
     # and block-Toeplitz structure come for free.
     table = np.zeros((2 * horizon + 1, m, m))
-    table[horizon] = acov.lags[0]
-    for k in range(1, min(acov.max_lag, horizon) + 1):
-        table[horizon + k] = acov.lags[k]
-        table[horizon - k] = acov.lags[k].T
+    k = min(acov.max_lag, horizon)
+    table[horizon : horizon + k + 1] = acov.lags[: k + 1]
+    table[horizon - k : horizon] = np.swapaxes(acov.lags[k:0:-1], 1, 2)
     offsets = np.arange(n)[None, :] - np.arange(n)[:, None] + horizon
     matrix = table[offsets].transpose(0, 2, 1, 3).reshape(n * m, n * m)
 

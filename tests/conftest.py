@@ -135,17 +135,17 @@ def refuse_inverse(monkeypatch) -> None:
 
 
 def count_closed_forms(monkeypatch) -> list:
-    """Record the input shape of every call of the closed-form 2x2
-    eigenvalue kernel, from the grid build and from the coupling."""
+    """Record the input shape of every closed-form 2x2 decomposition, from
+    the grid build (eigenvalues and root) and from the coupling."""
     calls = []
-    kernel = specdist.hermitian._eigvalsh_2x2
+    kernel = specdist.hermitian._eig_scaled_2x2
 
     def counted(h):
         calls.append(np.shape(h))
         return kernel(h)
 
     for module in (specdist.hermitian, specdist.spectra):
-        monkeypatch.setattr(module, "_eigvalsh_2x2", counted)
+        monkeypatch.setattr(module, "_eig_scaled_2x2", counted)
     return calls
 
 

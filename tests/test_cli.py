@@ -518,3 +518,30 @@ def test_unwritable_output_exits_2(tmp_path):
     code, out, err = run_case(("dist", "data/flat4.csv", "data/flat1.csv", "--out", str(tmp_path)))
     assert (code, out) == (2, "")
     assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
+
+
+def write_2x2_grid(path: Path, value, n_freq: int = 8) -> None:
+    """A grid CSV holding the 2x2 matrix ``value`` at every frequency."""
+    rows = [f"{l},{r},{c},{complex(value[r][c]).real!r},{complex(value[r][c]).imag!r}"
+            for l in range(n_freq) for r in range(2) for c in range(2)]
+    path.write_text("\n".join(["omega_index,row,col,re,im", *rows]) + "\n")
+
+
+def test_non_hermitian_grid_exits_1(tmp_path):
+    grid = tmp_path / "grid.csv"
+    write_2x2_grid(grid, [[2.0, 0.5], [0.3, 2.0]])
+    code, out, err = run_case(("info", str(grid)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NonHermitianInput: ") and err.count("\n") == 1
+
+
+def test_complex_process_oracle_exits_1(tmp_path):
+    # Hermitian and positive definite, but the spectrum of a complex
+    # process: the oracle's autocovariances keep an imaginary part.
+    grid = tmp_path / "grid.csv"
+    write_2x2_grid(grid, [[2.0, 0.5j], [-0.5j, 2.0]])
+    code, out, _ = run_case(("info", str(grid)))
+    assert code == 0 and json.loads(out)["real_symmetry"] is False
+    code, out, err = run_case(("dist", str(grid), str(grid), "--oracle"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NonRealResidue: ") and err.count("\n") == 1

@@ -65,13 +65,18 @@ def test_report_shape_and_consistency():
 
 def test_identical_grids_are_exactly_zero():
     x = random_grid_spectrum(3, np.random.default_rng(3), 16)
-    clone = dataclasses.replace(x, values=x.values.copy(), root=x.root.copy())
+    # A flooring count on the clone, so that the sum is not 0 + 0.
+    clone = dataclasses.replace(x, values=x.values.copy(), root=x.root.copy(),
+                                flooring_count=x.flooring_count + 2)
     for fn in (spectral_w2, gelbrich_lower_bound, hellinger):
         report = fn(x, clone)
         assert report.value == 0.0
         assert report.squared == 0.0
+        assert report.n_freq == 16
         assert np.all(report.per_freq_trace == 0.0)
+        assert np.all(report.alt_gap == 0.0) and report.alt_gap.shape == (16,)
         assert report.commutation_residual == 0.0
+        assert report.flooring_count == x.flooring_count + clone.flooring_count
 
 
 def test_flat_scalar_pair_is_exact():
@@ -249,6 +254,15 @@ def model_pair(m, n_freq):
     return tuple(rational_grid(random_varma21(m, rng), n_freq) for _ in range(2))
 
 
+def assert_same_diagnostics(reports):
+    # Every distance reports the pair's diagnostics bitwise alike.
+    first = reports[0]
+    for report in reports[1:]:
+        assert np.array_equal(report.alt_gap, first.alt_gap)
+        assert report.commutation_residual == first.commutation_residual
+        assert report.flooring_count == first.flooring_count
+
+
 @HALF_CASES
 def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
     x, y = model_pair(m, n_freq)
@@ -257,13 +271,16 @@ def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
     tsp = coupling_trace(x.root, y.values)
     hell = np.sum(np.abs(x.root - y.root) ** 2, axis=(1, 2))
     alt = tsp - np.einsum("fij,fji->f", x.root, y.root).real
+    reports = []
     for fn, ref in ((spectral_w2, scale - 2.0 * tsp), (gelbrich_lower_bound, scale - 2.0 * tsp),
                     (hellinger, hell)):
         report = fn(x, y)
+        reports.append(report)
         for got, want in ((report.per_freq_trace, ref), (report.alt_gap, alt)):
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             # Row N-l is row l, bitwise.
             assert np.array_equal(got[1:], got[1:][::-1])
+    assert_same_diagnostics(reports)
 
 
 @HALF_CASES
@@ -293,6 +310,8 @@ def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
     for a, b in pairs:
         spectral_w2(a, b)
     assert calls == [(32, m, m)] * 3
+    for a, b in pairs:
+        assert_same_diagnostics([fn(a, b) for fn in (spectral_w2, gelbrich_lower_bound, hellinger)])
 
 
 def test_mirrored_pair_reads_the_build_decision(monkeypatch):
