@@ -52,7 +52,9 @@ def _parse_horizons(text: str):
         raise ParseError(f"cannot parse horizon list {text!r}") from None
     if not values:
         raise ParseError("horizon list is empty")
-    if any(b <= a for a, b in zip(values, values[1:])) or values[0] < 0:
+    if values[0] < 0:
+        raise ParseError(f"horizons must be nonnegative, got {list(values)}")
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ParseError(f"horizons must be strictly increasing, got {list(values)}")
     return values
 

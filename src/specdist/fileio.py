@@ -5,7 +5,8 @@ floats are rendered with 17 significant digits so values survive a
 write/read round trip bit-exactly, a non-finite value is refused, and all
 containers serialize in a fixed key order (a dataclass in its field
 order); identical inputs therefore produce byte-identical output files.
-A JSON float array, like a grid, renders each distinct number once.
+A float array in a JSON or CSV report, like a grid, renders each distinct
+number once.
 
 Formats:
 
@@ -62,32 +63,39 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _refuse_non_finite(values: np.ndarray) -> None:
+    """Raise :func:`format_float`'s error for the first non-finite entry, in C order."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(values.flat[np.argmin(finite)])  # always raises
+
+
 def _format_rows(row_format: str, table: np.ndarray) -> str:
-    """Apply ``row_format`` to each row of a 2-D float table: one finiteness
-    check and one ``%`` call per block of rows.  ``%d`` renders an integral
-    float exactly and ``%.17g`` is :func:`format_float`'s format, so the
-    text, and the error a non-finite value raises, match it entry by entry.
-    """
-    pieces = []
-    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-        block = table[start:start + _WRITE_BLOCK_ROWS]
-        finite = np.isfinite(block)
-        if not finite.all():
-            format_float(block.flat[np.argmin(finite)])  # always raises
-        pieces.append(row_format * len(block) % tuple(block.ravel().tolist()))
-    return "".join(pieces)
+    """Apply ``row_format`` to each row of a 2-D table in one ``%`` call
+    (``%.17g`` is :func:`format_float`'s format)."""
+    return row_format * len(table) % tuple(table.ravel().tolist())
+
+
+def _float_texts(values) -> list:
+    """:func:`format_float` of each entry, each distinct value rendered once."""
+    values = np.ascontiguousarray(values, dtype=float)
+    _refuse_non_finite(values)  # in array order, so the first bad value is named
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = _format_rows("%.17g\n", bits.view(float)[:, None]).split("\n")
+    return [texts[i] for i in index.tolist()]
 
 
 def _csv_text(obj, meta: tuple, columns: dict) -> str:
     """CSV text: a ``# key=value`` line per ``meta`` field of ``obj``,
     rendered as in JSON, a header, then a line per element of the equally
-    long 1-D ``columns``; integer columns render with ``%d``."""
+    long 1-D ``columns``; integer columns render as Python ints."""
     lines = [f"# {k}={json_dumps(getattr(obj, k))}\n" for k in meta]
     cols = [np.asarray(c) for c in columns.values()]
-    fields = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in cols]
-    table = np.stack(cols, axis=-1).astype(float, copy=False)
+    _refuse_non_finite(np.stack(cols, axis=-1))  # names the first bad value in row order
+    texts = [c.tolist() if c.dtype.kind in "iu" else _float_texts(c) for c in cols]
     head = "".join(lines) + ",".join(columns) + "\n"
-    return head + _format_rows(",".join(fields) + "\n", table)
+    return head + _format_rows(",".join(["%s"] * len(cols)) + "\n",
+                               np.array(texts, dtype=object).T)
 
 
 def json_dumps(obj) -> str:
@@ -110,13 +118,7 @@ def _emit(obj, out: list) -> None:
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        values = np.ascontiguousarray(obj, dtype=float)
-        finite = np.isfinite(values)  # in array order, so the first bad value is named
-        if not finite.all():
-            format_float(values[np.argmin(finite)])  # always raises
-        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-        texts = _format_rows("%.17g\n", bits.view(float)[:, None]).split("\n")
-        out.append("[" + ", ".join([texts[i] for i in index.tolist()]) + "]")
+        out.append("[" + ", ".join(_float_texts(obj)) + "]")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     elif isinstance(obj, dict):
@@ -150,9 +152,7 @@ def _grid_csv_blocks(grid: GridSpectrum):
     and a mirror's row ``N-l`` (held, yielded last), flip ``im`` in that text."""
     n, m = grid.n_freq, grid.dim
     parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(n, m, m, 2)
-    finite = np.isfinite(parts)
-    if not finite.all():
-        format_float(parts.flat[np.argmin(finite)])  # always raises
+    _refuse_non_finite(parts)
     yield ",".join(GRID_HEADER) + "\n"
     h = n // 2 + 1 if grid.mirrored else n
     row = "".join(f"@,{i},{j},%s\n" for i in range(m) for j in range(m))  # @: omega_index

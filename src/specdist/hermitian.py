@@ -6,14 +6,14 @@ positive-definite matrices.  The grid path is batched over frequencies and
 takes its congruence from the roots its build already holds; a single pair
 factors ``A = L L*`` by Cholesky and uses the congruence ``L* B L``, which
 has the same eigenvalues, falling back to the root when ``A`` has no
-Cholesky factor.  Everything here is a pure function of its inputs; real
-symmetric matrices are handled as the special case of complex Hermitian
-ones and stay in real arithmetic throughout.  The package's symmetry,
-per-matrix negativity and round-off rules live here.  Two definiteness
-rules are applied in ``spectra`` instead: the grid-wide negativity and
-flooring rule, measured against the grid's largest eigenvalue, in
-``GridSpectrum.build``, and the strict ``noise_cov`` rule in
-``RationalSpectrum``.
+Cholesky factor.  Everything here is a pure function of its inputs, except
+that ``psd_root`` conjugates its ``v`` argument in place; real symmetric
+matrices are handled as the special case of complex Hermitian ones and stay
+in real arithmetic throughout.  The package's symmetry, per-matrix
+negativity and round-off rules live here.  Two definiteness rules are
+applied in ``spectra`` instead: the grid-wide negativity and flooring rule,
+measured against the grid's largest eigenvalue, in ``GridSpectrum.build``,
+and the strict ``noise_cov`` rule in ``RationalSpectrum``.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",

@@ -191,6 +191,8 @@ OPTION_VALUE_ERRORS = [
      "the hann window of length 2 has zero energy"),
     (("oracle", "data/ar1.json", "data/white.json", "--horizons", "8,4"),
      "horizons must be strictly increasing, got [8, 4]"),
+    (("oracle", "data/ar1.json", "data/white.json", "--horizons=-1,4"),
+     "horizons must be nonnegative, got [-1, 4]"),
     (("oracle", "data/ar1.json", "data/white.json", "--horizons", ","),
      "horizon list is empty"),
     (("oracle", "data/ar1.json", "data/white.json", "--horizons", "a"),
@@ -218,7 +220,7 @@ OPTION_VALUE_ERRORS = [
 @pytest.mark.parametrize("argv, message", OPTION_VALUE_ERRORS,
                          ids=["seg_len", "overlap", "zero_energy_window_estimate",
                               "zero_energy_window_dist", "horizons_decreasing",
-                              "horizons_empty", "horizons_not_int", "n_freq",
+                              "horizons_negative", "horizons_empty", "horizons_not_int", "n_freq",
                               "oracle_options_without_oracle", "horizons_without_oracle",
                               "max_lag_without_oracle", "n_freq_vs_grid",
                               "n_freq_vs_second_grid", "n_freq_vs_series"])

@@ -357,9 +357,15 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
     except IndefiniteInput:
         got = None
     if np.all(ref[:, 0] >= -bound):
-        scale = np.trace(x.values, axis1=1, axis2=2).real + np.trace(hy, axis1=1, axis2=2).real
-        want = np.sum(np.sqrt(np.maximum(ref, 0.0)), axis=-1)
-        assert got is not None and np.all(np.abs(got - want) <= 1e-10 * scale)
+        # Each path forms and decomposes the congruence to a backward error
+        # of about delta = eps |A| |B| (which bounds max |w|), so each
+        # eigenvalue w_i moves by delta and its root by at most
+        # min(sqrt(delta), delta / sqrt(w_i)) = delta / sqrt(max(w_i, delta)).
+        w = np.maximum(ref, 0.0)
+        size = np.linalg.eigvalsh(x.values)[:, -1] * np.max(np.abs(np.linalg.eigvalsh(hy)), -1)
+        delta = 8 * eps * size[:, None] + np.finfo(float).smallest_subnormal  # > 0 on zero rows
+        slack = np.sum(delta / np.sqrt(np.maximum(w, delta)), axis=-1)
+        assert got is not None and np.all(np.abs(got - np.sum(np.sqrt(w), axis=-1)) <= slack)
     elif np.all(np.abs(ref[:, 0] + bound) > 1e-6 * bound):
         # Refused, unless a row sits at the band edge to round-off.
         assert got is None

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 import specdist.fileio
 
 from conftest import random_grid_spectrum
+from specdist import cli
 from specdist.distances import DistanceReport
 from specdist.errors import NotPositiveDefinite, ParseError
 from specdist.fileio import (
@@ -36,6 +37,7 @@ from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
     _mirror,
+    default_omegas,
     estimate_welch,
 )
 
@@ -66,16 +68,19 @@ def per_entry_json(values) -> str:
     return "[" + ", ".join(format_float(v) for v in values) + "]"
 
 
+#: Signed zero, the smallest subnormal and a huge value.
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0] * 700)
+SPECIAL_REPORT = DistanceReport(
+    value=1e300, squared=-0.0, n_freq=len(SPECIAL_VALUES), per_freq_trace=SPECIAL_VALUES,
+    alt_gap=SPECIAL_VALUES[::-1], commutation_residual=5e-324, flooring_count=3,
+    is_lower_bound=True,
+)
+
+
 def test_json_float_arrays_match_per_entry_rendering():
-    # Signed zero, the smallest subnormal and a huge value, past one block.
-    values = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0] * 700)
+    values, report = SPECIAL_VALUES, SPECIAL_REPORT
     assert json_dumps(values) == per_entry_json(values)
     assert json_dumps(values[:0]) == "[]"
-    report = DistanceReport(
-        value=1e300, squared=-0.0, n_freq=len(values), per_freq_trace=values,
-        alt_gap=values[::-1], commutation_residual=5e-324, flooring_count=3,
-        is_lower_bound=True,
-    )
     assert json_dumps(report) == (
         f'{{"value": 1.0000000000000001e+300, "squared": -0, "n_freq": {len(values)}, '
         f'"per_freq_trace": {per_entry_json(values)}, '
@@ -100,6 +105,42 @@ def test_json_float_arrays_match_per_entry_rendering():
     assert refusal(bad) == f"refusing to serialize non-finite value {bad[4100]!r}"
     bad[10] = -np.inf
     assert refusal(bad) == f"refusing to serialize non-finite value {bad[10]!r}"
+
+
+def per_entry_report_csv(report) -> str:
+    """The report CSV with ``format_float`` per float cell and ``str`` per
+    int cell."""
+    meta = [("value", format_float(report.value)), ("squared", format_float(report.squared)),
+            ("commutation_residual", format_float(report.commutation_residual)),
+            ("flooring_count", str(report.flooring_count)),
+            ("is_lower_bound", str(report.is_lower_bound).lower())]
+    n = report.n_freq
+    rows = zip(range(n), default_omegas(n), report.per_freq_trace, report.alt_gap)
+    return ("".join(f"# {k}={v}\n" for k, v in meta)
+            + "omega_index,omega,per_freq_trace,alt_gap\n"
+            + "".join(f"{l},{','.join(format_float(v) for v in vs)}\n" for l, *vs in rows))
+
+
+def test_csv_report_matches_per_entry_rendering():
+    # A mirrored column repeats rows 1..N/2-1, and an all-zero one a single value.
+    mirrored = _mirror(np.random.default_rng(3).normal(size=2049), 4096)
+    repeated = dataclasses.replace(SPECIAL_REPORT, n_freq=4096, per_freq_trace=mirrored,
+                                   alt_gap=np.zeros(4096))
+    for report in (SPECIAL_REPORT, repeated):
+        # Line lists, so that a failure names the first differing row quickly.
+        want = per_entry_report_csv(report).split("\n")
+        assert cli._report_csv(report).split("\n") == want
+
+
+def test_csv_report_refuses_the_first_non_finite_value_in_row_order():
+    # Row 5's -inf comes before row 10's NaN, though the NaN's column is
+    # rendered first.
+    trace, gap = SPECIAL_VALUES.copy(), SPECIAL_VALUES[::-1].copy()
+    trace[10], gap[5] = np.nan, -np.inf
+    report = dataclasses.replace(SPECIAL_REPORT, per_freq_trace=trace, alt_gap=gap)
+    with pytest.raises(ValueError) as exc:
+        cli._report_csv(report)
+    assert str(exc.value) == f"refusing to serialize non-finite value {gap[5]!r}"
 
 
 def test_sidecar_path(tmp_path):
