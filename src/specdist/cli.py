@@ -10,8 +10,10 @@ residuals, stability).
 Sources are identified by content: ``.json`` files hold rational models or
 autocovariance sequences, ``.csv`` files hold either grid spectra (by
 header) or raw time series.  Every documented failure maps to a fixed exit
-code: missing file 2, unparseable input or bad option, argument or value 3,
-dimension/grid mismatch 4, non-positive-definite input 5.
+code: missing or unwritable file 2, unparseable input or bad option,
+argument or value 3, dimension/grid mismatch 4, non-positive-definite
+input 5, and 1 for any other failure, such as non-Hermitian input, an
+unstable or singular model, or a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -371,15 +373,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         _check_options(args)
         return args.func(args)
-    except OSError as exc:
+    except (OSError, SpecDistError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except SpecDistError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OSError) else getattr(exc, "exit_code", 1)
 
 
 def run() -> None:

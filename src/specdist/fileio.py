@@ -401,10 +401,14 @@ def read_timeseries_csv(path) -> np.ndarray:
     """Load a time series CSV into an array of shape (T, m); a non-finite
     sample is refused."""
     path = Path(path)
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with warnings.catch_warnings():
+        # An empty or blank file warns "input contained no data"; it is
+        # refused below instead.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ParseError(f"{path}: time series is empty")
     finite = np.isfinite(data)

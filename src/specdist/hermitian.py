@@ -9,11 +9,11 @@ has the same eigenvalues, falling back to the root when ``A`` has no
 Cholesky factor.  Everything here is a pure function of its inputs, except
 that ``psd_root`` conjugates its ``v`` argument in place; real symmetric
 matrices are handled as the special case of complex Hermitian ones and stay
-in real arithmetic throughout.  The package's symmetry, per-matrix
-negativity and round-off rules live here.  Two definiteness rules are
-applied in ``spectra`` instead: the grid-wide negativity and flooring rule,
-measured against the grid's largest eigenvalue, in ``GridSpectrum.build``,
-and the strict ``noise_cov`` rule in ``RationalSpectrum``.
+in real arithmetic throughout.  The package's symmetry, negativity,
+flooring and round-off rules live here, the grid-wide one too
+(``_floored_roots``, which ``GridSpectrum.build`` calls, measured against
+the grid's largest eigenvalue); only the strict ``noise_cov`` rule of
+``RationalSpectrum`` is applied outside this module.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
@@ -27,10 +27,8 @@ scaled by a power of two before any product, so that no product
 overflows, and none underflows unless negligible against the matrix.
 The coupling trace takes its eigenvalues from the closed form at m = 2
 and from ``eigvalsh`` otherwise, under the same negativity rule.
-``GridSpectrum.build`` takes the closed form, one pass per row, only for
-a grid with nothing to floor or refuse; any other grid, and every m
-other than 2, runs the general ``eigh`` path, which the tests also keep
-as the reference.
+``_floored_roots`` takes the closed form only for a grid with nothing to
+floor or refuse; the tests keep its general ``eigh`` path as the reference.
 The batched products at m = 2 are written entry by entry by ``_matmul``
 (``@`` at every other m): the transfer function and ``H Q H*`` in
 ``spectra``, the coupling sandwich here, and the commutator in
@@ -48,6 +46,7 @@ from .errors import (
     IndefiniteInput,
     NegativeDistance,
     NonHermitianInput,
+    NotPositiveDefinite,
 )
 
 __all__ = [
@@ -230,12 +229,6 @@ def _eigvals_2x2(eig) -> np.ndarray:
     return np.ldexp(np.stack([lo, hi], axis=-1), 2 * k[..., None])
 
 
-def _eigvalsh_2x2(h) -> np.ndarray:
-    """Eigenvalues of a stack ``(..., 2, 2)`` of Hermitian matrices in
-    closed form; only ``h00``, ``h11`` and ``h01`` are read."""
-    return _eigvals_2x2(_eig_scaled_2x2(h))
-
-
 def _psd_root_2x2(eig) -> np.ndarray:
     """Principal roots, from the closed form ``eig = _eig_scaled_2x2(h)``,
     of a stack ``h`` of Hermitian matrices that are positive definite, or
@@ -256,6 +249,47 @@ def _psd_root_2x2(eig) -> np.ndarray:
     return root
 
 
+def _floored_roots(rows, policy: PsdPolicy, name: str):
+    """The grid-wide definiteness rule on rows ``(n, m, m)``: their
+    Hermitian parts, floored, their principal roots, their eigenvalues
+    ``(n, m)`` after flooring and the mask of floored rows.  Against the
+    grid's largest eigenvalue, a grid with no positive mass or an
+    eigenvalue below ``-negativity_tol`` times it raises
+    ``NotPositiveDefinite``; one below ``floor_eps`` times it is lifted to
+    that floor.  At m = 2 a grid whose every eigenvalue is positive and at
+    least the floor takes its eigenvalues and roots from the closed forms;
+    any other grid is decomposed by ``eigh``, which alone floors and
+    refuses."""
+    rows = hermitian_part(rows)
+    if rows.shape[-1] == 2:
+        eig = _eig_scaled_2x2(rows)
+        w = _eigvals_2x2(eig)
+        lo = w[:, 0].min()
+        if lo > 0.0 and lo >= policy.floor_eps * w.max():
+            return rows, _psd_root_2x2(eig), w, np.zeros(len(w), dtype=bool)
+        del eig, w  # not held through the eigensolve
+    w, v = np.linalg.eigh(rows)
+    scale = float(w.max())
+    if scale <= 0.0:
+        raise NotPositiveDefinite(f"{name} has no positive eigenvalue mass; cannot floor")
+    neg_bound = policy.negativity_tol * scale
+    worst = float(w.min())
+    if worst < -neg_bound:
+        idx = int(np.argmin(w.min(axis=-1)))
+        raise NotPositiveDefinite(
+            f"{name} is indefinite at frequency index {idx}: eigenvalue "
+            f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
+        )
+    floor = policy.floor_eps * scale
+    floored = w.min(axis=-1) < floor
+    if floored.any():
+        np.maximum(w, floor, out=w)
+        vb = v[floored]
+        fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
+        rows[floored] = hermitian_part(fixed)
+    return rows, psd_root(w, v), w, floored  # v, conjugated, is freed on return
+
+
 def _matmul(a, b) -> np.ndarray:
     """``a @ b``, batched and broadcast over leading axes.  At m = 2 each
     entry is written out as ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``, which is
@@ -274,7 +308,7 @@ def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
     # matrix, after the negativity rule.  A congruence keeps the sign of
     # B's eigenvalues, so this is where an indefinite B is refused.
     h = hermitian_part(congruence)
-    wm = _eigvalsh_2x2(h) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
+    wm = _eigvals_2x2(_eig_scaled_2x2(h)) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
     del h  # grid-sized, so not held through the rule and the sum
     _refuse_indefinite(wm, policy, "coupling matrix")
     return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)

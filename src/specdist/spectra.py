@@ -32,14 +32,11 @@ from .hermitian import (
     DEFAULT_POLICY,
     GRID_HERMITIAN_TOL,
     PsdPolicy,
-    _eig_scaled_2x2,
-    _eigvals_2x2,
+    _floored_roots,
     _matmul,
-    _psd_root_2x2,
     _refuse_asymmetric,
     _refuse_indefinite,
     hermitian_part,
-    psd_root,
 )
 
 __all__ = [
@@ -151,11 +148,6 @@ class GridSpectrum:
         only, mirrored and marked ``mirrored``; a floored row with an image
         counts twice.
 
-        At m = 2 a grid whose every eigenvalue is positive and at least the
-        floor takes its eigenvalues and roots from the closed forms in
-        ``hermitian``; any other grid is decomposed by ``eigh``, which
-        alone floors and refuses.
-
         Raises
         ------
         NonHermitianInput
@@ -179,40 +171,7 @@ class GridSpectrum:
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
         # Measured before the eigensolve, whose peak it would otherwise raise.
         sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
-        rows = hermitian_part(rows)
-
-        w = v = eig = None
-        if values.shape[-1] == 2:
-            eig = _eig_scaled_2x2(rows)
-            w = _eigvals_2x2(eig)
-            lo = w[:, 0].min()
-            if not (lo > 0.0 and lo >= policy.floor_eps * w.max()):
-                w = eig = None
-        if w is None:
-            w, v = np.linalg.eigh(rows)
-        scale = float(w.max())
-        if scale <= 0.0:
-            raise NotPositiveDefinite(
-                f"{name} has no positive eigenvalue mass; cannot floor"
-            )
-        neg_bound = policy.negativity_tol * scale
-        worst = float(w.min())
-        if worst < -neg_bound:
-            idx = int(np.argmin(w.min(axis=-1)))
-            raise NotPositiveDefinite(
-                f"{name} is indefinite at frequency index {idx}: eigenvalue "
-                f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
-            )
-        floor = policy.floor_eps * scale
-        floored = w.min(axis=-1) < floor
-        if floored.any():
-            np.maximum(w, floor, out=w)
-            vb = v[floored]
-            fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
-            rows[floored] = hermitian_part(fixed)
-        # The root comes from the same decomposition.
-        root = _psd_root_2x2(eig) if v is None else psd_root(w, v)
-        del v, eig  # peak memory: v, then each half, is freed before the next mirror
+        rows, root, w, floored = _floored_roots(rows, policy, name)
         count = np.count_nonzero(floored)
         if mirrored:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
@@ -274,7 +233,7 @@ class Autocovariance:
 
     def __post_init__(self, policy: PsdPolicy):
         lags = np.asarray(self.lags, dtype=float)
-        if lags.ndim != 3 or lags.shape[1] != lags.shape[2]:
+        if lags.ndim != 3 or lags.shape[1] != lags.shape[2] or lags.size == 0:
             raise DimensionMismatch(
                 f"autocovariance lags must have shape (K+1, m, m), got {lags.shape}"
             )
@@ -471,8 +430,9 @@ def spectrum_to_autocov(
 
     The imaginary part left over after the inverse transform is discarded
     once it is checked to be negligible.  Without a forced ``max_lag`` the
-    sequence runs to the grid's bandwidth ``n_freq // 2 - 1`` and is cut
-    after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
+    sequence runs to the grid's bandwidth ``(n_freq - 1) // 2``, the largest
+    lag below ``n_freq / 2``, and is cut after the last lag with
+    ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
 
     Raises
     ------
@@ -484,7 +444,7 @@ def spectrum_to_autocov(
     """
     decay_cut = max_lag is None
     if decay_cut:
-        max_lag = spec.n_freq // 2 - 1
+        max_lag = (spec.n_freq - 1) // 2
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if 2 * max_lag >= spec.n_freq:

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 import specdist.hermitian
-import specdist.spectra
 from specdist.hermitian import DEFAULT_POLICY, check_hermitian, sqrt_psd_many
 from specdist.spectra import GridSpectrum, RationalSpectrum, default_omegas
 
@@ -144,8 +143,7 @@ def count_closed_forms(monkeypatch) -> list:
         calls.append(np.shape(h))
         return kernel(h)
 
-    for module in (specdist.hermitian, specdist.spectra):
-        monkeypatch.setattr(module, "_eig_scaled_2x2", counted)
+    monkeypatch.setattr(specdist.hermitian, "_eig_scaled_2x2", counted)
     return calls
 
 

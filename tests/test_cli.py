@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,47 @@ def test_exactly_singular_ar_exits_1(monkeypatch):
     code, out, err = run_case(("dist", "data/ar1.json", "data/white.json", "--n-freq", "64"))
     assert (code, out) == (1, "")
     assert err.startswith("error: SingularAr: ")
+
+
+def test_value_error_exits_1(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("no distance")
+
+    monkeypatch.setattr(cli.distances, "spectral_w2", fail)
+    assert run_case(("dist", "data/flat4.csv", "data/flat1.csv")) == (
+        1, "", "error: ValueError: no distance\n"
+    )
+
+
+def test_autocovariance_without_lags_exits_4(tmp_path):
+    src = tmp_path / "acov.json"
+    src.write_text('{"lags": []}\n')
+    assert run_case(("info", str(src))) == (
+        4, "", "error: DimensionMismatch: autocovariance lags must have shape "
+               "(K+1, m, m), got (0, 1, 1)\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank_lines"])
+def test_empty_series_exits_3_without_a_warning(tmp_path, text):
+    src = tmp_path / "series.csv"
+    src.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_case(("info", str(src)))
+    assert result == (3, "", f"error: ParseError: {src}: time series is empty\n")
+    assert caught == []
+
+
+def test_oracle_on_one_point_grids(tmp_path):
+    # The default cut of a 1-point grid keeps lag 0 alone.
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    for path, value in ((x, "2.0"), (y, "0.5")):
+        path.write_text(f"omega_index,row,col,re,im\n0,0,0,{value},0\n")
+    code, out, err = run_case(("dist", str(x), str(y), "--oracle"))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["n_freq"] == 1 and payload["oracle"]["converged"] is True
 
 
 def test_installed_entry_point():

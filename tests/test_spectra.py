@@ -291,6 +291,12 @@ def test_autocov_validations():
     assert acov.max_lag == 1
 
 
+@pytest.mark.parametrize("shape", [(0, 1, 1), (0, 2, 2), (1, 0, 0)])
+def test_autocov_without_lags_or_channels_is_refused(shape):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got {shape}")):
+        Autocovariance(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_refused(bad):
     # Rows [1, 3] make an exact mirror of an inf, which takes the half path
@@ -351,6 +357,21 @@ def test_spectrum_to_autocov_trivial_cases():
         spectrum_to_autocov(flat, 4)
     with pytest.raises(ValueError):
         spectrum_to_autocov(flat, -1)
+
+
+@pytest.mark.parametrize("n_freq", [1, 2, 3, 15, 16])
+def test_spectrum_to_autocov_default_cut_is_the_largest_admitted_lag(n_freq):
+    # Lags that do not decay run to the grid's bandwidth (N-1)//2, the
+    # largest lag that both LagTooLarge (2K < N) and GridTooCoarse
+    # (N >= 2K+1) admit.
+    k = (n_freq - 1) // 2
+    lags = 0.1 * np.ones((k + 1, 2, 2))
+    lags[0] = 4.0 * np.eye(2)
+    spec = autocov_to_spectrum(Autocovariance(lags), n_freq)
+    assert spectrum_to_autocov(spec).max_lag == k
+    assert spectrum_to_autocov(spec, k).max_lag == k
+    with pytest.raises(LagTooLarge):
+        spectrum_to_autocov(spec, k + 1)
 
 
 def test_autocov_spectrum_roundtrip():
