@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,14 +369,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, *_):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        _check_options(args)
-        return args.func(args)
-    except (OSError, SpecDistError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, OSError) else getattr(exc, "exit_code", 1)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one line, no source dump
+        try:
+            args = _build_parser().parse_args(argv)
+            _check_options(args)
+            return args.func(args)
+        except (OSError, SpecDistError, ValueError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, OSError) else getattr(exc, "exit_code", 1)
 
 
 def run() -> None:

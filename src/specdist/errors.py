@@ -67,8 +67,8 @@ class UnstableModel(SpecDistError):
 
 
 class NonRealResidue(SpecDistError):
-    """Inverse transform of a spectrum left an imaginary part too large to
-    discard; the spectrum does not describe a real-valued process."""
+    """A grid spectrum's ``real_symmetry`` is False, so it does not describe
+    a real-valued process and has no real autocovariances to give the oracle."""
 
 
 class ParseError(SpecDistError):

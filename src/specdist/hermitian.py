@@ -77,10 +77,10 @@ NEGATIVE_BAND = 1e-10
 class PsdPolicy:
     """Eigenvalue flooring policy for nominally positive-definite input.
 
-    Both fields are *relative* coefficients.  For a matrix with
-    eigenvalues ``w`` the effective floor is ``floor_eps * max(w, 0)`` and
-    the largest tolerated negative eigenvalue is
-    ``-negativity_tol * max(|w|)``; anything below that band raises
+    Both fields are finite, nonnegative *relative* coefficients.  For a
+    matrix with eigenvalues ``w`` the effective floor is
+    ``floor_eps * max(w, 0)`` and the largest tolerated negative eigenvalue
+    is ``-negativity_tol * max(|w|)``; anything below that band raises
     :class:`~specdist.errors.IndefiniteInput` instead of being silently
     repaired.  The defaults tolerate round-off without masking genuine
     indefiniteness.
@@ -90,8 +90,8 @@ class PsdPolicy:
     negativity_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.floor_eps < 0.0 or self.negativity_tol < 0.0:
-            raise ValueError("PsdPolicy coefficients must be nonnegative")
+        if not (0.0 <= self.floor_eps < np.inf and 0.0 <= self.negativity_tol < np.inf):
+            raise ValueError("PsdPolicy coefficients must be finite and nonnegative")
 
 
 DEFAULT_POLICY = PsdPolicy()

@@ -98,10 +98,6 @@ class GridSpectrum:
         Hermitian PD matrices at ``w_l = 2 pi l / n_freq``.
     root : ndarray of shape (n_freq, m, m), complex
         Principal square root of each value, from the decomposition in build.
-    real_symmetry : bool
-        True when the grid satisfies the real-process symmetry
-        ``value(N-l) = value(l)^T`` within ``REAL_SYMMETRY_TOL``; exactly
-        for a mirrored grid with real rows 0 and N/2.
     min_eigenvalue, max_eigenvalue : float
         Extreme eigenvalues over the grid after flooring.
     flooring_count : int
@@ -112,11 +108,13 @@ class GridSpectrum:
         mirror's rows ``0..N/2`` (every model, autocovariance and Welch
         grid): values and roots satisfy ``row(N-l) = conj(row l)`` bitwise.
         Any other grid reads False, a ``dataclasses.replace`` copy too.
+    real_symmetry : bool, read-only
+        ``check_real_symmetry(self) <= REAL_SYMMETRY_TOL``, read from the kept
+        values each time; exact for a mirrored grid with real rows 0 and N/2.
     """
 
     values: np.ndarray
     root: np.ndarray
-    real_symmetry: bool
     min_eigenvalue: float
     max_eigenvalue: float
     flooring_count: int = 0
@@ -129,6 +127,10 @@ class GridSpectrum:
     @property
     def n_freq(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def real_symmetry(self) -> bool:
+        return check_real_symmetry(self) <= REAL_SYMMETRY_TOL
 
     @classmethod
     def build(
@@ -169,15 +171,13 @@ class GridSpectrum:
         del images
         rows = values[: n // 2 + 1] if mirrored else values
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
-        # Measured before the eigensolve, whose peak it would otherwise raise.
-        sym = _symmetry_residual(values) <= REAL_SYMMETRY_TOL
         rows, root, w, floored = _floored_roots(rows, policy, name)
         count = np.count_nonzero(floored)
         if mirrored:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
             rows = _mirror(rows, n)
             root = _mirror(root, n)
-        spec = cls(values=rows, root=root, real_symmetry=sym, min_eigenvalue=float(w.min()),
+        spec = cls(values=rows, root=root, min_eigenvalue=float(w.min()),
                    max_eigenvalue=float(w.max()), flooring_count=int(count))
         object.__setattr__(spec, "mirrored", mirrored)
         return spec
@@ -428,19 +428,19 @@ def spectrum_to_autocov(
 ) -> Autocovariance:
     """Autocovariances ``R(k) = (1/N) sum_l value(w_l) e^{jw_l k}``.
 
-    The imaginary part left over after the inverse transform is discarded
-    once it is checked to be negligible.  Without a forced ``max_lag`` the
-    sequence runs to the grid's bandwidth ``(n_freq - 1) // 2``, the largest
-    lag below ``n_freq / 2``, and is cut after the last lag with
-    ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
+    A grid whose ``real_symmetry`` is False is refused; for any other, the
+    inverse transform's imaginary part is round-off and is discarded.
+    Without a forced ``max_lag`` the sequence runs to the grid's bandwidth
+    ``(n_freq - 1) // 2``, the largest lag below ``n_freq / 2``, and is cut
+    after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
 
     Raises
     ------
     LagTooLarge
         If ``max_lag >= n_freq / 2`` (lags beyond the grid's bandwidth).
     NonRealResidue
-        If the discarded imaginary part exceeds 1e-6 relative, meaning the
-        grid does not describe a real-valued process.
+        If ``not spec.real_symmetry``: the grid does not describe a
+        real-valued process.
     """
     decay_cut = max_lag is None
     if decay_cut:
@@ -452,15 +452,10 @@ def spectrum_to_autocov(
             f"max_lag {max_lag} out of range for a {spec.n_freq}-point grid "
             f"(must be below {spec.n_freq / 2:g})"
         )
-    seq = np.fft.ifft(spec.values, axis=0)[: max_lag + 1]
-    scale = max(float(np.max(np.abs(seq.real))), 1e-300)
-    residual = float(np.max(np.abs(seq.imag))) / scale
-    if residual > 1e-6:
-        raise NonRealResidue(
-            f"imaginary residue {residual:.3e} relative; grid is not the "
-            "spectrum of a real process"
-        )
-    lags = seq.real
+    if not spec.real_symmetry:
+        raise NonRealResidue(f"symmetry residual {check_real_symmetry(spec):.3e} "
+                             "relative; grid is not the spectrum of a real process")
+    lags = np.fft.ifft(spec.values, axis=0)[: max_lag + 1].real
     if decay_cut:
         norms = np.linalg.norm(lags, axis=(1, 2))
         keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]

@@ -133,13 +133,10 @@ def _fit_tail(horizons, values) -> float:
     if tail_v.size == 1:
         return float(tail_v[0])
     t = 1.0 / (tail_h + 1.0)
-    n = t.size
     st, st2 = float(t.sum()), float((t * t).sum())
     sv, stv = float(tail_v.sum()), float((t * tail_v).sum())
-    det = n * st2 - st * st
-    if det <= 0.0:
-        return float(tail_v[-1])
-    return (st2 * sv - st * stv) / det
+    # The determinant, sum over pairs i < j of (t_i - t_j)^2, is positive.
+    return (st2 * sv - st * stv) / (t.size * st2 - st * st)
 
 
 def convergence_diagnostic(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import specdist.spectra
+import specdist.toeplitz
 from cli_cases import CASES, HERE, run_case
 from conftest import (
     DATA_DIR,
@@ -565,8 +566,10 @@ def test_unwritable_output_exits_2(tmp_path):
 
 
 def write_2x2_grid(path: Path, value, n_freq: int = 8) -> None:
-    """A grid CSV holding the 2x2 matrix ``value`` at every frequency."""
-    rows = [f"{l},{r},{c},{complex(value[r][c]).real!r},{complex(value[r][c]).imag!r}"
+    """A grid CSV holding the 2x2 matrix ``value`` at every frequency, or
+    row ``l`` of an ``(n_freq, 2, 2)`` stack at frequency ``l``."""
+    value = np.broadcast_to(np.asarray(value, dtype=complex), (n_freq, 2, 2)).tolist()
+    rows = [f"{l},{r},{c},{value[l][r][c].real!r},{value[l][r][c].imag!r}"
             for l in range(n_freq) for r in range(2) for c in range(2)]
     path.write_text("\n".join(["omega_index,row,col,re,im", *rows]) + "\n")
 
@@ -581,7 +584,7 @@ def test_non_hermitian_grid_exits_1(tmp_path):
 
 def test_complex_process_oracle_exits_1(tmp_path):
     # Hermitian and positive definite, but the spectrum of a complex
-    # process: the oracle's autocovariances keep an imaginary part.
+    # process: the grid lacks the real-process symmetry the oracle needs.
     grid = tmp_path / "grid.csv"
     write_2x2_grid(grid, [[2.0, 0.5j], [-0.5j, 2.0]])
     code, out, _ = run_case(("info", str(grid)))
@@ -589,3 +592,53 @@ def test_complex_process_oracle_exits_1(tmp_path):
     code, out, err = run_case(("dist", str(grid), str(grid), "--oracle"))
     assert (code, out) == (1, "")
     assert err.startswith("error: NonRealResidue: ") and err.count("\n") == 1
+
+
+def test_info_flag_agrees_with_its_residual(tmp_path):
+    # An anti-Hermitian 1e-9 in row 1 is within the Hermitian tolerance and
+    # is dropped with the anti-Hermitian part: the kept grid is flat.
+    values = np.broadcast_to(2.0 * np.eye(2), (8, 2, 2)).copy()
+    values[1] += np.array([[0.0, 1e-9], [-1e-9, 0.0]])
+    grid = tmp_path / "grid.csv"
+    write_2x2_grid(grid, values)
+    code, out, err = run_case(("info", str(grid)))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert (summary["symmetry_residual"], summary["real_symmetry"]) == (0, True)
+
+
+def test_oracle_refuses_exactly_the_grids_flagged_not_real(tmp_path):
+    omegas = specdist.spectra.default_omegas(8)
+    for eps, want in ((1e-8, 1), (1e-12, 0)):
+        grid = tmp_path / f"grid{eps:g}.csv"
+        write_2x2_grid(grid, (2.0 + eps * np.sin(omegas))[:, None, None] * np.eye(2))
+        summary = json.loads(run_case(("info", str(grid)))[1])
+        assert summary["real_symmetry"] is (want == 0)
+        code, out, err = run_case(("dist", str(grid), str(grid), "--oracle",
+                                   "--horizons", "2,4"))
+        assert code == want
+        if want:
+            assert out == ""
+            assert err.startswith("error: NonRealResidue: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(out)["oracle"]["converged"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--floor-eps", "--negativity-tol"])
+def test_non_finite_policy_coefficient_exits_3(flag, value):
+    assert run_case(("info", "data/indefinite.csv", f"{flag}={value}")) == (
+        3, "", "error: ParseError: PsdPolicy coefficients must be finite and nonnegative\n"
+    )
+
+
+def test_warning_prints_one_line(monkeypatch):
+    # The fake per-step kernel of the oracle tests gives a kinked tail.
+    per_step = {17: 1.0, 33: 2.0, 65: 1.5}
+    monkeypatch.setattr(specdist.toeplitz, "bures_w2_squared",
+                        lambda a, b, policy: per_step[a.shape[0]] * a.shape[0])
+    argv = ("oracle", "data/ar1.json", "data/white.json", "--horizons", "16,32,64")
+    code, out, err = run_case(argv)
+    assert code == 0 and json.loads(out)["fit_degenerate"]
+    assert err == ("warning: FitDegenerateWarning: finite-horizon tail is non-monotone; "
+                   "the 1/(i+1) extrapolation may be unreliable\n")

@@ -41,6 +41,11 @@ def test_policy_validation():
         PsdPolicy(floor_eps=-1.0)
     with pytest.raises(ValueError):
         PsdPolicy(negativity_tol=-1e-3)
+    # NaN fails every comparison, so a bare ``< 0`` test would let it through.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for kwargs in ({"floor_eps": bad}, {"negativity_tol": bad}):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                PsdPolicy(**kwargs)
 
 
 def test_hermitian_part_and_residual():

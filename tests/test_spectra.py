@@ -30,6 +30,7 @@ from specdist.errors import (
 )
 from specdist.hermitian import DEFAULT_POLICY, PsdPolicy, sqrt_psd_many
 from specdist.spectra import (
+    REAL_SYMMETRY_TOL,
     Autocovariance,
     GridSpectrum,
     RationalSpectrum,
@@ -388,12 +389,55 @@ def test_autocov_lags_own_their_memory():
 
 
 def test_nonreal_residue():
-    # 2 + sin(w) is Hermitian and PD pointwise but lacks the real-process
-    # symmetry, so its inverse transform has a large imaginary part.
-    spec = scalar_grid(2.0 + np.sin(default_omegas(64)))
-    assert not spec.real_symmetry
-    with pytest.raises(NonRealResidue):
-        spectrum_to_autocov(spec, 4)
+    # 2 + eps sin(w) is Hermitian and PD pointwise but lacks the real-process
+    # symmetry beyond REAL_SYMMETRY_TOL unless eps is tiny.  The transform
+    # refuses exactly the grids whose flag is false, however small the lags'
+    # imaginary part would be.
+    omegas = default_omegas(64)
+    for eps, real in ((1.0, False), (1e-8, False), (1e-12, True)):
+        spec = scalar_grid(2.0 + eps * np.sin(omegas))
+        assert spec.real_symmetry is real
+        if real:
+            assert spectrum_to_autocov(spec, 4).max_lag == 4
+        else:
+            with pytest.raises(NonRealResidue, match="not the spectrum of a real process"):
+                spectrum_to_autocov(spec, 4)
+
+
+def test_real_symmetry_reads_the_kept_values():
+    # An anti-Hermitian 1e-9 in one row passes the Hermitian check and is
+    # dropped with the anti-Hermitian part; the kept grid is flat.
+    values = np.broadcast_to(2.0 * np.eye(2), (8, 2, 2)).astype(complex)
+    values[1] += np.array([[0.0, 1e-9], [-1e-9, 0.0]])
+    assert _symmetry_residual(values) > REAL_SYMMETRY_TOL
+    spec = GridSpectrum.build(values)
+    assert check_real_symmetry(spec) == 0.0 and spec.real_symmetry
+    # A replace copy is measured on its own values, not the source's.
+    flat = scalar_grid(np.full(64, 2.0))
+    copy = dataclasses.replace(flat, values=(2.0 + np.sin(default_omegas(64)))[:, None, None])
+    assert flat.real_symmetry and not copy.real_symmetry
+    assert check_real_symmetry(copy) == pytest.approx(2.0 / 3.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_real_symmetry_is_the_residual_rule(m):
+    # Scaling row 3 breaks the bitwise mirror; by 1e-13 the grid stays real
+    # to round-off, by 1e-6 it does not.  A 1x1 mirror is always real.
+    rng = np.random.default_rng(70 + m)
+    real = mirrored_input(m, 16, rng)
+    near, far = real.copy(), real.copy()
+    near[3] *= 1.0 + 1e-13
+    far[3] *= 1.0 + 1e-6
+    cases = [
+        (real, True, True),
+        (mirrored_input(m, 16, rng, real_ends=False), True, m == 1),
+        (near, False, True),
+        (far, False, False),
+    ]
+    for values, mirrored, want in cases:
+        grid = GridSpectrum.build(values)
+        assert grid.mirrored is mirrored
+        assert grid.real_symmetry == (check_real_symmetry(grid) <= REAL_SYMMETRY_TOL) == want
 
 
 def test_trace_mean_matches_lag_zero():
@@ -641,7 +685,7 @@ def test_build_records_the_mirror_decision():
     for grid in (model_grid, acov_grid, welch_grid):
         assert grid.mirrored
     # Every grid not made by build from an exact mirror reads False.
-    direct = GridSpectrum(values=model_grid.values, root=model_grid.root, real_symmetry=True,
+    direct = GridSpectrum(values=model_grid.values, root=model_grid.root,
                           min_eigenvalue=model_grid.min_eigenvalue,
                           max_eigenvalue=model_grid.max_eigenvalue)
     for grid in (random_grid_spectrum(2, rng, 32), direct, dataclasses.replace(model_grid)):
