@@ -380,7 +380,7 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
             _check_options(args)
             return args.func(args)
-        except (OSError, SpecDistError, ValueError) as exc:
+        except (MemoryError, OSError, SpecDistError, ValueError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, OSError) else getattr(exc, "exit_code", 1)
 

@@ -2,18 +2,16 @@
 
 Principal PSD square roots and the Bures-type quadratic coupling cost
 ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on pairs of Hermitian
-positive-definite matrices.  The grid path is batched over frequencies and
-takes its congruence from the roots its build already holds; a single pair
-factors ``A = L L*`` by Cholesky and uses the congruence ``L* B L``, which
-has the same eigenvalues, falling back to the root when ``A`` has no
-Cholesky factor.  Everything here is a pure function of its inputs, except
-that ``psd_root`` conjugates its ``v`` argument in place; real symmetric
-matrices are handled as the special case of complex Hermitian ones and stay
-in real arithmetic throughout.  The package's symmetry, negativity,
-flooring and round-off rules live here, the grid-wide one too
-(``_floored_roots``, which ``GridSpectrum.build`` calls, measured against
-the grid's largest eigenvalue); only the strict ``noise_cov`` rule of
-``RationalSpectrum`` is applied outside this module.
+positive-definite matrices.  One kernel, ``coupling_trace``, takes the
+coupling trace from any factor ``A = F F*``: the grid path passes the
+roots its build holds, a single pair the Cholesky factor of ``A``, or its
+floored root when ``A`` has none.  Everything here is a pure function of
+its inputs, except that ``psd_root`` conjugates its ``v`` argument in
+place; real symmetric matrices stay in real arithmetic throughout.  The
+package's symmetry, negativity, flooring and round-off rules live here,
+the grid-wide one too (``_floored_roots``, which ``GridSpectrum.build``
+calls, measured against the grid's largest eigenvalue); only the strict
+``noise_cov`` rule of ``RationalSpectrum`` is applied outside this module.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
@@ -25,14 +23,13 @@ eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
 ``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
 scaled by a power of two before any product, so that no product
 overflows, and none underflows unless negligible against the matrix.
-The coupling trace takes its eigenvalues from the closed form at m = 2
-and from ``eigvalsh`` otherwise, under the same negativity rule.
-``_floored_roots`` takes the closed form only for a grid with nothing to
-floor or refuse; the tests keep its general ``eigh`` path as the reference.
-The batched products at m = 2 are written entry by entry by ``_matmul``
-(``@`` at every other m): the transfer function and ``H Q H*`` in
-``spectra``, the coupling sandwich here, and the commutator in
-``distances``.
+The coupling kernel scales the same way and takes its eigenvalues from
+the closed form at m = 2, from ``eigvalsh`` otherwise.  ``_floored_roots``
+takes the closed form only for a grid with nothing to floor or refuse; the
+tests keep its general ``eigh`` path as the reference.  The batched
+products at m = 2 are written entry by entry by ``_matmul`` (``@`` at
+every other m): the transfer function and ``H Q H*`` in ``spectra``, the
+coupling sandwich here, and the commutator in ``distances``.
 """
 
 from __future__ import annotations
@@ -120,7 +117,7 @@ def hermitian_residual(a: np.ndarray) -> float:
     return num / den
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is a square Hermitian matrix.
 
     Raises
@@ -128,12 +125,12 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.n
     DimensionMismatch
         If ``a`` is not two-dimensional and square.
     NonHermitianInput
-        If the relative symmetry residual exceeds ``tol`` or is NaN.
+        If the symmetry residual exceeds ``HERMITIAN_TOL`` or is NaN.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    _refuse_asymmetric(a, tol, name)
+    _refuse_asymmetric(a, HERMITIAN_TOL, name)
     return a
 
 
@@ -144,14 +141,15 @@ def _refuse_asymmetric(a, tol: float, what: str, error=NonHermitianInput) -> Non
         raise error(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
 
 
-def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput) -> None:
+def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput, shift=0) -> None:
     # The one per-matrix negativity rule: each lowest eigenvalue against
-    # -negativity_tol times the largest magnitude.  NaN fails.
+    # -negativity_tol times the largest magnitude.  NaN fails.  Messages show w * 4**shift.
     bounds = policy.negativity_tol * np.max(np.abs(w), axis=-1, initial=0.0)
     lo = w[..., 0]
     if not np.all(lo >= -bounds):
         k = int(np.argmin(lo + bounds))
         label = f"{what} {k}" if lo.ndim else what
+        lo, bounds = (np.ldexp(x, 2 * shift) for x in (lo, bounds))
         raise error(
             f"{label} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
             f"the tolerated negativity band -{float(np.ravel(bounds)[k]):.3e}"
@@ -303,72 +301,72 @@ def _matmul(a, b) -> np.ndarray:
     return out
 
 
-def _sum_of_roots(congruence, policy: PsdPolicy) -> np.ndarray:
-    # Square roots of a coupling congruence's eigenvalues, summed per
-    # matrix, after the negativity rule.  A congruence keeps the sign of
-    # B's eigenvalues, so this is where an indefinite B is refused.
-    h = hermitian_part(congruence)
-    wm = _eigvals_2x2(_eig_scaled_2x2(h)) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
+def _scale_down(x) -> np.ndarray:
+    # Scale each matrix of x in place by 4**-k so its largest entry is in [1/2, 2).
+    k = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1] // 2
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        np.ldexp(part, -2 * k[..., None, None], out=part)
+    return k
+
+
+def coupling_trace(factor, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for ``A = F F*``, from any factor
+    ``F``, batched over leading axes: the sum of the square roots of the
+    eigenvalues of ``F* B F``, which has those of ``A^{1/2} B A^{1/2}`` and,
+    as a congruence, the sign pattern of ``B``, so an indefinite ``B``
+    raises :class:`~specdist.errors.IndefiniteInput` here.  ``F*`` and then
+    ``F* B`` are scaled per matrix by powers of four, and the sum back, so
+    no product over- or underflows and ordinary inputs keep their bits.
+    ``factor`` is dropped once ``F* B F`` is formed: one passed inline is
+    freed before the symmetrization allocates two more of its size."""
+    left = np.conj(np.swapaxes(factor, -1, -2))
+    p = _scale_down(left)
+    left = _matmul(left, b)
+    r = _scale_down(left)
+    h = _matmul(left, factor)
+    del left, factor  # a factor passed inline is freed here, before the peak
+    h = hermitian_part(h)
+    w = _eigvals_2x2(_eig_scaled_2x2(h)) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
     del h  # grid-sized, so not held through the rule and the sum
-    _refuse_indefinite(wm, policy, "coupling matrix")
-    return np.sum(np.sqrt(np.maximum(wm, 0.0)), axis=-1)
+    _refuse_indefinite(w, policy, "coupling matrix", shift=p + r)
+    return np.ldexp(np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1), p + r)
 
 
-def coupling_trace(root_a, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` given the root ``A^{1/2}``, batched
-    over leading axes.
-
-    The sandwich is a congruence, which keeps the sign of ``B``'s
-    eigenvalues, so an indefinite ``B`` raises
-    :class:`~specdist.errors.IndefiniteInput` here.
-    """
-    return _sum_of_roots(_matmul(_matmul(root_a, b), root_a), policy)
+def _factor(a, policy: PsdPolicy) -> np.ndarray:
+    # A = F F*: the Cholesky factor, or the floored root when A has none.
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return sqrt_psd_many(a[None], policy)[0]
 
 
 def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
-    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``.
-
-    Factors ``A = L L*`` by Cholesky and sums the square roots of the
-    eigenvalues of the congruence ``L* B L``.  Its eigenvalues are those of
-    ``A^{1/2} B A^{1/2}`` (both are similar to ``A B``), so no root of
-    ``A`` and no non-symmetric eigensolver is needed, and it keeps the sign
-    pattern of ``B``.  A positive definite ``A`` is taken as given, without
-    the policy floor.  When ``A`` has no Cholesky factor (singular, or
-    negative inside the policy band) the root path runs instead:
-    ``A`` is decomposed and floored (:func:`sqrt_psd_many`) and the sandwich
-    goes through :func:`coupling_trace`.  The value also equals the sum of
-    square roots of the eigenvalues of the product ``A B``; the test suite
-    keeps that route as an independent reference.
+    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``, by
+    :func:`coupling_trace` on the Cholesky factor of ``A`` (a positive
+    definite ``A`` is taken as given, without the policy floor) or, when
+    ``A`` has none (singular, or negative inside the policy band), on its
+    floored root from :func:`sqrt_psd_many`.  The tests keep the sum of
+    square roots of the eigenvalues of ``A B`` as an independent reference.
 
     Raises
     ------
     DimensionMismatch
         If the shapes differ.
     IndefiniteInput
-        If either operand is indefinite beyond the policy band
-        (indefiniteness of ``B`` is detected through the sign-preserving
-        congruence).
+        If either operand is indefinite beyond the policy band.
     """
     a = check_hermitian(a, name="first operand")
     b = check_hermitian(b, name="second operand")
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return float(coupling_trace(sqrt_psd_many(a[None], policy), b, policy)[0])
-    congruence = low.conj().T @ b @ low
-    # Drop the factor before the symmetrization allocates two more matrices
-    # of its size: at the oracle's top horizon that is the process peak.
-    del low
-    return float(_sum_of_roots(congruence, policy))
+    # The factor is passed inline, never bound here, so the kernel frees it.
+    return float(coupling_trace(_factor(a, policy), b, policy))
 
 
 def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """Squared quadratic coupling cost between zero-mean laws with scatter
-    matrices ``A`` and ``B``:  ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``,
-    with the coupling trace from :func:`trace_sqrt_product` (a Cholesky
-    congruence, or the root of ``A`` when ``A`` has no Cholesky factor).
+    matrices ``A`` and ``B``:  ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``
+    with the coupling trace from :func:`trace_sqrt_product`.
 
     Tiny negative results inside the round-off band
     ``NEGATIVE_BAND * (tr A + tr B)`` are clamped to zero; anything more

@@ -457,7 +457,8 @@ def spectrum_to_autocov(
                              "relative; grid is not the spectrum of a real process")
     lags = np.fft.ifft(spec.values, axis=0)[: max_lag + 1].real
     if decay_cut:
-        norms = np.linalg.norm(lags, axis=(1, 2))
+        # Scaled exactly to a largest entry in [1/2, 1): no square under- or overflows.
+        norms = np.linalg.norm(np.ldexp(lags, -np.frexp(np.abs(lags).max())[1]), axis=(1, 2))
         keep = np.nonzero(norms >= DECAY_TOL * max(norms[0], 1e-300))[0]
         lags = lags[: int(keep.max()) + 1 if keep.size else 1]
     # A copy, so the kept lags do not pin the grid-sized transform.

@@ -493,6 +493,30 @@ def test_value_error_exits_1(monkeypatch):
     )
 
 
+def test_memory_error_prints_one_line():
+    # 2^54 points ask for a 128 PiB frequency array, more than any address
+    # space, so the allocation fails at once and nothing is allocated.
+    code, out, err = run_case(("dist", "data/ar1.json", "data/white.json",
+                               "--n-freq", str(2**54)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
+
+def test_distance_at_a_tiny_scale(tmp_path):
+    # Both noise covariances times 2^-600: the squared distance scales by
+    # 2^-600 although every coupling product is far below the float range.
+    c = 2.0**-600
+    for name in ("var2_x.json", "var2_y.json"):
+        model = json.loads((DATA_DIR / name).read_text())
+        model["noise_cov"] = (c * np.asarray(model["noise_cov"])).tolist()
+        (tmp_path / name).write_text(json.dumps(model))
+    plain, scaled = (run_case(("dist", str(d / "var2_x.json"), str(d / "var2_y.json"),
+                               "--n-freq", "64")) for d in (DATA_DIR, tmp_path))
+    assert scaled[0] == 0 and scaled[2] == ""
+    squared = [json.loads(run[1])["squared"] for run in (plain, scaled)]
+    assert abs(squared[1] / c - squared[0]) <= 1e-12 * squared[0]
+
+
 def test_autocovariance_without_lags_exits_4(tmp_path):
     src = tmp_path / "acov.json"
     src.write_text('{"lags": []}\n')

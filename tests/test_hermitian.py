@@ -1,6 +1,7 @@
 """Unit tests for the dense Hermitian kernel."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,10 +153,12 @@ def test_trace_sqrt_product_validations():
     with pytest.raises(DimensionMismatch):
         trace_sqrt_product(np.eye(2), np.eye(3))
     # An indefinite B is refused on the Cholesky path, and on the root path
-    # that an A with an exactly zero first pivot takes.
+    # that an A with an exactly zero first pivot takes; the message gives
+    # the eigenvalue of F* B F, not of the kernel's scaled copy.
     for a in (np.eye(2), np.diag([0.0, 1.0])):
         for fn in (trace_sqrt_product, bures_w2_squared):
-            with pytest.raises(IndefiniteInput, match="coupling matrix"):
+            with pytest.raises(IndefiniteInput,
+                               match=r"^coupling matrix has eigenvalue -2\.000000e\+00 "):
                 fn(a, np.diag([1.0, -2.0]))
 
 
@@ -195,7 +198,9 @@ def test_bures_root_fallback_on_singular_first_operand(monkeypatch, complex_):
     choleskys = []
     calls = count_eigensolves(monkeypatch, choleskys)
     assert abs(bures_w2_squared(a, b) - ref_lifted) <= 1e-8 * ref_lifted
-    assert choleskys == [(4, 4)] and calls == [(1, 4, 4), (1, 4, 4)]
+    # One eigh for the root of the stack [A], one eigvalsh for the coupling
+    # of the single matrix A^{1/2} the kernel is handed.
+    assert choleskys == [(4, 4)] and calls == [(1, 4, 4), (4, 4)]
 
 
 def test_bures_cholesky_path_on_complex_pair(monkeypatch):
@@ -208,6 +213,23 @@ def test_bures_cholesky_path_on_complex_pair(monkeypatch):
     tsp, ref = tsp_reference(a, b), bures_reference(a, b)
     assert abs(got - ref) <= 1e-12 * ref
     assert abs(trace_sqrt_product(a, b) - tsp) <= 1e-12 * tsp
+
+
+def test_bures_frees_the_factor_before_the_symmetrization():
+    # The Cholesky factor is dropped once L* B L is formed, so the peak is
+    # three matrices of the input's size (the congruence, its symmetrized
+    # sum and its half); holding the factor through it would make four.
+    rng = np.random.default_rng(63)
+    a, b = random_pd(600, rng), random_pd(600, rng)
+    bures_w2_squared(a, b)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bures_w2_squared(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / a.nbytes <= 3.1
 
 
 def test_bures_trivial_cases():

@@ -3,7 +3,8 @@
 Grids come from short autocovariance sequences whose lag terms stay well
 inside the lag-0 block's smallest eigenvalue, so every generated grid is
 positive definite by construction.  The metric axioms are drawn a second
-time from the grids of stable VARMA(1,1) models at dims 1 to 8.  Each
+time from the grids of stable VARMA(1,1) models at dims 1 to 8, which
+also carry the positive homogeneity of every squared distance.  Each
 test runs a small, derandomized set of examples, so the suite sees the
 same inputs on every run.
 """
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from specdist.distances import hellinger, spectral_w2
 from specdist.hermitian import (
     NEGATIVE_BAND,
+    bures_w2_squared,
     coupling_trace,
     sqrt_psd_many,
     trace_sqrt_product,
@@ -265,3 +267,64 @@ def test_metric_axioms_on_model_grids_small_dims(case):
 @given(model_grids(st.integers(5, 8)))
 def test_metric_axioms_on_model_grids_large_dims(case):
     assert_metric_axioms(case)
+
+
+SCALE = st.integers(-900, 900).map(lambda k: 2.0**k)
+
+
+def assert_scales_by(c, plain, scaled, scale):
+    """``scaled`` is ``c`` times ``plain`` within 1e-12 of ``scale``, the
+    summed traces behind a squared distance: its round-off, since an odd
+    power of two changes the rounding of every root and factor."""
+    assert abs(scaled / c - plain) <= 1e-12 * scale
+
+
+def with_noise_cov_times(model, c):
+    return RationalSpectrum(ar=model.ar, ma=model.ma, noise_cov=c * model.noise_cov)
+
+
+@st.composite
+def scaled_model_pairs(draw, dims):
+    """Two VARMA(1,1) models of one dim drawn from ``dims``, and a power of
+    two ``c`` up to 2^+-900, far beyond where ``c^2`` is representable."""
+    m = draw(dims)
+    return draw(varma11_model(m)), draw(varma11_model(m)), draw(SCALE)
+
+
+def assert_positively_homogeneous(case):
+    """Scaling both processes by ``c`` scales the transport and Hellinger
+    squares and every oracle step by ``c``."""
+    x, y, c = case
+    plain = [rational_grid(v, MODEL_N_FREQ) for v in (x, y)]
+    scaled = [rational_grid(with_noise_cov_times(v, c), MODEL_N_FREQ) for v in (x, y)]
+    scale = scale_of(*(g.values for g in plain))
+    # The commutation residual is of order c^2 and may overflow; it is not
+    # a squared distance and is not checked here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for distance in (spectral_w2, hellinger):
+            assert_scales_by(c, distance(*plain).squared, distance(*scaled).squared, scale)
+    ref, got = (convergence_diagnostic(*map(spectrum_to_autocov, grids), (2, 4, 8), 0.0)
+                for grids in (plain, scaled))
+    for p, s, tx, ty in zip(ref.per_step_values, got.per_step_values,
+                            ref.trace_per_step_x, ref.trace_per_step_y):
+        assert_scales_by(c, p, s, tx + ty)
+
+
+@CHECKS
+@given(scaled_model_pairs(st.integers(1, 3)))
+def test_positive_homogeneity_small_dims(case):
+    assert_positively_homogeneous(case)
+
+
+@settings(CHECKS, max_examples=5)
+@given(scaled_model_pairs(st.just(8)))
+def test_positive_homogeneity_dim8(case):
+    assert_positively_homogeneous(case)
+
+
+@CHECKS
+@given(pd_pair(st.integers(1, 8)), SCALE)
+def test_bures_positive_homogeneity(pair, c):
+    a, b = pair
+    scale = float(np.trace(a + b).real)
+    assert_scales_by(c, bures_w2_squared(a, b), bures_w2_squared(c * a, c * b), scale)
