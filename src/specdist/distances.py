@@ -48,7 +48,10 @@ class DistanceReport:
     computed (transport trace or squared Frobenius gap of the roots).
     ``alt_gap`` is ``tr[(Fx Fy)^{1/2}] - tr[Fx^{1/2} Fy^{1/2}]`` per
     frequency, nonnegative up to round-off, and zero on commuting pairs.
-    ``commutation_residual`` is the grid max of ``|Fx Fy - Fy Fx|_F``.
+    ``commutation_residual`` is the grid max of ``|Fx Fy - Fy Fx|_F /
+    (|Fx|_F |Fy|_F)``: dimensionless, so comparable across pairs and
+    unchanged when both spectra are scaled, and at most ``sqrt(2)``
+    (Böttcher & Wenzel, Linear Algebra Appl. 429, 2008).
     ``flooring_count`` sums the construction-time flooring counts of the
     two input grids.  ``is_lower_bound`` marks bound semantics: the same
     number read as a lower bound on the distance rather than the distance
@@ -63,6 +66,13 @@ class DistanceReport:
     commutation_residual: float
     flooring_count: int
     is_lower_bound: bool = False
+
+
+def _frobenius(a) -> np.ndarray:
+    # Per-matrix norms of a stack, as dot products of reals.
+    v = np.ascontiguousarray(a).reshape(len(a), -1)
+    v = v.view(v.real.dtype)
+    return np.sqrt(np.einsum("fi,fi->f", v, v))
 
 
 def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
@@ -98,8 +108,16 @@ def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
     alt = tsp - np.einsum("fij,fji->f", rx, ry).real
     _clamp_round_off(alt, scale, "coupling-trace gap")
 
-    comm = _matmul(xv, yv) - _matmul(yv, xv)
-    residual = float(np.max(np.linalg.norm(comm, axis=(-2, -1))))
+    # Dimensionless, on copies scaled per matrix by the power of two that
+    # puts its trace in [1/2, 1), so that no product or norm over- or
+    # underflows.  On Hermitian grids Fy Fx = (Fx Fy)*.
+    xs, ys = (a * np.ldexp(1.0, -np.frexp(t)[1])[:, None, None]
+              for a, t in ((xv, tr_x), (yv, tr_y)))
+    comm = _matmul(xs, ys)
+    comm -= np.conj(np.swapaxes(comm, -1, -2))
+    comm, norms = _frobenius(comm), _frobenius(xs) * _frobenius(ys)
+    residual = float(np.max(np.divide(comm, norms, out=np.zeros_like(comm),
+                                      where=norms > 0.0)))
     if half:
         integrand, alt = _mirror(integrand, n), _mirror(alt, n)
     squared = float(np.mean(integrand))

@@ -29,7 +29,7 @@ takes the closed form only for a grid with nothing to floor or refuse; the
 tests keep its general ``eigh`` path as the reference.  The batched
 products at m = 2 are written entry by entry by ``_matmul`` (``@`` at
 every other m): the transfer function and ``H Q H*`` in ``spectra``, the
-coupling sandwich here, and the commutator in ``distances``.
+coupling sandwich here, and the commutator's product in ``distances``.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ __all__ = [
 DENSE_CAP = 4096
 
 #: Default horizon schedule for convergence runs, before the dim cap.
-DEFAULT_HORIZONS = (16, 32, 64, 128, 256, 512, 1024)
+DEFAULT_HORIZONS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
 
 def default_horizons(dim: int) -> tuple:
@@ -162,14 +162,17 @@ def convergence_diagnostic(
     Notes
     -----
     ``converged`` is true when the extrapolated limit and the target differ
-    by at most ``max(1e-3 * target, 1e-8)``.  A non-monotone tail (beyond
+    by at most ``max(1e-3 * target, 1e-8 * s)``, with ``s = tr Rx(0) +
+    tr Ry(0)``, which bounds every squared distance of the pair; both
+    floors are relative, so the verdict does not change when both
+    processes are scaled by one factor.  A non-monotone tail (beyond
     round-off) flags the fit as degenerate and emits
     :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
 
     The default schedule refits the last three horizons after each horizon
     from the third on, and stops, at the fourth horizon at the earliest,
     once the fit ``L_k`` and the previous one agree to
-    ``|L_k - L_{k-1}| <= 1e-2 * max(1e-3 |L_k|, 1e-8)``: a hundredth of the
+    ``|L_k - L_{k-1}| <= 1e-2 * max(1e-3 |L_k|, 1e-8 * s)``: a hundredth of the
     convergence tolerance, taken against the sequence's own limit and never
     against the target.  For geometrically decaying lags the per-step value
     is ``L + c/(i+1)`` up to geometrically vanishing terms (Szegő-type
@@ -191,6 +194,9 @@ def convergence_diagnostic(
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError(f"horizons must be strictly increasing, got {horizons}")
 
+    # The floors' unit, tr Rx(0) + tr Ry(0), bounds every squared distance.
+    target_x, target_y = (float(np.trace(a.lags[0])) for a in (acx, acy))
+    floor = 1e-8 * (target_x + target_y)
     per_step = []
     min_eigs = []
     trace_x = []
@@ -209,7 +215,7 @@ def convergence_diagnostic(
         trace_y.append(float(np.trace(sy)) / (h + 1))
         if stop_early and i >= 2:
             previous, fit = fit, _fit_tail(horizons[: i + 1], per_step)
-            if previous is not None and abs(fit - previous) <= 1e-2 * max(1e-3 * abs(fit), 1e-8):
+            if previous is not None and abs(fit - previous) <= 1e-2 * max(1e-3 * abs(fit), floor):
                 break
     horizons = horizons[: len(per_step)]
     if not np.all(np.isfinite(per_step)):
@@ -229,7 +235,7 @@ def convergence_diagnostic(
             )
 
     limit = _fit_tail(horizons, per_step)
-    tol = max(1e-3 * abs(spectral_target), 1e-8)
+    tol = max(1e-3 * abs(spectral_target), floor)
     converged = abs(limit - spectral_target) <= tol
     return ConvergenceDiagnostic(
         horizons=tuple(horizons),
@@ -240,7 +246,7 @@ def convergence_diagnostic(
         min_eigenvalues=tuple(min_eigs),
         trace_per_step_x=tuple(trace_x),
         trace_per_step_y=tuple(trace_y),
-        trace_target_x=float(np.trace(acx.lags[0])),
-        trace_target_y=float(np.trace(acy.lags[0])),
+        trace_target_x=target_x,
+        trace_target_y=target_y,
         fit_degenerate=degenerate,
     )

@@ -64,24 +64,28 @@ def test_oracle_default_schedule_converges():
     payload = json.loads(stdout)
     assert payload["converged"] is True
     # Geometrically decaying lags: the tail fit settles at the earliest stop.
-    assert payload["horizons"] == [16, 32, 64, 128]
+    assert payload["horizons"] == [16, 24, 32, 48]
 
 
-@pytest.mark.parametrize("x, y", [
+@pytest.mark.parametrize("x, y, stop", [
     ({"ar": [0.99], "ma": [1.0], "noise_cov": 1.0},
-     {"ar": [0.5], "ma": [1.0], "noise_cov": 1.0}),
-    ({"ma": [1.0, 1.0], "noise_cov": 1.0}, {"ma": [1.0], "noise_cov": 1.0}),
-], ids=["ar0.99_vs_ar0.5", "ma1_unit_zero_vs_white"])
-def test_oracle_default_schedule_runs_in_full_on_slow_tails(tmp_path, x, y):
+     {"ar": [0.5], "ma": [1.0], "noise_cov": 1.0}, 512),
+    ({"ma": [1.0, 1.0], "noise_cov": 1.0}, {"ma": [1.0], "noise_cov": 1.0}, 512),
+    ({"ar": [0.999], "ma": [1.0], "noise_cov": 1.0},
+     {"ar": [0.5], "ma": [1.0], "noise_cov": 1.0}, 1024),
+], ids=["ar0.99_vs_ar0.5", "ma1_unit_zero_vs_white", "ar0.999_vs_ar0.5"])
+def test_oracle_default_schedule_runs_in_full_on_slow_tails(tmp_path, x, y, stop):
     # A near-unit root and a spectral zero leave tail terms the 1/(h+1)
-    # fit does not model, so the stop rule never fires.
+    # fit does not model: the stop rule fires only at 512, or for
+    # AR(0.999) never, and then the whole schedule runs.
     px, py = tmp_path / "x.json", tmp_path / "y.json"
     px.write_text(json.dumps(x))
     py.write_text(json.dumps(y))
     code, stdout, _ = run_case(("oracle", str(px), str(py)))
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["horizons"] == [16, 32, 64, 128, 256, 512, 1024]
+    ladder = specdist.toeplitz.DEFAULT_HORIZONS
+    assert payload["horizons"] == list(ladder[: ladder.index(stop) + 1])
     assert payload["converged"] is True
 
 
@@ -502,19 +506,45 @@ def test_memory_error_prints_one_line():
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
 
 
+def plain_and_scaled(tmp_path, c, command, names, *opts):
+    """Run ``command`` on the models ``data/<name>.json`` and again on
+    copies with each ``noise_cov`` times ``c``: (plain run, scaled run)."""
+    for name in names:
+        model = json.loads((DATA_DIR / name).read_text())
+        model["noise_cov"] = (c * np.asarray(model["noise_cov"])).tolist()
+        (tmp_path / name).write_text(json.dumps(model))
+    return tuple(run_case((command, *(str(d / name) for name in names), *opts))
+                 for d in (DATA_DIR, tmp_path))
+
+
 def test_distance_at_a_tiny_scale(tmp_path):
     # Both noise covariances times 2^-600: the squared distance scales by
     # 2^-600 although every coupling product is far below the float range.
     c = 2.0**-600
-    for name in ("var2_x.json", "var2_y.json"):
-        model = json.loads((DATA_DIR / name).read_text())
-        model["noise_cov"] = (c * np.asarray(model["noise_cov"])).tolist()
-        (tmp_path / name).write_text(json.dumps(model))
-    plain, scaled = (run_case(("dist", str(d / "var2_x.json"), str(d / "var2_y.json"),
-                               "--n-freq", "64")) for d in (DATA_DIR, tmp_path))
+    plain, scaled = plain_and_scaled(tmp_path, c, "dist", ("var2_x.json", "var2_y.json"),
+                                     "--n-freq", "64")
     assert scaled[0] == 0 and scaled[2] == ""
     squared = [json.loads(run[1])["squared"] for run in (plain, scaled)]
     assert abs(squared[1] / c - squared[0]) <= 1e-12 * squared[0]
+
+
+def test_commutation_residual_at_a_huge_scale(tmp_path):
+    # Times 2^600, Sx Sy alone would overflow; the residual is formed on
+    # copies scaled by powers of two, so it is finite and unchanged.
+    plain, scaled = plain_and_scaled(tmp_path, 2.0**600, "dist",
+                                     ("var2_x.json", "var2_y.json"), "--n-freq", "64")
+    assert scaled[0] == 0 and scaled[2] == ""
+    residual = [json.loads(run[1])["commutation_residual"] for run in (plain, scaled)]
+    assert residual[0] == residual[1] and 0.0 < residual[0] <= np.sqrt(2.0)
+
+
+def test_oracle_verdict_at_a_tiny_scale(tmp_path):
+    # A lag cut that the verdict must flag.  Its floors scale with the
+    # pair, so at 2^-600 it reads false as the plain run does.
+    runs = plain_and_scaled(tmp_path, 2.0**-600, "oracle", ("ar1.json", "white.json"),
+                            "--max-lag", "1", "--horizons", "4,8,16", "--n-freq", "512")
+    for code, stdout, stderr in runs:
+        assert (code, stderr) == (0, "") and json.loads(stdout)["converged"] is False
 
 
 def test_autocovariance_without_lags_exits_4(tmp_path):

@@ -220,9 +220,9 @@ def test_diagnostic_validations():
 def test_default_horizons_fit_dense_budget():
     assert default_horizons(1) == DEFAULT_HORIZONS
     assert default_horizons(2) == DEFAULT_HORIZONS
-    assert default_horizons(4) == (16, 32, 64, 128, 256, 512)
-    assert default_horizons(8) == (16, 32, 64, 128, 256)
-    assert default_horizons(32) == (16, 32, 64)
+    assert default_horizons(4) == DEFAULT_HORIZONS[: DEFAULT_HORIZONS.index(768) + 1]
+    assert default_horizons(8) == DEFAULT_HORIZONS[: DEFAULT_HORIZONS.index(384) + 1]
+    assert default_horizons(32) == (16, 24, 32, 48, 64, 96)
     for m in (3, 5, 17, 240):
         assert all((h + 1) * m <= DENSE_CAP for h in default_horizons(m))
     # No horizon fits: the first one stays, and the budget error names it.
@@ -268,19 +268,21 @@ def fake_sequence(monkeypatch, value):
     return asked
 
 
-@pytest.mark.parametrize("rho, stop", [(0.4, 128), (0.7, 256), (0.8, 512)])
+@pytest.mark.parametrize("rho, stop", [(0.4, 48), (0.7, 128), (0.8, 192)])
 def test_default_schedule_stops_once_geometric_term_fades(monkeypatch, rho, stop):
     # The three-point fit absorbs L + c/(h+1) exactly, so two successive
     # fits differ by about the geometric term at the first point of the
-    # earlier window.  The rule (a step under 1e-2 * 1e-3 |L|) fires at the
-    # first horizon whose earlier window starts where rho^h < 2e-5.
+    # earlier window, times that fit's weight on it (about 1.2 in magnitude
+    # on this ladder).  The rule (a step under 1e-2 * 1e-3 |L| = 8e-6)
+    # fires at the first horizon whose earlier window starts where
+    # rho^h < 6e-6.
     limit = 0.8
     asked = fake_sequence(monkeypatch, lambda h: limit + 2.0 / (h + 1) + rho**h)
     diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=limit)
     ran = DEFAULT_HORIZONS[: DEFAULT_HORIZONS.index(stop) + 1]
     assert diag.horizons == ran and asked == list(ran)
     starts = [DEFAULT_HORIZONS[k - 3] for k in range(3, len(ran))]
-    assert rho ** starts[-1] < 2e-5 and all(rho**h > 2e-5 for h in starts[:-1])
+    assert rho ** starts[-1] < 6e-6 and all(rho**h > 6e-6 for h in starts[:-1])
     assert abs(diag.extrapolated_limit - limit) <= 1e-5 * limit
     assert diag.converged and not diag.fit_degenerate
     assert len(diag.per_step_values) == len(diag.min_eigenvalues) == len(ran)
@@ -294,6 +296,19 @@ def test_default_schedule_runs_in_full_on_an_algebraic_tail(monkeypatch):
     assert diag.horizons == DEFAULT_HORIZONS
 
 
+def test_default_schedule_stops_at_dim_32(monkeypatch):
+    # The dense cap leaves dim 32 the horizons 16 to 96, room for the stop
+    # rule to fire.  An (h+1)-square stand-in replaces each stacked matrix,
+    # so that no dense solve runs.
+    monkeypatch.setattr(specdist.toeplitz, "build_block_toeplitz",
+                        lambda acov, h, policy: (acov.lags[0, 0, 0] * np.eye(h + 1), 1.0))
+    asked = fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + 0.4**h)
+    wide = [Autocovariance(lags=c * np.eye(32)[None]) for c in (1.0, 2.0)]
+    diag = convergence_diagnostic(*wide, spectral_target=0.8)
+    assert diag.horizons == (16, 24, 32, 48) and asked == [16, 24, 32, 48]
+    assert diag.converged and not diag.fit_degenerate
+
+
 def test_explicit_horizons_run_in_full(monkeypatch):
     asked = fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + 0.4**h)
     diag = convergence_diagnostic(ar1_acov(), white_acov(), DEFAULT_HORIZONS, 0.8)
@@ -303,6 +318,6 @@ def test_explicit_horizons_run_in_full(monkeypatch):
 def test_identical_pair_stops_at_the_earliest_horizon():
     acov = ar1_acov()
     diag = convergence_diagnostic(acov, acov)
-    assert diag.horizons == (16, 32, 64, 128)
+    assert diag.horizons == (16, 24, 32, 48)
     assert diag.per_step_values == (0.0, 0.0, 0.0, 0.0)
     assert diag.extrapolated_limit == 0.0 and diag.converged
