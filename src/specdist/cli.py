@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``dist`` (distance or lower bound between two spectrum
-sources, optionally cross-checked by the finite-horizon oracle),
+Subcommands: ``dist`` (distance, lower bound or Hellinger distance between
+two spectrum sources, optionally cross-checked by the finite-horizon oracle),
 ``estimate`` (Welch spectrum from a time-series CSV), ``oracle``
 (finite-horizon convergence diagnostic for model or autocovariance
 sources), and ``info`` (source summary: definiteness margins, symmetry
@@ -19,7 +19,6 @@ unstable or singular model, or a ``ValueError``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -81,6 +80,8 @@ def _check_options(args) -> None:
         args.policy = PsdPolicy(args.floor_eps, args.negativity_tol)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if getattr(args, "semantics", None) == "hellinger" and args.oracle:
+        raise ParseError("--oracle checks the transport distance, not --semantics hellinger")
     if not getattr(args, "oracle", True):
         for flag, value in (("--horizons", args.horizons), ("--max-lag", args.max_lag)):
             if value is not None:
@@ -168,10 +169,9 @@ def _compare(args):
     n_freq = fixed[0][1] if fixed else args.n_freq or max([DEFAULT_N_FREQ, *fits])
     grids = [_resolve_grid(k, o, n_freq, args) for k, o in sources]
 
-    if getattr(args, "semantics", None) == "gelbrich":
-        report = distances.gelbrich_lower_bound(grids[0], grids[1], args.policy)
-    else:
-        report = distances.spectral_w2(grids[0], grids[1], args.policy)
+    measure = {"elliptical": distances.spectral_w2, "gelbrich": distances.gelbrich_lower_bound,
+               "hellinger": distances.hellinger}[getattr(args, "semantics", "elliptical")]
+    report = measure(grids[0], grids[1], args.policy)
     if not args.oracle:
         return report, None
     # The spectral target always comes from the full source definition;
@@ -201,7 +201,7 @@ def _report_csv(report: distances.DistanceReport) -> str:
     n = report.n_freq
     columns = {"omega_index": np.arange(n), "omega": spectra.default_omegas(n),
                "per_freq_trace": report.per_freq_trace, "alt_gap": report.alt_gap}
-    return fileio._csv_text(report, meta, columns)
+    return fileio._csv_text(report, meta, {k: c for k, c in columns.items() if c is not None})
 
 
 def _diag_csv(diag: toeplitz.ConvergenceDiagnostic) -> str:
@@ -228,8 +228,7 @@ def cmd_dist(args) -> int:
     elif diag is None:
         text = fileio.json_dumps(report)
     else:
-        # The payload is a copy of the report's fields; the report is unchanged.
-        text = fileio.json_dumps({**dataclasses.asdict(report), "oracle": diag})
+        text = fileio.json_dumps({**vars(report), "oracle": diag})
     _emit(text, args.out)
     return 0
 
@@ -343,10 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="distance or lower bound between two spectrum sources")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--semantics", choices=("elliptical", "gelbrich"),
+    p.add_argument("--semantics", choices=("elliptical", "gelbrich", "hellinger"),
                    default="elliptical",
                    help="elliptical: the distance; gelbrich: the same number "
-                        "as a lower bound")
+                        "as a lower bound; hellinger: the Hellinger distance")
     p.add_argument("--oracle", action="store_true",
                    help="attach a finite-horizon convergence diagnostic")
     p.set_defaults(func=cmd_dist)

@@ -9,12 +9,13 @@ distance replaces the coupling term with ``|A^{1/2} - B^{1/2}|_F^2``; since
 ``tr[(AB)^{1/2}] >= tr[A^{1/2} B^{1/2}]`` on positive definite pairs, it
 never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
-reported as a diagnostic.  One function builds each report; the two
-distances differ only in the integrand it averages, and the Hellinger
-integrand is computed only by :func:`hellinger`.
+a diagnostic of the Hellinger report.  One function builds each report; the
+two distances differ only in the integrand it averages.  The transport trace
+couples a factor of ``Fx`` with ``Fy`` and needs no eigenvector; only
+:func:`hellinger` forms the principal roots.
 
 ``GridSpectrum.build`` records on each grid whether it made it from an
-exact mirror (``mirrored``: values and roots satisfy ``value(N-l) =
+exact mirror (``mirrored``: its values satisfy ``value(N-l) =
 conj(value(l))`` bitwise, as for model, autocovariance and Welch grids).
 A pair whose grids are both mirrored is coupled on ``l = 0..N/2`` only, as
 conjugation keeps every per-frequency quantity, and its per-frequency
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .hermitian import DEFAULT_POLICY, PsdPolicy, _clamp_round_off, _matmul, coupling_trace
+from .hermitian import (DEFAULT_POLICY, PsdPolicy, _clamp_round_off, _factors, _matmul, _roots,
+                        coupling_trace)
 from .spectra import GridSpectrum, _mirror
 
 __all__ = [
@@ -46,8 +48,6 @@ class DistanceReport:
 
     ``per_freq_trace`` holds the integrand of whichever distance was
     computed (transport trace or squared Frobenius gap of the roots).
-    ``alt_gap`` is ``tr[(Fx Fy)^{1/2}] - tr[Fx^{1/2} Fy^{1/2}]`` per
-    frequency, nonnegative up to round-off, and zero on commuting pairs.
     ``commutation_residual`` is the grid max of ``|Fx Fy - Fy Fx|_F /
     (|Fx|_F |Fy|_F)``: dimensionless, so comparable across pairs and
     unchanged when both spectra are scaled, and at most ``sqrt(2)``
@@ -55,17 +55,19 @@ class DistanceReport:
     ``flooring_count`` sums the construction-time flooring counts of the
     two input grids.  ``is_lower_bound`` marks bound semantics: the same
     number read as a lower bound on the distance rather than the distance
-    itself.
+    itself.  ``alt_gap`` (None on a transport report) is ``tr[(Fx
+    Fy)^{1/2}] - tr[Fx^{1/2} Fy^{1/2}]`` per frequency, nonnegative up to
+    round-off, and zero on commuting pairs.
     """
 
     value: float
     squared: float
     n_freq: int
     per_freq_trace: np.ndarray
-    alt_gap: np.ndarray
     commutation_residual: float
     flooring_count: int
     is_lower_bound: bool = False
+    alt_gap: np.ndarray | None = None
 
 
 def _frobenius(a) -> np.ndarray:
@@ -88,25 +90,27 @@ def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
     if np.array_equal(x.values, y.values):
         # Bitwise-equal grids are reported as exactly coincident; this keeps
         # the identity axiom and output determinism free of round-off.
-        return DistanceReport(0.0, 0.0, n, np.zeros(n), np.zeros(n), 0.0, flooring_count)
+        return DistanceReport(0.0, 0.0, n, np.zeros(n), 0.0, flooring_count,
+                              alt_gap=np.zeros(n) if hellinger else None)
 
-    xv, yv, rx, ry = x.values, y.values, x.root, y.root
+    xv, yv = x.values, y.values
     # A mirrored pair is coupled on rows l = 0..N/2 and its arrays mirrored.
     half = x.mirrored and y.mirrored
     if half:
-        xv, yv, rx, ry = (a[: n // 2 + 1] for a in (xv, yv, rx, ry))
-    tsp = coupling_trace(rx, yv, policy)
+        xv, yv = xv[: n // 2 + 1], yv[: n // 2 + 1]
+    tsp = coupling_trace(_factors(xv, policy), yv, policy)
 
     tr_x = np.trace(xv, axis1=-2, axis2=-1).real
     tr_y = np.trace(yv, axis1=-2, axis2=-1).real
     scale = tr_x + tr_y
     integrand = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
+    alt = None
     if hellinger:
+        rx, ry = _roots(xv), _roots(yv)
         integrand = np.sum(np.abs(rx - ry) ** 2, axis=(-2, -1))
-
-    # The gap is guarded like the transport trace but reported unclamped.
-    alt = tsp - np.einsum("fij,fji->f", rx, ry).real
-    _clamp_round_off(alt, scale, "coupling-trace gap")
+        # The gap is guarded like the transport trace but reported unclamped.
+        alt = tsp - np.einsum("fij,fji->f", rx, ry).real
+        _clamp_round_off(alt, scale, "coupling-trace gap")
 
     # Dimensionless, on copies scaled per matrix by the power of two that
     # puts its trace in [1/2, 1), so that no product or norm over- or
@@ -119,10 +123,10 @@ def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
     residual = float(np.max(np.divide(comm, norms, out=np.zeros_like(comm),
                                       where=norms > 0.0)))
     if half:
-        integrand, alt = _mirror(integrand, n), _mirror(alt, n)
+        integrand, alt = (a if a is None else _mirror(a, n) for a in (integrand, alt))
     squared = float(np.mean(integrand))
-    return DistanceReport(float(np.sqrt(squared)), squared, n, integrand, alt, residual,
-                          flooring_count)
+    return DistanceReport(float(np.sqrt(squared)), squared, n, integrand, residual,
+                          flooring_count, alt_gap=alt)
 
 
 def spectral_w2(

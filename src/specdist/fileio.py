@@ -100,7 +100,7 @@ def _csv_text(obj, meta: tuple, columns: dict) -> str:
 
 def json_dumps(obj) -> str:
     """Deterministic JSON: fixed float rendering, insertion-ordered keys,
-    dataclasses by their fields in declaration order."""
+    dataclasses by field order; a key or field holding None is left out."""
     pieces: list[str] = []
     _emit(obj, pieces)
     return "".join(pieces)
@@ -123,7 +123,7 @@ def _emit(obj, out: list) -> None:
         _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     elif isinstance(obj, dict):
         out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
+        for i, (k, v) in enumerate((k, v) for k, v in obj.items() if v is not None):
             if i:
                 out.append(", ")
             out.append(json.dumps(str(k)))

@@ -3,14 +3,15 @@
 Principal PSD square roots and the Bures-type quadratic coupling cost
 ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on pairs of Hermitian
 positive-definite matrices.  One kernel, ``coupling_trace``, takes the
-coupling trace from any factor ``A = F F*``: the grid path passes the
-roots its build holds, a single pair the Cholesky factor of ``A``, or its
-floored root when ``A`` has none.  Everything here is a pure function of
-its inputs, except that ``psd_root`` conjugates its ``v`` argument in
-place; real symmetric matrices stay in real arithmetic throughout.  The
-package's symmetry, negativity, flooring and round-off rules live here,
-the grid-wide one too (``_floored_roots``, which ``GridSpectrum.build``
-calls, measured against the grid's largest eigenvalue); only the strict
+coupling trace from any factor ``A = F F*``; ``_factors`` gives a matrix
+or a grid its closed-form root at m = 2, its Cholesky factor otherwise, or
+its floored root when it has none, so no transport number needs an
+eigenvector; only the Hellinger distance forms principal roots
+(``_roots``).  Everything here is a pure function of its inputs; real
+symmetric matrices stay in real arithmetic throughout.  The package's
+symmetry, negativity, flooring and round-off rules live here, the
+grid-wide one too (``_floored_rows``, which ``GridSpectrum.build`` calls,
+measured against the grid's largest eigenvalue); only the strict
 ``noise_cov`` rule of ``RationalSpectrum`` is applied outside this module.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
@@ -24,9 +25,9 @@ eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
 scaled by a power of two before any product, so that no product
 overflows, and none underflows unless negligible against the matrix.
 The coupling kernel scales the same way and takes its eigenvalues from
-the closed form at m = 2, from ``eigvalsh`` otherwise.  ``_floored_roots``
+the closed form at m = 2, from ``eigvalsh`` otherwise.  ``_floored_rows``
 takes the closed form only for a grid with nothing to floor or refuse; the
-tests keep its general ``eigh`` path as the reference.  The batched
+tests keep a whole-grid ``eigh`` path as the reference.  The batched
 products at m = 2 are written entry by entry by ``_matmul`` (``@`` at
 every other m): the transfer function and ``H Q H*`` in ``spectra``, the
 coupling sandwich here, and the commutator's product in ``distances``.
@@ -54,7 +55,6 @@ __all__ = [
     "coupling_trace",
     "hermitian_part",
     "hermitian_residual",
-    "psd_root",
     "sqrt_psd_many",
     "trace_sqrt_product",
 ]
@@ -171,16 +171,6 @@ def _clamp_round_off(val, scale, what: str) -> np.ndarray:
     return np.maximum(val, 0.0)
 
 
-def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``V diag(sqrt(w)) V*`` from a batched eigendecomposition with ``w``
-    already floored.  ``v`` is conjugated in place (one stack-sized
-    temporary less), so the caller must not reuse it.  Not symmetrized.
-    """
-    scaled = v * np.sqrt(w)[..., None, :]
-    np.conj(v, out=v)
-    return scaled @ np.swapaxes(v, -1, -2)
-
-
 def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Principal square roots of a stack of Hermitian PSD matrices.
 
@@ -197,7 +187,8 @@ def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.
     w, v = np.linalg.eigh(values)
     _refuse_indefinite(w, policy, "matrix")
     floors = policy.floor_eps * np.maximum(w[..., -1], 0.0)
-    return psd_root(np.maximum(w, floors[..., None]), v)
+    scaled = v * np.sqrt(np.maximum(w, floors[..., None]))[..., None, :]
+    return scaled @ np.swapaxes(np.conj(v, out=v), -1, -2)  # v conjugated in place
 
 
 def _eig_scaled_2x2(h):
@@ -247,45 +238,54 @@ def _psd_root_2x2(eig) -> np.ndarray:
     return root
 
 
-def _floored_roots(rows, policy: PsdPolicy, name: str):
+def _floored_rows(rows, policy: PsdPolicy, name: str):
     """The grid-wide definiteness rule on rows ``(n, m, m)``: their
-    Hermitian parts, floored, their principal roots, their eigenvalues
-    ``(n, m)`` after flooring and the mask of floored rows.  Against the
-    grid's largest eigenvalue, a grid with no positive mass or an
-    eigenvalue below ``-negativity_tol`` times it raises
-    ``NotPositiveDefinite``; one below ``floor_eps`` times it is lifted to
-    that floor.  At m = 2 a grid whose every eigenvalue is positive and at
-    least the floor takes its eigenvalues and roots from the closed forms;
-    any other grid is decomposed by ``eigh``, which alone floors and
-    refuses."""
+    Hermitian parts, floored, their eigenvalues ``(n, m)`` after flooring
+    and the mask of floored rows.  Against the grid's largest eigenvalue, a
+    grid with no positive mass or an eigenvalue below ``-negativity_tol``
+    times it raises ``NotPositiveDefinite``; one below ``floor_eps`` times
+    it is lifted to that floor.  At m = 2 a grid whose every eigenvalue is
+    positive and at least the floor takes its eigenvalues from the closed
+    form; any other grid's come from ``eigvalsh``, which alone floors and
+    refuses, and ``eigh`` runs only on the rows the floor lifts, to rebuild
+    them from their floored decomposition."""
     rows = hermitian_part(rows)
     if rows.shape[-1] == 2:
-        eig = _eig_scaled_2x2(rows)
-        w = _eigvals_2x2(eig)
+        w = _eigvals_2x2(_eig_scaled_2x2(rows))
         lo = w[:, 0].min()
         if lo > 0.0 and lo >= policy.floor_eps * w.max():
-            return rows, _psd_root_2x2(eig), w, np.zeros(len(w), dtype=bool)
-        del eig, w  # not held through the eigensolve
-    w, v = np.linalg.eigh(rows)
+            return rows, w, np.zeros(len(w), dtype=bool)
+    w = np.linalg.eigvalsh(rows)
     scale = float(w.max())
     if scale <= 0.0:
         raise NotPositiveDefinite(f"{name} has no positive eigenvalue mass; cannot floor")
     neg_bound = policy.negativity_tol * scale
     worst = float(w.min())
     if worst < -neg_bound:
-        idx = int(np.argmin(w.min(axis=-1)))
+        idx = int(np.argmin(w[:, 0]))
         raise NotPositiveDefinite(
             f"{name} is indefinite at frequency index {idx}: eigenvalue "
             f"{worst:.6e} below the tolerated band -{neg_bound:.3e}"
         )
     floor = policy.floor_eps * scale
-    floored = w.min(axis=-1) < floor
+    floored = w[:, 0] < floor
     if floored.any():
         np.maximum(w, floor, out=w)
-        vb = v[floored]
-        fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
+        wl, v = np.linalg.eigh(rows[floored])
+        fixed = (v * np.maximum(wl, floor)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
         rows[floored] = hermitian_part(fixed)
-    return rows, psd_root(w, v), w, floored  # v, conjugated, is freed on return
+    return rows, w, floored
+
+
+def _roots(values, policy: PsdPolicy = PsdPolicy(floor_eps=0.0)) -> np.ndarray:
+    """Principal roots of Hermitian PSD matrices: the closed form at m = 2
+    when every one is positive definite, else :func:`sqrt_psd_many`, by
+    default with no further floor, as for a grid that build floored."""
+    if values.shape[-1] == 2:
+        eig = _eig_scaled_2x2(values)
+        if np.all(eig[1] > 0.0):
+            return _psd_root_2x2(eig)
+    return sqrt_psd_many(values, policy)
 
 
 def _matmul(a, b) -> np.ndarray:
@@ -332,21 +332,24 @@ def coupling_trace(factor, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     return np.ldexp(np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1), p + r)
 
 
-def _factor(a, policy: PsdPolicy) -> np.ndarray:
-    # A = F F*: the Cholesky factor, or the floored root when A has none.
+def _factors(a, policy: PsdPolicy) -> np.ndarray:
+    """A factor ``F F* = A`` of one matrix or each of a stack: the root of
+    :func:`_roots` at m = 2, else the Cholesky factor (``A`` taken as given,
+    without the policy floor), or the floored roots when some has none."""
+    if a.shape[-1] == 2:
+        return _roots(a, policy)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return sqrt_psd_many(a[None], policy)[0]
+        return sqrt_psd_many(a, policy)
 
 
 def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``, by
-    :func:`coupling_trace` on the Cholesky factor of ``A`` (a positive
-    definite ``A`` is taken as given, without the policy floor) or, when
-    ``A`` has none (singular, or negative inside the policy band), on its
-    floored root from :func:`sqrt_psd_many`.  The tests keep the sum of
-    square roots of the eigenvalues of ``A B`` as an independent reference.
+    :func:`coupling_trace` on the factor of ``A`` from :func:`_factors`, or
+    on its floored root when ``A`` is singular or negative inside the
+    policy band.  The tests keep the sum of square roots of the eigenvalues
+    of ``A B`` as an independent reference.
 
     Raises
     ------
@@ -360,7 +363,7 @@ def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
     # The factor is passed inline, never bound here, so the kernel frees it.
-    return float(coupling_trace(_factor(a, policy), b, policy))
+    return float(coupling_trace(_factors(a, policy), b, policy))
 
 
 def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:

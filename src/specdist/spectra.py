@@ -8,7 +8,7 @@ Conversions between them go through the FFT; a Welch estimator produces
 grid spectra from raw time series.  Models, autocovariances and series
 describe real processes, whose spectra satisfy ``value(N-l) =
 conj(value(l))``, so their grids are evaluated on ``l = 0..N/2`` and
-mirrored, and :meth:`GridSpectrum.build` checks and decomposes any exact
+mirrored, and :meth:`GridSpectrum.build` checks and floors any exact
 mirror on those rows only.
 """
 
@@ -32,10 +32,11 @@ from .hermitian import (
     DEFAULT_POLICY,
     GRID_HERMITIAN_TOL,
     PsdPolicy,
-    _floored_roots,
+    _floored_rows,
     _matmul,
     _refuse_asymmetric,
     _refuse_indefinite,
+    _roots,
     hermitian_part,
 )
 
@@ -96,8 +97,8 @@ class GridSpectrum:
     ----------
     values : ndarray of shape (n_freq, m, m), complex
         Hermitian PD matrices at ``w_l = 2 pi l / n_freq``.
-    root : ndarray of shape (n_freq, m, m), complex
-        Principal square root of each value, from the decomposition in build.
+    root : ndarray of shape (n_freq, m, m), complex, read-only
+        Principal square root of each value, derived at each read, never stored.
     min_eigenvalue, max_eigenvalue : float
         Extreme eigenvalues over the grid after flooring.
     flooring_count : int
@@ -106,7 +107,7 @@ class GridSpectrum:
     mirrored : bool
         Set by :meth:`build` alone, when it made the grid from an exact
         mirror's rows ``0..N/2`` (every model, autocovariance and Welch
-        grid): values and roots satisfy ``row(N-l) = conj(row l)`` bitwise.
+        grid): its values satisfy ``row(N-l) = conj(row l)`` bitwise.
         Any other grid reads False, a ``dataclasses.replace`` copy too.
     real_symmetry : bool, read-only
         ``check_real_symmetry(self) <= REAL_SYMMETRY_TOL``, read from the kept
@@ -114,7 +115,6 @@ class GridSpectrum:
     """
 
     values: np.ndarray
-    root: np.ndarray
     min_eigenvalue: float
     max_eigenvalue: float
     flooring_count: int = 0
@@ -127,6 +127,10 @@ class GridSpectrum:
     @property
     def n_freq(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def root(self) -> np.ndarray:
+        return _roots(self.values)
 
     @property
     def real_symmetry(self) -> bool:
@@ -146,7 +150,7 @@ class GridSpectrum:
         uniform small level and counted rather than left singular.
 
         An exact mirror (row ``N-l`` bitwise ``conj(row l)``, signed zeros
-        included) is checked, decomposed and floored on rows ``l = 0..N/2``
+        included) is checked and floored on rows ``l = 0..N/2``
         only, mirrored and marked ``mirrored``; a floored row with an image
         counts twice.
 
@@ -171,13 +175,12 @@ class GridSpectrum:
         del images
         rows = values[: n // 2 + 1] if mirrored else values
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
-        rows, root, w, floored = _floored_roots(rows, policy, name)
+        rows, w, floored = _floored_rows(rows, policy, name)
         count = np.count_nonzero(floored)
         if mirrored:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
             rows = _mirror(rows, n)
-            root = _mirror(root, n)
-        spec = cls(values=rows, root=root, min_eigenvalue=float(w.min()),
+        spec = cls(values=rows, min_eigenvalue=float(w.min()),
                    max_eigenvalue=float(w.max()), flooring_count=int(count))
         object.__setattr__(spec, "mirrored", mirrored)
         return spec

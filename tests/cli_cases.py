@@ -68,6 +68,10 @@ CASES = (
     CliCase("dist_oracle_csv",
             ("dist", "data/var2_x.json", "data/var2_y.json", "--n-freq", "16",
              "--oracle", "--horizons", "2,4,8", "--format", "csv"), 0),
+    # The Hellinger distance on the same non-commuting pair, with alt_gap.
+    CliCase("dist_hellinger_var2",
+            ("dist", "data/var2_x.json", "data/var2_y.json", "--n-freq", "16",
+             "--semantics", "hellinger"), 0),
     CliCase("oracle_identical_csv",
             ("oracle", "data/acov_ma1.json", "data/acov_ma1.json",
              "--n-freq", "8", "--horizons", "2,4,8", "--format", "csv"), 0),

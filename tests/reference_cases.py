@@ -2,7 +2,8 @@
 
 ``data/reference_pairs.json`` holds fixed VARMA pairs (dims 1, 2, 3 and 8,
 with MA parts and one spectral zero) together with the transport and
-Hellinger numbers on a 256-point grid and the oracle's per-step values at
+Hellinger numbers on a 256-point grid (the coupling-trace gap from the
+Hellinger report) and the oracle's per-step values at
 horizons 16, 32 and 64, as :func:`numbers` computes them.
 ``golden/regen_reference.py`` rewrites the table after a deliberate change
 to those numbers; ``test_reference.py`` holds the current code to it.
@@ -39,7 +40,7 @@ def numbers(spec_x: dict, spec_y: dict) -> dict:
     ``tr Fx + tr Fy`` the comparison tolerance is relative to."""
     x, y = model_from(spec_x), model_from(spec_y)
     gx, gy = rational_grid(x, N_FREQ), rational_grid(y, N_FREQ)
-    w2 = spectral_w2(gx, gy)
+    w2, hell = spectral_w2(gx, gy), hellinger(gx, gy)
     acx, acy = spectrum_to_autocov(gx), spectrum_to_autocov(gy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitDegenerateWarning)
@@ -48,9 +49,9 @@ def numbers(spec_x: dict, spec_y: dict) -> dict:
     scale += np.trace(gy.values, axis1=1, axis2=2).real
     return {
         "squared": w2.squared,
-        "hellinger_squared": hellinger(gx, gy).squared,
+        "hellinger_squared": hell.squared,
         "per_freq_trace": w2.per_freq_trace.tolist(),
-        "alt_gap": w2.alt_gap.tolist(),
+        "alt_gap": hell.alt_gap.tolist(),
         "oracle_per_step_values": list(diag.per_step_values),
         "scale": scale,
     }

@@ -124,7 +124,7 @@ def test_transport_hellinger_ordering(verdict):
         resid = np.abs(
             np.asarray(hell.per_freq_trace)
             - np.asarray(w2.per_freq_trace)
-            - 2.0 * np.asarray(w2.alt_gap)
+            - 2.0 * np.asarray(hell.alt_gap)
         )
         identity_worst = max(identity_worst, float(resid.max()) / scale)
 

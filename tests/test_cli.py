@@ -19,6 +19,7 @@ from conftest import (
     DATA_DIR,
     count_closed_forms,
     count_eigensolves,
+    random_varma21,
     record_shapes,
     refuse_inverse,
 )
@@ -131,8 +132,8 @@ def test_estimate_writes_deterministic_grid(tmp_path):
 
 def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
     # Welch grids are exact mirrors and the grid CSV round-trips every
-    # float, so each read-back build and the coupling run on rows 0..N/2,
-    # at m = 2 through the closed form.
+    # float, so each read-back build, the factor of x and the coupling run
+    # on rows 0..N/2, at m = 2 through the closed form.
     rng = np.random.default_rng(2718)
     outs = []
     for name in ("x", "y"):
@@ -144,7 +145,7 @@ def test_estimate_output_reads_back_as_a_mirror(tmp_path, monkeypatch):
     closed = count_closed_forms(monkeypatch)
     code, stdout, _ = run_case(("dist", *outs))
     assert code == 0 and json.loads(stdout)["n_freq"] == 64
-    assert (closed, calls) == ([(33, 2, 2)] * 3, [])
+    assert (closed, calls) == ([(33, 2, 2)] * 4, [])
     grid = read_grid_csv(outs[0])
     assert grid.real_symmetry and grid.mirrored
 
@@ -323,11 +324,63 @@ def test_out_writes_the_golden_bytes(tmp_path, case):
     assert out.read_bytes() == case.golden_out.read_bytes()
 
 
+def test_hellinger_semantics_bounds_the_transport_distance():
+    # tr[(A^1/2 B A^1/2)^1/2] >= tr[A^1/2 B^1/2], with equality when A and B
+    # commute, so the Hellinger distance is the larger, equal on scalars.
+    for pair, opts, tol in ((("var2_x.json", "var2_y.json"), ("--n-freq", "16"), None),
+                            (("flat4.csv", "flat1.csv"), (), 1e-12)):
+        runs = [run_case(("dist", *(f"data/{name}" for name in pair), *opts,
+                          "--semantics", semantics)) for semantics in ("elliptical", "hellinger")]
+        assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+        w2, hell = (json.loads(out) for _, out, _ in runs)
+        assert "alt_gap" not in w2 and len(hell["alt_gap"]) == hell["n_freq"]
+        if tol is None:
+            assert hell["squared"] > w2["squared"] and min(hell["alt_gap"]) > 0.0
+        else:
+            assert abs(hell["squared"] - w2["squared"]) <= tol * w2["squared"]
+
+
+def test_hellinger_semantics_refuses_the_oracle():
+    # The oracle converges to the transport distance, never to the Hellinger one.
+    code, out, err = run_case(("dist", "data/var2_x.json", "data/var2_y.json",
+                               "--semantics", "hellinger", "--oracle"))
+    assert (code, out) == (3, "")
+    assert err == ("error: ParseError: --oracle checks the transport distance, "
+                   "not --semantics hellinger\n")
+
+
+def write_model(path, model) -> str:
+    path.write_text(json.dumps({key: getattr(model, key).tolist()
+                                for key in ("ar", "ma", "noise_cov")}))
+    return str(path)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_model_dist_eigensolves(tmp_path, monkeypatch, m):
+    # Counts of batched LAPACK calls (leading axis > 1): no eigh at any dim;
+    # eigvalsh for the x and y builds and the coupling, and one Cholesky
+    # factor of x, except at m = 2, where the closed forms do all of it.
+    rng = np.random.default_rng(27 + m)
+    paths = [write_model(tmp_path / f"{side}.json", random_varma21(m, rng)) for side in "xy"]
+    calls = {name: [] for name in ("eigh", "eigvalsh", "cholesky")}
+    for name, shapes in calls.items():
+        record_shapes(monkeypatch, (name,), shapes)
+    code, out, _ = run_case(("dist", *paths, "--n-freq", "256"))
+    assert code == 0 and json.loads(out)["squared"] > 0.0
+    batched = {name: [s for s in shapes if len(s) == 3 and s[0] > 1]
+               for name, shapes in calls.items()}
+    half = (129, m, m)
+    if m == 2:
+        assert batched == {"eigh": [], "eigvalsh": [], "cholesky": []}
+    else:
+        assert batched == {"eigh": [], "eigvalsh": [half] * 3, "cholesky": [half]}
+
+
 def test_linalg_error_exits_1(monkeypatch):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
     assert run_case(("dist", "data/flat4.csv", "data/flat1.csv")) == (
         1, "", "error: LinAlgError: Eigenvalues did not converge\n"
     )

@@ -23,7 +23,7 @@ from specdist.errors import (
     NotPositiveDefinite,
 )
 from specdist.fileio import json_dumps
-from specdist.hermitian import coupling_trace
+from specdist.hermitian import PsdPolicy, coupling_trace
 from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
@@ -53,28 +53,33 @@ def test_report_shape_and_consistency():
     report = spectral_w2(x, y)
     assert report.n_freq == 32
     assert report.per_freq_trace.shape == (32,)
-    assert report.alt_gap.shape == (32,)
+    assert report.alt_gap is None
     assert abs(report.squared - report.value**2) <= 1e-12 * max(report.squared, 1e-300)
     assert np.all(report.per_freq_trace >= 0.0)
     assert not report.is_lower_bound
-    assert list(json.loads(json_dumps(report))) == [
-        "value", "squared", "n_freq", "per_freq_trace", "alt_gap",
-        "commutation_residual", "flooring_count", "is_lower_bound",
-    ]
+    keys = ["value", "squared", "n_freq", "per_freq_trace", "commutation_residual",
+            "flooring_count", "is_lower_bound"]
+    assert list(json.loads(json_dumps(report))) == keys
+    # Only the Hellinger report carries the coupling-trace gap, last.
+    hell = hellinger(x, y)
+    assert hell.alt_gap.shape == (32,)
+    assert list(json.loads(json_dumps(hell))) == keys + ["alt_gap"]
 
 
 def test_identical_grids_are_exactly_zero():
     x = random_grid_spectrum(3, np.random.default_rng(3), 16)
     # A flooring count on the clone, so that the sum is not 0 + 0.
-    clone = dataclasses.replace(x, values=x.values.copy(), root=x.root.copy(),
-                                flooring_count=x.flooring_count + 2)
+    clone = dataclasses.replace(x, values=x.values.copy(), flooring_count=x.flooring_count + 2)
     for fn in (spectral_w2, gelbrich_lower_bound, hellinger):
         report = fn(x, clone)
         assert report.value == 0.0
         assert report.squared == 0.0
         assert report.n_freq == 16
         assert np.all(report.per_freq_trace == 0.0)
-        assert np.all(report.alt_gap == 0.0) and report.alt_gap.shape == (16,)
+        if fn is hellinger:
+            assert np.all(report.alt_gap == 0.0) and report.alt_gap.shape == (16,)
+        else:
+            assert report.alt_gap is None
         assert report.commutation_residual == 0.0
         assert report.flooring_count == x.flooring_count + clone.flooring_count
 
@@ -96,10 +101,10 @@ def test_grid_mismatch():
 
 
 def test_alt_gap_scalar_and_commuting():
-    gaps = spectral_w2(flat_grid(4.0), flat_grid(1.0)).alt_gap
+    gaps = hellinger(flat_grid(4.0), flat_grid(1.0)).alt_gap
     assert np.max(np.abs(gaps)) <= 1e-12
     cx, cy = commuting_pair(3, np.random.default_rng(11))
-    gaps = spectral_w2(cx, cy).alt_gap
+    gaps = hellinger(cx, cy).alt_gap
     scale = float(np.max(np.trace(cx.values, axis1=-2, axis2=-1).real))
     assert np.max(np.abs(gaps)) <= 1e-10 * scale
 
@@ -107,7 +112,7 @@ def test_alt_gap_scalar_and_commuting():
 def test_alt_gap_noncommuting():
     x = random_grid_spectrum(2, np.random.default_rng(7), 32)
     y = random_grid_spectrum(2, np.random.default_rng(8), 32)
-    report = spectral_w2(x, y)
+    report = hellinger(x, y)
     assert report.commutation_residual > 1e-3
     scale = np.trace(x.values, axis1=-2, axis2=-1).real
     assert np.all(report.alt_gap >= -1e-10 * scale)
@@ -124,7 +129,7 @@ def test_hellinger_ordering_identity():
     hell = hellinger(x, y)
     scale = float(np.max(np.trace(x.values, axis1=-2, axis2=-1).real
                          + np.trace(y.values, axis1=-2, axis2=-1).real))
-    identity = hell.per_freq_trace - (w2.per_freq_trace + 2.0 * w2.alt_gap)
+    identity = hell.per_freq_trace - (w2.per_freq_trace + 2.0 * hell.alt_gap)
     assert np.max(np.abs(identity)) <= 1e-10 * scale
     assert w2.value <= hell.value + 1e-9 * scale
 
@@ -210,20 +215,41 @@ def test_indefinite_input_propagates():
     with pytest.raises(NotPositiveDefinite):
         GridSpectrum.build(bad_values)
     good = random_grid_spectrum(2, np.random.default_rng(3), 4)
-    bad = dataclasses.replace(good, values=bad_values, root=np.full_like(bad_values, np.nan))
+    bad = dataclasses.replace(good, values=bad_values)
     for fn in (spectral_w2, hellinger):
         with pytest.raises(IndefiniteInput):
             fn(good, bad)
 
 
 def test_one_batched_eigensolve_per_distance(monkeypatch):
-    # The roots come from GridSpectrum.build, so the distance itself only
-    # decomposes the coupling sandwich.
+    # The transport distance couples on a Cholesky factor of x, so it
+    # decomposes only the coupling sandwich, for its eigenvalues.
     x = random_grid_spectrum(3, np.random.default_rng(5), 32)
     y = random_grid_spectrum(3, np.random.default_rng(6), 32)
-    calls = count_eigensolves(monkeypatch)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
     spectral_w2(x, y)
-    assert calls == [(32, 3, 3)]
+    assert calls == [(32, 3, 3)] and choleskys == [(32, 3, 3)]
+
+
+def test_a_row_without_a_cholesky_factor_takes_the_floored_roots(monkeypatch):
+    # Without a floor, a row of x that is singular to the last bit (a zero
+    # last row and column) keeps no Cholesky factor; the batched factor then
+    # falls back to the floored roots, which match the root reference.
+    policy = PsdPolicy(floor_eps=0.0)
+    rng = np.random.default_rng(27)
+    values = random_grid_spectrum(3, rng, 16).values.copy()
+    values[5, 2, :] = values[5, :, 2] = 0.0
+    x, y = GridSpectrum.build(values, policy), random_grid_spectrum(3, rng, 16)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(x.values[5])
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    got = spectral_w2(x, y, policy).squared
+    assert choleskys == [(16, 3, 3)] and calls == [(16, 3, 3)] * 2
+    scale = np.trace(x.values + y.values, axis1=1, axis2=2).real
+    want = float(np.mean(scale - 2.0 * coupling_trace(x.root, y.values)))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_negative_band_guard(monkeypatch):
@@ -258,7 +284,6 @@ def assert_same_diagnostics(reports):
     # Every distance reports the pair's diagnostics bitwise alike.
     first = reports[0]
     for report in reports[1:]:
-        assert np.array_equal(report.alt_gap, first.alt_gap)
         assert report.commutation_residual == first.commutation_residual
         assert report.flooring_count == first.flooring_count
 
@@ -276,7 +301,10 @@ def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
                     (hellinger, hell)):
         report = fn(x, y)
         reports.append(report)
-        for got, want in ((report.per_freq_trace, ref), (report.alt_gap, alt)):
+        pairs = [(report.per_freq_trace, ref)]
+        if fn is hellinger:
+            pairs.append((report.alt_gap, alt))
+        for got, want in pairs:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             # Row N-l is row l, bitwise.
             assert np.array_equal(got[1:], got[1:][::-1])
@@ -286,12 +314,18 @@ def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
 @HALF_CASES
 def test_mirrored_pair_couples_half_the_grid(monkeypatch, m, n_freq):
     x, y = model_pair(m, n_freq)
-    calls = count_eigensolves(monkeypatch)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
     closed = count_closed_forms(monkeypatch)
     spectral_w2(x, y)
-    # At m = 2 the coupling's eigenvalues come from the closed form.
+    # At m = 2 the factor of x is its closed-form root and the coupling's
+    # eigenvalues come from the closed form; at any other m the factor is
+    # the Cholesky factor.
     half = [(n_freq // 2 + 1, m, m)]
-    assert (closed, calls) == ((half, []) if m == 2 else ([], half))
+    if m == 2:
+        assert (closed, calls, choleskys) == (half * 2, [], [])
+    else:
+        assert (closed, calls, choleskys) == ([], half, half)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -299,13 +333,13 @@ def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
     rng = np.random.default_rng(m)
     gx, gy = (random_grid_spectrum(m, rng, 32) for _ in range(2))
     x, y = model_pair(m, 32)
-    # One row off its mirror image, in the values of x or the root of y
-    # (by little enough to keep the gap inside its round-off band).
-    values, root = x.values.copy(), y.root.copy()
-    values[3] *= 1.0 + 1e-14
-    root[30] *= 1.0 + 1e-14
-    pairs = ((gx, gy), (dataclasses.replace(x, values=values), y),
-             (x, dataclasses.replace(y, root=root)))
+    # One row off its mirror image, in the values of x or of y (by little
+    # enough to keep the gap inside its round-off band).
+    values_x, values_y = x.values.copy(), y.values.copy()
+    values_x[3] *= 1.0 + 1e-14
+    values_y[30] *= 1.0 + 1e-14
+    pairs = ((gx, gy), (dataclasses.replace(x, values=values_x), y),
+             (x, dataclasses.replace(y, values=values_y)))
     calls = count_eigensolves(monkeypatch)
     for a, b in pairs:
         spectral_w2(a, b)

@@ -198,9 +198,9 @@ def test_bures_root_fallback_on_singular_first_operand(monkeypatch, complex_):
     choleskys = []
     calls = count_eigensolves(monkeypatch, choleskys)
     assert abs(bures_w2_squared(a, b) - ref_lifted) <= 1e-8 * ref_lifted
-    # One eigh for the root of the stack [A], one eigvalsh for the coupling
-    # of the single matrix A^{1/2} the kernel is handed.
-    assert choleskys == [(4, 4)] and calls == [(1, 4, 4), (4, 4)]
+    # One eigh for the root of A, one eigvalsh for the coupling of the
+    # single matrix A^{1/2} the kernel is handed.
+    assert choleskys == [(4, 4)] and calls == [(4, 4), (4, 4)]
 
 
 def test_bures_cholesky_path_on_complex_pair(monkeypatch):

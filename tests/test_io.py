@@ -84,10 +84,12 @@ def test_json_float_arrays_match_per_entry_rendering():
     assert json_dumps(report) == (
         f'{{"value": 1.0000000000000001e+300, "squared": -0, "n_freq": {len(values)}, '
         f'"per_freq_trace": {per_entry_json(values)}, '
-        f'"alt_gap": {per_entry_json(values[::-1])}, '
         '"commutation_residual": 4.9406564584124654e-324, "flooring_count": 3, '
-        '"is_lower_bound": true}'
+        f'"is_lower_bound": true, "alt_gap": {per_entry_json(values[::-1])}}}'
     )
+    # A report without the gap, as the transport distances give, has no such key.
+    assert json_dumps(dataclasses.replace(report, alt_gap=None)) == (
+        json_dumps(report).split(', "alt_gap"')[0] + "}")
     # A mirrored array repeats rows 1..N/2-1, and an all-zero one a single value.
     mirrored = _mirror(np.random.default_rng(3).normal(size=2049), 4096)
     for repeated in (mirrored, np.zeros(4096)):
@@ -115,9 +117,10 @@ def per_entry_report_csv(report) -> str:
             ("flooring_count", str(report.flooring_count)),
             ("is_lower_bound", str(report.is_lower_bound).lower())]
     n = report.n_freq
-    rows = zip(range(n), default_omegas(n), report.per_freq_trace, report.alt_gap)
+    columns = [report.per_freq_trace] + ([] if report.alt_gap is None else [report.alt_gap])
+    rows = zip(range(n), default_omegas(n), *columns)
     return ("".join(f"# {k}={v}\n" for k, v in meta)
-            + "omega_index,omega,per_freq_trace,alt_gap\n"
+            + "omega_index,omega,per_freq_trace" + ",alt_gap" * (len(columns) - 1) + "\n"
             + "".join(f"{l},{','.join(format_float(v) for v in vs)}\n" for l, *vs in rows))
 
 
@@ -126,7 +129,7 @@ def test_csv_report_matches_per_entry_rendering():
     mirrored = _mirror(np.random.default_rng(3).normal(size=2049), 4096)
     repeated = dataclasses.replace(SPECIAL_REPORT, n_freq=4096, per_freq_trace=mirrored,
                                    alt_gap=np.zeros(4096))
-    for report in (SPECIAL_REPORT, repeated):
+    for report in (SPECIAL_REPORT, repeated, dataclasses.replace(repeated, alt_gap=None)):
         # Line lists, so that a failure names the first differing row quickly.
         want = per_entry_report_csv(report).split("\n")
         assert cli._report_csv(report).split("\n") == want
@@ -187,8 +190,7 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
     values = np.ones((4, 2, 2), dtype=complex)
     values[1, 0, 1] = complex(1.0, np.inf)
     values[2, 1, 1] = np.nan
-    grid = GridSpectrum(values=values, root=values,
-                        min_eigenvalue=np.nan, max_eigenvalue=np.nan)
+    grid = GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan)
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError) as exc:
         write_grid_csv(path, grid)
@@ -245,8 +247,7 @@ def direct_grid(n_freq):
     values[:, 1, 0] = np.conj(values[:, 0, 1])
     values[1, 2, 0], values[1, 0, 2] = complex(-0.0, 5e-324), complex(-0.0, 5e-324)
     values[2, 2, 1], values[2, 1, 2] = complex(1e300, -0.0), complex(1e300, 0.0)
-    return GridSpectrum(values=values, root=values,
-                        min_eigenvalue=np.nan, max_eigenvalue=np.nan)
+    return GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan)
 
 
 def rendered_floats(grid) -> int:
@@ -370,8 +371,7 @@ def written_grids(draw):
         values = np.concatenate([values, np.conj(values[(n + 1) // 2 - 1:0:-1])])
     if built:
         return GridSpectrum.build(values), True
-    return GridSpectrum(values=values, root=values,
-                        min_eigenvalue=np.nan, max_eigenvalue=np.nan), False
+    return GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan), False
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200,

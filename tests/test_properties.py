@@ -110,7 +110,7 @@ def test_transport_below_hellinger_and_gap_band(case):
     assert w2.squared <= hell.squared + 1e-10 * scale
     assert np.all(w2.per_freq_trace <= hell.per_freq_trace + 1e-10 * scale)
     traces = np.trace(vx + vy, axis1=1, axis2=2).real
-    assert np.all(w2.alt_gap >= -NEGATIVE_BAND * traces)
+    assert np.all(hell.alt_gap >= -NEGATIVE_BAND * traces)
 
 
 @CHECKS

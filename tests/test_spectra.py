@@ -28,12 +28,14 @@ from specdist.errors import (
     TooFewSegments,
     UnstableModel,
 )
-from specdist.hermitian import DEFAULT_POLICY, PsdPolicy, sqrt_psd_many
+from specdist.hermitian import DEFAULT_POLICY, PsdPolicy, hermitian_part, sqrt_psd_many
 from specdist.spectra import (
     REAL_SYMMETRY_TOL,
     Autocovariance,
     GridSpectrum,
     RationalSpectrum,
+    _mirror,
+    _mirrored_rows,
     _symmetry_residual,
     autocov_to_spectrum,
     check_real_symmetry,
@@ -114,7 +116,9 @@ def test_grid_root_from_build_decomposition(case):
     else:
         spec = random_grid_spectrum(case, np.random.default_rng(11), 32)
         ref_tol = 1e-12
+    # The root is derived from the kept values on each access, never stored.
     root = spec.root
+    assert "root" not in vars(spec) and np.array_equal(spec.root, root)
     assert root.shape == spec.values.shape
     scale = np.max(np.abs(spec.values))
     assert np.max(np.abs(root @ root - spec.values)) <= 1e-12 * scale
@@ -197,8 +201,6 @@ def test_real_sources_are_exactly_mirrored(n_freq):
                      autocov_to_spectrum(random_acov(m, rng), n_freq)):
             assert grid.real_symmetry
             assert check_real_symmetry(grid) == 0.0
-            mirrored = np.conj(np.roll(grid.root[::-1], 1, axis=0))
-            assert np.array_equal(grid.root, mirrored)
 
 
 def test_flooring_count_matches_full_grid():
@@ -630,25 +632,28 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
     spec = GridSpectrum.build(values)
     half = [(n_freq // 2 + 1, m, m)]
     # At m = 2 the closed form sees the rows first; a grid with a row to
-    # floor then goes through eigh as a whole.
+    # floor then goes through eigvalsh as a whole, and eigh takes only the
+    # one lifted row of the half.
     assert closed == (half if m == 2 else [])
-    assert calls == ([] if m == 2 and not count else half)
-    for got, want in ((spec.values, ref_values), (spec.root, ref_root)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    if calls:
-        assert (spec.min_eigenvalue, spec.max_eigenvalue) == (lo, hi)
-    else:
-        # The closed form's eigenvalues agree with eigh's to round-off.
-        bound = 4 * np.finfo(float).eps * hi
-        assert abs(spec.min_eigenvalue - lo) <= bound and abs(spec.max_eigenvalue - hi) <= bound
+    assert calls == ([] if m == 2 and not count else half + [(1, m, m)] * bool(count))
+    assert np.max(np.abs(spec.values - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
+    # The root is derived from the floored values: decomposing a floored
+    # value again moves its floor eigenvalue by about eps * scale, which the
+    # root amplifies by 1 / (2 sqrt(floor)).
+    eps = np.finfo(float).eps
+    root_tol = eps / np.sqrt(DEFAULT_POLICY.floor_eps) if count else 1e-13
+    assert np.max(np.abs(spec.root - ref_root)) <= root_tol * np.max(np.abs(ref_root))
+    # eigvalsh, eigh and the closed form agree on the eigenvalues to round-off.
+    bound = 4 * eps * hi
+    assert abs(spec.min_eigenvalue - lo) <= bound and abs(spec.max_eigenvalue - hi) <= bound
     assert spec.flooring_count == ref_count == count
     assert spec.real_symmetry == (roll_residual(values) <= 1e-10) == real_ends
 
 
 def test_build_at_m2_without_a_floor_takes_singular_rows_to_eigh(monkeypatch):
     # With floor_eps 0 a zero row and a rank-one row are at the floor, not
-    # below it; the closed form, whose root would divide by zero on the
-    # zero row, leaves the grid to eigh.
+    # below it; the closed form leaves the grid to eigvalsh, and the root,
+    # whose closed form would divide by zero on the zero row, to eigh.
     values = np.array([np.eye(2), np.zeros((2, 2)), np.ones((2, 2))], dtype=complex)
     policy = PsdPolicy(floor_eps=0.0)
     _, ref_root, _, _, ref_count = whole_grid_build(values, policy)
@@ -656,6 +661,47 @@ def test_build_at_m2_without_a_floor_takes_singular_rows_to_eigh(monkeypatch):
     spec = GridSpectrum.build(values, policy)
     assert calls == [(3, 2, 2)] and spec.flooring_count == ref_count
     assert np.max(np.abs(spec.root - ref_root)) <= 1e-15
+    assert calls == [(3, 2, 2)] * 2
+
+
+def full_eigh_floor(rows, policy=DEFAULT_POLICY):
+    """The floor as a whole-grid eigh applied it: every row decomposed,
+    the floored rows rebuilt from their floored decomposition."""
+    rows = hermitian_part(rows)
+    w, v = np.linalg.eigh(rows)
+    floor = policy.floor_eps * w.max()
+    floored = w.min(axis=-1) < floor
+    np.maximum(w, floor, out=w)
+    vb = v[floored]
+    fixed = (vb * w[floored][:, None, :]) @ np.conj(np.swapaxes(vb, -1, -2))
+    rows[floored] = hermitian_part(fixed)
+    return rows, w, floored
+
+
+@pytest.mark.parametrize("n_freq", [64, 4096])
+def test_floored_rows_match_the_whole_grid_eigh_path(monkeypatch, n_freq):
+    # MA(1) 1 + z, whose zero at pi is row N/2, beside a VARMA(2,1) block,
+    # in a rotated real basis, so that no eigenvalue is a diagonal entry.
+    rng = np.random.default_rng(n_freq)
+    half = n_freq // 2 + 1
+    values = np.zeros((half, 3, 3), dtype=complex)
+    values[:, 0, 0] = np.abs(1.0 + np.exp(-1j * default_omegas(n_freq)[:half])) ** 2
+    values[:, 1:, 1:] = rational_grid(random_varma21(2, rng), n_freq).values[:half]
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    values = _mirror(q @ values @ q.T, n_freq)
+    rows, w, floored = full_eigh_floor(values[:half])
+    calls = count_eigensolves(monkeypatch)
+    spec = GridSpectrum.build(values)
+    # eigvalsh on the half rows; eigh on the one lifted row.
+    assert calls == [(half, 3, 3), (1, 3, 3)]
+    assert spec.values.tobytes() == _mirror(rows, n_freq).tobytes()
+    count = np.count_nonzero(floored) + np.count_nonzero(floored[_mirrored_rows(n_freq)])
+    assert spec.flooring_count == count == 1
+    # eigvalsh and eigh run different LAPACK solvers (sterf and stedc),
+    # which agree to a few ulps of the largest eigenvalue.
+    bound = 4 * np.finfo(float).eps * w.max()
+    assert abs(spec.min_eigenvalue - w.min()) <= bound
+    assert abs(spec.max_eigenvalue - w.max()) <= bound
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -685,8 +731,7 @@ def test_build_records_the_mirror_decision():
     for grid in (model_grid, acov_grid, welch_grid):
         assert grid.mirrored
     # Every grid not made by build from an exact mirror reads False.
-    direct = GridSpectrum(values=model_grid.values, root=model_grid.root,
-                          min_eigenvalue=model_grid.min_eigenvalue,
+    direct = GridSpectrum(values=model_grid.values, min_eigenvalue=model_grid.min_eigenvalue,
                           max_eigenvalue=model_grid.max_eigenvalue)
     for grid in (random_grid_spectrum(2, rng, 32), direct, dataclasses.replace(model_grid)):
         assert not grid.mirrored
