@@ -277,11 +277,12 @@ def cmd_info(args) -> int:
             r0_min_eig=obj.r0_min_eigenvalue,
         )
     elif kind == "grid":
+        lo, hi = obj._extremes()  # one eigensolve for both
         summary.update(
             dim=obj.dim,
             n_freq=obj.n_freq,
-            min_eigenvalue=obj.min_eigenvalue,
-            max_eigenvalue=obj.max_eigenvalue,
+            min_eigenvalue=lo,
+            max_eigenvalue=hi,
             symmetry_residual=spectra.check_real_symmetry(obj),
             real_symmetry=obj.real_symmetry,
             flooring_count=obj.flooring_count,

@@ -11,23 +11,23 @@ eigenvector; only the Hellinger distance forms principal roots
 symmetric matrices stay in real arithmetic throughout.  The package's
 symmetry, negativity, flooring and round-off rules live here, the
 grid-wide one too (``_floored_rows``, which ``GridSpectrum.build`` calls,
-measured against the grid's largest eigenvalue); only the strict
-``noise_cov`` rule of ``RationalSpectrum`` is applied outside this module.
+measured against the grid's largest eigenvalue, with a Cholesky gate); only
+the strict ``noise_cov`` rule of ``RationalSpectrum`` applies outside it.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
 Expo. Math. 2019), which replaces LAPACK's per-matrix overhead on the
 grid: ``_eig_scaled_2x2`` decomposes each matrix from its trace and
 determinant (the eigenvalue of larger magnitude first, the other as
-``det`` over it, never as a difference); ``_eigvals_2x2`` reads the
+``det`` over it, never as a difference); ``_eigvalsh`` reads the
 eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
 ``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
 scaled by a power of two before any product, so that no product
 overflows, and none underflows unless negligible against the matrix.
-The coupling kernel scales the same way and takes its eigenvalues from
-the closed form at m = 2, from ``eigvalsh`` otherwise.  ``_floored_rows``
-takes the closed form only for a grid with nothing to floor or refuse; the
-tests keep a whole-grid ``eigh`` path as the reference.  The batched
+The coupling kernel scales the same way.  It, the grid build's gate at
+m = 2 and a grid's extreme eigenvalues take their eigenvalues from
+``_eigvalsh``, which runs ``eigvalsh`` at every other m; the tests keep a
+whole-grid ``eigh`` path as the reference.  The batched
 products at m = 2 are written entry by entry by ``_matmul`` (``@`` at
 every other m): the transfer function and ``H Q H*`` in ``spectra``, the
 coupling sandwich here, and the commutator's product in ``distances``.
@@ -211,10 +211,12 @@ def _eig_scaled_2x2(h):
     return (a, d, br, bi), np.minimum(small, big), np.maximum(small, big), k
 
 
-def _eigvals_2x2(eig) -> np.ndarray:
-    """Eigenvalues, ascending, as ``(..., 2)``, of a stack of Hermitian
-    matrices from its closed form ``eig = _eig_scaled_2x2(h)``."""
-    _, lo, hi, k = eig
+def _eigvalsh(h) -> np.ndarray:
+    """Eigenvalues, ascending, as ``(..., m)``, of a stack of Hermitian
+    matrices: ``eigvalsh``, or at m = 2 the closed form."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    _, lo, hi, k = _eig_scaled_2x2(h)
     return np.ldexp(np.stack([lo, hi], axis=-1), 2 * k[..., None])
 
 
@@ -238,23 +240,45 @@ def _psd_root_2x2(eig) -> np.ndarray:
     return root
 
 
+def _nothing_to_floor(rows, policy: PsdPolicy) -> bool:
+    """Whether Hermitian rows ``(n, m, m)`` have nothing to floor or refuse:
+    by the closed form at m = 2, else when, with ``tau`` the largest ``Re tr``
+    and ``t = 2 max(floor_eps, 2**-36) tau``, each ``row - t I`` has a
+    Cholesky factor ``L``.  Then ``row - t I + E`` is positive definite for
+    some ``|E| <= gamma_{m+1} |L| |L*|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 10.3): each row's eigenvalues lie in
+    ``[t - O(m^2 eps tau), tau]``, so its smallest clears ``floor_eps``
+    times the grid's largest by ``2**-36 tau`` less that round-off, far
+    beyond ``eigvalsh``'s, and the eigvalsh path would floor and refuse
+    nothing."""
+    m = rows.shape[-1]
+    if m == 2:
+        w = _eigvalsh(rows)
+        lo = w[:, 0].min()
+        return lo > 0.0 and lo >= policy.floor_eps * w.max()
+    with np.errstate(over="ignore"):  # an infinite tau fails the gate
+        tau = float(np.max(np.trace(rows, axis1=-2, axis2=-1).real))
+    shifted = rows.copy()
+    shifted[:, range(m), range(m)] -= 2.0 * max(policy.floor_eps, 2.0**-36) * tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return tau > 0.0
+
+
 def _floored_rows(rows, policy: PsdPolicy, name: str):
     """The grid-wide definiteness rule on rows ``(n, m, m)``: their
-    Hermitian parts, floored, their eigenvalues ``(n, m)`` after flooring
-    and the mask of floored rows.  Against the grid's largest eigenvalue, a
-    grid with no positive mass or an eigenvalue below ``-negativity_tol``
-    times it raises ``NotPositiveDefinite``; one below ``floor_eps`` times
-    it is lifted to that floor.  At m = 2 a grid whose every eigenvalue is
-    positive and at least the floor takes its eigenvalues from the closed
-    form; any other grid's come from ``eigvalsh``, which alone floors and
-    refuses, and ``eigh`` runs only on the rows the floor lifts, to rebuild
-    them from their floored decomposition."""
+    Hermitian parts, floored, and the mask of floored rows.  Against the
+    grid's largest eigenvalue, a grid with no positive mass or an eigenvalue
+    below ``-negativity_tol`` times it raises ``NotPositiveDefinite``; one
+    below ``floor_eps`` times it is lifted to that floor.  A grid that
+    passes :func:`_nothing_to_floor` needs no eigensolve; any other takes
+    the eigvalsh path: ``eigvalsh``, which alone floors and refuses, and
+    ``eigh`` on the rows the floor lifts, to rebuild them floored."""
     rows = hermitian_part(rows)
-    if rows.shape[-1] == 2:
-        w = _eigvals_2x2(_eig_scaled_2x2(rows))
-        lo = w[:, 0].min()
-        if lo > 0.0 and lo >= policy.floor_eps * w.max():
-            return rows, w, np.zeros(len(w), dtype=bool)
+    if _nothing_to_floor(rows, policy):
+        return rows, np.zeros(len(rows), dtype=bool)
     w = np.linalg.eigvalsh(rows)
     scale = float(w.max())
     if scale <= 0.0:
@@ -270,11 +294,10 @@ def _floored_rows(rows, policy: PsdPolicy, name: str):
     floor = policy.floor_eps * scale
     floored = w[:, 0] < floor
     if floored.any():
-        np.maximum(w, floor, out=w)
         wl, v = np.linalg.eigh(rows[floored])
         fixed = (v * np.maximum(wl, floor)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
         rows[floored] = hermitian_part(fixed)
-    return rows, w, floored
+    return rows, floored
 
 
 def _roots(values, policy: PsdPolicy = PsdPolicy(floor_eps=0.0)) -> np.ndarray:
@@ -326,7 +349,7 @@ def coupling_trace(factor, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     h = _matmul(left, factor)
     del left, factor  # a factor passed inline is freed here, before the peak
     h = hermitian_part(h)
-    w = _eigvals_2x2(_eig_scaled_2x2(h)) if h.shape[-1] == 2 else np.linalg.eigvalsh(h)
+    w = _eigvalsh(h)
     del h  # grid-sized, so not held through the rule and the sum
     _refuse_indefinite(w, policy, "coupling matrix", shift=p + r)
     return np.ldexp(np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1), p + r)

@@ -8,8 +8,9 @@ Conversions between them go through the FFT; a Welch estimator produces
 grid spectra from raw time series.  Models, autocovariances and series
 describe real processes, whose spectra satisfy ``value(N-l) =
 conj(value(l))``, so their grids are evaluated on ``l = 0..N/2`` and
-mirrored, and :meth:`GridSpectrum.build` checks and floors any exact
-mirror on those rows only.
+mirrored.  :meth:`GridSpectrum.build` checks and floors any exact mirror
+on those rows only, with no eigensolve unless one needs flooring, and a
+mirrored grid's extremes and symmetry residual are read from them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .hermitian import (
     DEFAULT_POLICY,
     GRID_HERMITIAN_TOL,
     PsdPolicy,
+    _eigvalsh,
     _floored_rows,
     _matmul,
     _refuse_asymmetric,
@@ -75,20 +77,6 @@ def default_omegas(n_freq: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_freq) / n_freq
 
 
-def _symmetry_residual(values: np.ndarray) -> float:
-    # Real-process symmetry: value at index N-l equals the transpose of the
-    # value at index l, which for a Hermitian value is its conjugate.  Each
-    # pair (l, N-l) is compared once, from l = 0..N/2.
-    half = values.shape[0] // 2 + 1
-    gap = np.conj(values[-np.arange(half)])
-    gap -= values[:half]
-    num = float(np.max(np.abs(gap)))
-    den = float(np.max(np.abs(values)))
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
 @dataclass(frozen=True)
 class GridSpectrum:
     """A spectrum sampled on the uniform grid, floored to positive definite.
@@ -99,8 +87,9 @@ class GridSpectrum:
         Hermitian PD matrices at ``w_l = 2 pi l / n_freq``.
     root : ndarray of shape (n_freq, m, m), complex, read-only
         Principal square root of each value, derived at each read, never stored.
-    min_eigenvalue, max_eigenvalue : float
-        Extreme eigenvalues over the grid after flooring.
+    min_eigenvalue, max_eigenvalue : float, read-only
+        Extreme eigenvalues of the kept values (rows ``0..N/2`` of a
+        mirrored grid), derived at each read by one eigensolve, never stored.
     flooring_count : int
         Number of frequencies whose eigenvalues were lifted to the policy
         floor during construction.  Zero for healthy PD input.
@@ -115,8 +104,6 @@ class GridSpectrum:
     """
 
     values: np.ndarray
-    min_eigenvalue: float
-    max_eigenvalue: float
     flooring_count: int = 0
     mirrored: bool = field(default=False, init=False)
 
@@ -135,6 +122,13 @@ class GridSpectrum:
     @property
     def real_symmetry(self) -> bool:
         return check_real_symmetry(self) <= REAL_SYMMETRY_TOL
+
+    min_eigenvalue = property(lambda self: self._extremes()[0])
+    max_eigenvalue = property(lambda self: self._extremes()[1])
+
+    def _extremes(self) -> tuple:
+        w = _eigvalsh(self.values[: self.n_freq // 2 + 1] if self.mirrored else self.values)
+        return float(w.min()), float(w.max())
 
     @classmethod
     def build(
@@ -175,13 +169,12 @@ class GridSpectrum:
         del images
         rows = values[: n // 2 + 1] if mirrored else values
         _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
-        rows, w, floored = _floored_rows(rows, policy, name)
+        rows, floored = _floored_rows(rows, policy, name)
         count = np.count_nonzero(floored)
         if mirrored:
             count += np.count_nonzero(floored[_mirrored_rows(n)])
             rows = _mirror(rows, n)
-        spec = cls(values=rows, min_eigenvalue=float(w.min()),
-                   max_eigenvalue=float(w.max()), flooring_count=int(count))
+        spec = cls(values=rows, flooring_count=int(count))
         object.__setattr__(spec, "mirrored", mirrored)
         return spec
 
@@ -216,8 +209,19 @@ def _real_process(half: np.ndarray, n_freq: int) -> np.ndarray:
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
-    """Max relative residual ``|value(N-l) - value(l)^T|`` over the grid."""
-    return _symmetry_residual(spec.values)
+    """Max relative residual ``|value(N-l) - value(l)^T|`` over the grid,
+    which for a Hermitian value is ``|value(N-l) - conj value(l)|``.  Each
+    pair ``(l, N-l)`` is compared once, from ``l = 0..N/2``.  In a mirrored
+    grid every other pair is bitwise conjugate and ``|conj z| = |z|``, so
+    only rows 0 and, at even N, N/2, their own images, are compared, against
+    the largest entry of rows ``0..N/2``: the same number, bitwise."""
+    values, n = spec.values, spec.n_freq
+    half = n // 2 + 1
+    rows = np.array([0, n // 2][: 2 - n % 2]) if spec.mirrored else np.arange(half)
+    gap = np.conj(values[-rows])
+    gap -= values[rows]
+    den = float(np.max(np.abs(values[:half] if spec.mirrored else values)))
+    return float(np.max(np.abs(gap))) / den if den else 0.0
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,9 @@ def write_model(path, model) -> str:
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_model_dist_eigensolves(tmp_path, monkeypatch, m):
     # Counts of batched LAPACK calls (leading axis > 1): no eigh at any dim;
-    # eigvalsh for the x and y builds and the coupling, and one Cholesky
-    # factor of x, except at m = 2, where the closed forms do all of it.
+    # a Cholesky gate for each of the x and y builds, one Cholesky factor
+    # of x and one eigvalsh for the coupling, except at m = 2, where the
+    # closed forms do all of it.
     rng = np.random.default_rng(27 + m)
     paths = [write_model(tmp_path / f"{side}.json", random_varma21(m, rng)) for side in "xy"]
     calls = {name: [] for name in ("eigh", "eigvalsh", "cholesky")}
@@ -373,7 +374,7 @@ def test_model_dist_eigensolves(tmp_path, monkeypatch, m):
     if m == 2:
         assert batched == {"eigh": [], "eigvalsh": [], "cholesky": []}
     else:
-        assert batched == {"eigh": [], "eigvalsh": [half] * 3, "cholesky": [half]}
+        assert batched == {"eigh": [], "eigvalsh": [half], "cholesky": [half] * 3}
 
 
 def test_linalg_error_exits_1(monkeypatch):
@@ -505,17 +506,18 @@ def test_json_source_read_once(monkeypatch):
 
 def test_info_grid_decomposes_once(tmp_path, monkeypatch):
     # flat4.csv writes +0 imaginary parts in rows 5..7, which are not
-    # bitwise the conjugates (-0) of rows 3..1, so its build decomposes
-    # the whole grid.  With -0 there the grid is an exact mirror, and its
-    # build decomposes rows 0..N/2.
+    # bitwise the conjugates (-0) of rows 3..1, so its build gates, and info
+    # decomposes, the whole grid.  With -0 there the grid is an exact
+    # mirror, and both take rows 0..N/2.
     lines = (DATA_DIR / "flat4.csv").read_text().splitlines()
     mirror = tmp_path / "flat4_mirror.csv"
     images = [line.removesuffix(",0") + ",-0" for line in lines[6:]]
     mirror.write_text("\n".join(lines[:6] + images) + "\n")
-    calls = count_eigensolves(monkeypatch)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
     for path in ("data/flat4.csv", str(mirror)):
         assert run_case(("info", path))[0] == 0
-    assert calls == [(8, 1, 1), (5, 1, 1)]
+    assert calls == choleskys == [(8, 1, 1), (5, 1, 1)]
 
 
 @pytest.mark.parametrize("src, shape", [("data/var2_x.json", (2, 2)),

@@ -190,7 +190,7 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
     values = np.ones((4, 2, 2), dtype=complex)
     values[1, 0, 1] = complex(1.0, np.inf)
     values[2, 1, 1] = np.nan
-    grid = GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan)
+    grid = GridSpectrum(values=values)
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError) as exc:
         write_grid_csv(path, grid)
@@ -247,7 +247,7 @@ def direct_grid(n_freq):
     values[:, 1, 0] = np.conj(values[:, 0, 1])
     values[1, 2, 0], values[1, 0, 2] = complex(-0.0, 5e-324), complex(-0.0, 5e-324)
     values[2, 2, 1], values[2, 1, 2] = complex(1e300, -0.0), complex(1e300, 0.0)
-    return GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan)
+    return GridSpectrum(values=values)
 
 
 def rendered_floats(grid) -> int:
@@ -371,7 +371,7 @@ def written_grids(draw):
         values = np.concatenate([values, np.conj(values[(n + 1) // 2 - 1:0:-1])])
     if built:
         return GridSpectrum.build(values), True
-    return GridSpectrum(values=values, min_eigenvalue=np.nan, max_eigenvalue=np.nan), False
+    return GridSpectrum(values=values), False
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200,

@@ -16,9 +16,12 @@ from hypothesis.extra import numpy as hnp
 
 from specdist.distances import hellinger, spectral_w2
 from specdist.hermitian import (
+    DEFAULT_POLICY,
     NEGATIVE_BAND,
+    _nothing_to_floor,
     bures_w2_squared,
     coupling_trace,
+    hermitian_part,
     sqrt_psd_many,
     trace_sqrt_product,
 )
@@ -335,3 +338,33 @@ def test_bures_positive_homogeneity(pair, c):
     a, b = pair
     scale = float(np.trace(a + b).real)
     assert_scales_by(c, bures_w2_squared(a, b), bures_w2_squared(c * a, c * b), scale)
+
+
+@st.composite
+def gated_grids(draw):
+    """Grid rows ``U diag(w) U*`` of dim 1, 3 or 8 with eigenvalues in
+    [1/2, 1] but row 0's smallest, and whether the build's Cholesky gate
+    passes them: that eigenvalue is 1e-9 to 1e-6 (above the shift ``t =
+    2**-35 tau <= 2**-35 m``) when it does, 1e-13 to 1e-11 (below ``t >=
+    2**-36``, and floored under 1e-12) when it does not."""
+    m = draw(st.sampled_from([1, 3, 8]))
+    passes = draw(st.booleans())
+    w = draw(hnp.arrays(np.float64, (N_FREQ, m), elements=st.floats(0.5, 1.0)))
+    w[0, 0] = 10.0 ** draw(st.floats(-9.0, -6.0) if passes else st.floats(-13.0, -11.0))
+    u = draw(unitary(m))
+    return (u * w[:, None, :]) @ u.conj().T, passes
+
+
+@CHECKS
+@given(gated_grids(), SCALE)
+def test_gate_and_extremes_are_positively_homogeneous(grid, c):
+    # Scaling a grid by c changes neither the gate's decision nor the
+    # flooring, and scales the derived extreme eigenvalues by c.
+    values, passes = grid
+    for v in (values, c * values):
+        assert _nothing_to_floor(hermitian_part(v), DEFAULT_POLICY) == passes
+    plain, scaled = GridSpectrum.build(values), GridSpectrum.build(c * values)
+    assert scaled.flooring_count == plain.flooring_count
+    for got, want in ((scaled.min_eigenvalue, plain.min_eigenvalue),
+                      (scaled.max_eigenvalue, plain.max_eigenvalue)):
+        assert abs(got / c - want) <= 1e-12 * plain.max_eigenvalue

@@ -28,7 +28,13 @@ from specdist.errors import (
     TooFewSegments,
     UnstableModel,
 )
-from specdist.hermitian import DEFAULT_POLICY, PsdPolicy, hermitian_part, sqrt_psd_many
+from specdist.hermitian import (
+    DEFAULT_POLICY,
+    PsdPolicy,
+    _nothing_to_floor,
+    hermitian_part,
+    sqrt_psd_many,
+)
 from specdist.spectra import (
     REAL_SYMMETRY_TOL,
     Autocovariance,
@@ -36,7 +42,6 @@ from specdist.spectra import (
     RationalSpectrum,
     _mirror,
     _mirrored_rows,
-    _symmetry_residual,
     autocov_to_spectrum,
     check_real_symmetry,
     default_omegas,
@@ -214,15 +219,18 @@ def test_flooring_count_matches_full_grid():
 @DIMS
 def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
     # One inverse serves the transfer function and the condition guard;
-    # no SVD runs.  At m = 2 the closed form takes the rows, not eigh.
+    # no SVD runs.  The build's gate takes the rows, with no eigensolve:
+    # the closed form at m = 2, one shifted Cholesky otherwise.
     model = random_varma21(m, np.random.default_rng(m))
-    invs, svds = [], []
+    invs, svds, choleskys = [], [], []
     record_shapes(monkeypatch, ("inv",), invs)
     record_shapes(monkeypatch, ("cond", "svd"), svds)
-    eigs = count_eigensolves(monkeypatch)
+    eigs = count_eigensolves(monkeypatch, choleskys)
     closed = count_closed_forms(monkeypatch)
     rational_grid(model, 64)
-    assert (closed, eigs) == (([(33, m, m)], []) if m == 2 else ([], [(33, m, m)]))
+    gate = [(33, m, m)]
+    assert (closed, choleskys) == ((gate, []) if m == 2 else ([], gate))
+    assert eigs == []
     assert invs == [(33, m, m)]
     assert svds == []
 
@@ -411,7 +419,7 @@ def test_real_symmetry_reads_the_kept_values():
     # dropped with the anti-Hermitian part; the kept grid is flat.
     values = np.broadcast_to(2.0 * np.eye(2), (8, 2, 2)).astype(complex)
     values[1] += np.array([[0.0, 1e-9], [-1e-9, 0.0]])
-    assert _symmetry_residual(values) > REAL_SYMMETRY_TOL
+    assert check_real_symmetry(GridSpectrum(values)) > REAL_SYMMETRY_TOL
     spec = GridSpectrum.build(values)
     assert check_real_symmetry(spec) == 0.0 and spec.real_symmetry
     # A replace copy is measured on its own values, not the source's.
@@ -576,7 +584,7 @@ def test_symmetry_residual_meets_each_pair_once(m, n_freq):
     rng = np.random.default_rng(n_freq + 100 * m)
     for _ in range(3):
         values = rng.standard_normal((n_freq, m, m)) + 1j * rng.standard_normal((n_freq, m, m))
-        assert _symmetry_residual(values) == roll_residual(values)
+        assert check_real_symmetry(GridSpectrum(values)) == roll_residual(values)
 
 
 def mirror_rows(half, n_freq):
@@ -690,9 +698,12 @@ def test_floored_rows_match_the_whole_grid_eigh_path(monkeypatch, n_freq):
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     values = _mirror(q @ values @ q.T, n_freq)
     rows, w, floored = full_eigh_floor(values[:half])
-    calls = count_eigensolves(monkeypatch)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
     spec = GridSpectrum.build(values)
-    # eigvalsh on the half rows; eigh on the one lifted row.
+    # The gate's Cholesky fails on the zero at pi; then eigvalsh on the
+    # half rows, and eigh on the one lifted row.
+    assert choleskys == [(half, 3, 3)]
     assert calls == [(half, 3, 3), (1, 3, 3)]
     assert spec.values.tobytes() == _mirror(rows, n_freq).tobytes()
     count = np.count_nonzero(floored) + np.count_nonzero(floored[_mirrored_rows(n_freq)])
@@ -702,6 +713,82 @@ def test_floored_rows_match_the_whole_grid_eigh_path(monkeypatch, n_freq):
     bound = 4 * np.finfo(float).eps * w.max()
     assert abs(spec.min_eigenvalue - w.min()) <= bound
     assert abs(spec.max_eigenvalue - w.max()) <= bound
+
+
+def conditioned_rows(m, ratios, rng):
+    """Rows ``Q diag(w) Q*`` with random unitary ``Q``, the grid's largest
+    eigenvalue 1, and row ``l``'s smallest ``ratios[l]``."""
+    n = len(ratios)
+    w = np.sort(rng.uniform(0.5, 1.0, (n, m)), axis=1)
+    w[:, 0] = ratios
+    w[np.argmax(w[:, -1]), -1] = 1.0
+    q = np.linalg.qr(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))[0]
+    return (q * w[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+
+
+def build_outcome(values, policy):
+    """A build's values (as bytes) and flooring count, or its refusal."""
+    try:
+        spec = GridSpectrum.build(values, policy)
+    except NotPositiveDefinite as exc:
+        return str(exc)
+    return spec.values.tobytes(), spec.flooring_count
+
+
+@pytest.mark.parametrize("floor_eps", [0.0, 1e-12, 1e-6])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_cholesky_gate_matches_the_eigvalsh_path(monkeypatch, m, floor_eps):
+    # Each row's smallest eigenvalue at 0.25, 1, 1.5 and 4m times the floor
+    # and times the gate's level max(floor_eps, 2**-36); a grid of healthy
+    # rows but one at 1.5 times the level, which fails the gate and is not
+    # floored; and rows just inside and beyond the negativity band.  Only
+    # 4m times the level clears the shift t = 2 level tau, with tau <= m.
+    policy = PsdPolicy(floor_eps=floor_eps)
+    level = max(floor_eps, 2.0**-36)
+    rng = np.random.default_rng(int(1e3 * m + 1e9 * floor_eps))
+    scales = sorted({level, floor_eps or level})
+    ratios = [k * base for base in scales for k in (0.25, 1, 1.5, 4 * m)]
+    grids = [conditioned_rows(m, np.full(24, r), rng) for r in ratios]
+    row_ratios = np.full(24, 0.1)
+    for ratio in (1.5 * level, -0.5e-10, -2e-10):
+        row_ratios[7] = ratio
+        grids.append(conditioned_rows(m, row_ratios, rng))
+    gates = [_nothing_to_floor(hermitian_part(v), policy) for v in grids]
+    gated = [build_outcome(v, policy) for v in grids]
+    monkeypatch.setattr("specdist.hermitian._nothing_to_floor", lambda rows, policy: False)
+    for values, passed, got in zip(grids, gates, gated):
+        want = build_outcome(values, policy)
+        assert got == want
+        # A grid the eigvalsh path floors or refuses never passes the gate.
+        if isinstance(want, str) or want[1]:
+            assert not passed
+    assert gates == [r == 4 * m * level for r in ratios] + [False] * 3
+
+
+def test_cholesky_gate_leaves_an_overflowing_trace_to_eigvalsh(monkeypatch):
+    # Diagonal entries of 8e307 survive the Hermitian part, but their trace
+    # overflows: the gate fails, with no warning, and eigvalsh floors nothing.
+    values = np.zeros((4, 3, 3), dtype=complex)
+    values[:, range(3), range(3)] = 8e307
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    spec = GridSpectrum.build(values)
+    assert calls == choleskys == [(4, 3, 3)]
+    assert spec.values.tobytes() == values.tobytes() and spec.flooring_count == 0
+
+
+@pytest.mark.parametrize("n_freq", [1, 2, 15, 16])
+@DIMS
+def test_mirrored_symmetry_residual_matches_the_whole_grid_pass(m, n_freq):
+    # A mirrored grid compares rows 0 and N/2 only; the whole-grid pass
+    # gives the same number bitwise, whether those rows are real or not.
+    rng = np.random.default_rng(n_freq + 10 * m)
+    for real_ends in (True, False):
+        spec = GridSpectrum.build(mirrored_input(m, n_freq, rng, real_ends=real_ends))
+        assert spec.mirrored
+        whole = dataclasses.replace(spec)  # not mirrored: the whole-grid pass
+        assert check_real_symmetry(spec) == check_real_symmetry(whole)
+        assert (check_real_symmetry(spec) == 0.0) == (real_ends or m == 1)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -716,9 +803,10 @@ def test_welch_matches_full_fft_periodogram(monkeypatch, m):
         f = np.fft.fft(win[:, None] * x[s : s + seg], axis=0)
         ref += f[:, :, None] * np.conj(f[:, None, :])
     ref /= len(starts) * float(np.sum(win**2))
-    calls = count_eigensolves(monkeypatch)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
     grid = estimate_welch(x, seg)
-    assert calls == [(seg // 2 + 1, m, m)]
+    assert (calls, choleskys) == ([], [(seg // 2 + 1, m, m)])
     assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert check_real_symmetry(grid) == 0.0
 
@@ -731,8 +819,7 @@ def test_build_records_the_mirror_decision():
     for grid in (model_grid, acov_grid, welch_grid):
         assert grid.mirrored
     # Every grid not made by build from an exact mirror reads False.
-    direct = GridSpectrum(values=model_grid.values, min_eigenvalue=model_grid.min_eigenvalue,
-                          max_eigenvalue=model_grid.max_eigenvalue)
+    direct = GridSpectrum(values=model_grid.values)
     for grid in (random_grid_spectrum(2, rng, 32), direct, dataclasses.replace(model_grid)):
         assert not grid.mirrored
 
