@@ -106,7 +106,7 @@ def _load_source(path_str: str, policy: PsdPolicy):
         obj = fileio.read_json_source(path, policy)
         return ("autocov" if isinstance(obj, spectra.Autocovariance) else "model"), obj
     if suffix == ".csv":
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # a non-UTF-8 byte is the reader's to refuse
             first = fh.readline()
         if first.strip().replace(" ", "").lower().startswith("omega_index,"):
             return "grid", fileio.read_grid_csv(path, policy)

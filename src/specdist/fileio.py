@@ -255,7 +255,7 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
         integer ``dim`` and ``n_freq`` or that contradicts the data.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:  # U+FFFD fails any field
         reader = csv.reader(fh)
         try:
             header = tuple(c.strip() for c in next(reader))

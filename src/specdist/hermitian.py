@@ -21,16 +21,16 @@ grid: ``_eig_scaled_2x2`` decomposes each matrix from its trace and
 determinant (the eigenvalue of larger magnitude first, the other as
 ``det`` over it, never as a difference); ``_eigvalsh`` reads the
 eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
-``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``.  Each matrix is
-scaled by a power of two before any product, so that no product
-overflows, and none underflows unless negligible against the matrix.
-The coupling kernel scales the same way.  It, the grid build's gate at
-m = 2 and a grid's extreme eigenvalues take their eigenvalues from
-``_eigvalsh``, which runs ``eigvalsh`` at every other m; the tests keep a
-whole-grid ``eigh`` path as the reference.  The batched
-products at m = 2 are written entry by entry by ``_matmul`` (``@`` at
-every other m): the transfer function and ``H Q H*`` in ``spectra``, the
-coupling sandwich here, and the commutator's product in ``distances``.
+``(A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A))``; ``_inv`` takes
+the adjugate over the determinant.  Each matrix is scaled by a power of
+two before any product, so that no product overflows, and none
+underflows unless negligible against the matrix; the coupling kernel
+scales the same way.  It, the grid build's gate and a grid's extreme
+eigenvalues take their eigenvalues from ``_eigvalsh``; the tests keep a
+whole-grid ``eigh`` path as the reference.  ``_matmul`` writes the
+batched products entry by entry: ``A^{-1} B`` and ``H Q H*`` in
+``spectra``, the coupling sandwich here, and the commutator's product in
+``distances``.  At every other m each of these calls LAPACK or ``@``.
 """
 
 from __future__ import annotations
@@ -322,6 +322,29 @@ def _matmul(a, b) -> np.ndarray:
         for j in range(2):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
     return out
+
+
+def _norm1(x) -> np.ndarray:
+    """Each matrix's 1-norm, its largest absolute column sum; elementwise at m = 2."""
+    if x.shape[-1] != 2:
+        return np.linalg.norm(x, 1, axis=(-2, -1))
+    c = np.abs(x)
+    return np.maximum(c[..., 0, 0] + c[..., 1, 0], c[..., 0, 1] + c[..., 1, 1])
+
+
+def _inv(a) -> np.ndarray:
+    """Inverses of a stack of square matrices: ``np.linalg.inv``, or at m = 2
+    the adjugate over the determinant of each matrix scaled by ``2**-k`` to
+    a 1-norm in [1/2, 1), then by ``2**-k`` again.  Either raises
+    ``LinAlgError`` on an exactly singular matrix."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    scale = np.ldexp(1.0, -np.frexp(_norm1(a))[1])[..., None, None]
+    s = a * scale
+    det = s[..., :1, :1] * s[..., 1:, 1:] - s[..., :1, 1:] * s[..., 1:, :1]
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.swapaxes(s[..., ::-1, ::-1], -1, -2) * [[1, -1], [-1, 1]] / det * scale
 
 
 def _scale_down(x) -> np.ndarray:

@@ -35,7 +35,9 @@ from .hermitian import (
     PsdPolicy,
     _eigvalsh,
     _floored_rows,
+    _inv,
     _matmul,
+    _norm1,
     _refuse_asymmetric,
     _refuse_indefinite,
     _roots,
@@ -344,25 +346,21 @@ def stability_radius(ar: np.ndarray) -> float:
 def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
     """Transfer function ``H = A^{-1} B`` at each frequency, shape (n, m, m).
 
-    ``A(w)`` is inverted once, and the inverse gives its exact 1-norm
-    condition number ``|A|_1 |A^{-1}|_1`` (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, ch. 15), which is refused above
-    ``AR_COND_LIMIT``, as is an ``A(w)`` that is exactly singular.  It is
-    within a factor ``m`` of the 2-norm condition number.
+    ``A(w)`` and ``B(w)`` are one product each.  ``A(w)`` is inverted once,
+    in closed form at m = 2, and the inverse gives its exact 1-norm condition
+    number ``|A|_1 |A^{-1}|_1`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 15), within a factor ``m`` of the 2-norm one, which is
+    refused above ``AR_COND_LIMIT``, as is an exactly singular ``A(w)``.
     """
-    m = model.dim
-    p = model.ar.shape[0]
-    q1 = model.ma.shape[0]
-    eye = np.eye(m)
-
+    m, n, p = model.dim, len(omegas), len(model.ar)
     phases_ar = np.exp(-1j * np.outer(omegas, np.arange(1, p + 1)))
-    a = eye - np.einsum("wr,rij->wij", phases_ar, model.ar)
+    a = np.eye(m) - (phases_ar @ model.ar.reshape(p, m * m)).reshape(n, m, m)
 
     try:
-        a_inv = np.linalg.inv(a)
+        a_inv = _inv(a)
     except np.linalg.LinAlgError:
         raise SingularAr("AR polynomial is exactly singular at some frequency") from None
-    cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(a_inv, 1, axis=(-2, -1))
+    cond = _norm1(a) * _norm1(a_inv)
     # ``not <=`` also refuses an inverse that overflowed to inf or NaN.
     beyond = ~(cond <= AR_COND_LIMIT)
     if beyond.any():
@@ -372,8 +370,8 @@ def _transfer(model: RationalSpectrum, omegas: np.ndarray) -> np.ndarray:
             f"(1-norm condition {float(cond[idx]):.6e})"
         )
 
-    phases_ma = np.exp(-1j * np.outer(omegas, np.arange(q1)))
-    b = np.einsum("ws,sij->wij", phases_ma, model.ma)
+    phases_ma = np.exp(-1j * np.outer(omegas, np.arange(len(model.ma))))
+    b = (phases_ma @ model.ma.reshape(-1, m * m)).reshape(n, m, m)
     return _matmul(a_inv, b)
 
 

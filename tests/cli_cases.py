@@ -110,4 +110,7 @@ CASES = (
     CliCase("non_finite_autocov", ("info", "data/inf_acov.json"), 3),
     CliCase("non_finite_grid", ("info", "data/nan_grid.csv"), 3),
     CliCase("non_finite_series", ("info", "data/nan_series.csv"), 3),
+    # A byte that is not UTF-8 is unparseable input, in either CSV family.
+    CliCase("non_utf8_series", ("info", "data/bad_utf8_series.csv"), 3),
+    CliCase("non_utf8_grid", ("info", "data/bad_utf8_grid.csv"), 3),
 )

@@ -358,12 +358,12 @@ def write_model(path, model) -> str:
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_model_dist_eigensolves(tmp_path, monkeypatch, m):
     # Counts of batched LAPACK calls (leading axis > 1): no eigh at any dim;
-    # a Cholesky gate for each of the x and y builds, one Cholesky factor
-    # of x and one eigvalsh for the coupling, except at m = 2, where the
-    # closed forms do all of it.
+    # an inverse for each transfer function, a Cholesky gate for each of the
+    # x and y builds, one Cholesky factor of x and one eigvalsh for the
+    # coupling, except at m = 2, where the closed forms do all of it.
     rng = np.random.default_rng(27 + m)
     paths = [write_model(tmp_path / f"{side}.json", random_varma21(m, rng)) for side in "xy"]
-    calls = {name: [] for name in ("eigh", "eigvalsh", "cholesky")}
+    calls = {name: [] for name in ("eigh", "eigvalsh", "cholesky", "inv")}
     for name, shapes in calls.items():
         record_shapes(monkeypatch, (name,), shapes)
     code, out, _ = run_case(("dist", *paths, "--n-freq", "256"))
@@ -372,9 +372,10 @@ def test_model_dist_eigensolves(tmp_path, monkeypatch, m):
                for name, shapes in calls.items()}
     half = (129, m, m)
     if m == 2:
-        assert batched == {"eigh": [], "eigvalsh": [], "cholesky": []}
+        assert batched == {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": []}
     else:
-        assert batched == {"eigh": [], "eigvalsh": [half], "cholesky": [half] * 3}
+        assert batched == {"eigh": [], "eigvalsh": [half], "cholesky": [half] * 3,
+                           "inv": [half] * 2}
 
 
 def test_linalg_error_exits_1(monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +24,9 @@ from specdist.hermitian import (
     PsdPolicy,
     _eig_scaled_2x2,
     _eigvalsh,
+    _inv,
     _matmul,
+    _norm1,
     bures_w2_squared,
     check_hermitian,
     coupling_trace,
@@ -433,3 +435,66 @@ def test_products_match_matmul(operands):
             assert np.all(np.abs(got - want) <= 4 * eps * (np.abs(a) @ np.abs(right)))
         else:
             assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def invertible_stacks_2x2(draw):
+    """A stack of 1-6 real or complex 2x2 matrices whose parts are 0 or
+    +-[1/2, 2) times ``2**e``, ``|e| <= 6``, with a nonzero diagonal and a
+    1-norm condition number of at most 1e12, and a scale ``2**k``, ``|k| <=
+    900``, for the stack, beyond which products of its entries overflow or
+    underflow unless each matrix is scaled first."""
+    mantissas = st.floats(0.5, 2.0, exclude_max=True).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+    parts = st.tuples(hnp.arrays(float, (4,), elements=mantissas),
+                      hnp.arrays(np.int64, (4,), elements=st.integers(-6, 6)),
+                      st.lists(st.booleans(), min_size=4, max_size=4),
+                      ).map(lambda p: np.ldexp(p[0], p[1]) * (np.array(p[2]) | [1, 0, 0, 1]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(parts).reshape(2, 2).astype(complex)
+        if draw(st.booleans()):
+            a += 1j * draw(parts).reshape(2, 2)
+        rows.append(a)
+    a = np.array(rows)
+    try:
+        cond = _norm1(a) * _norm1(np.linalg.inv(a))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    assume(np.all(cond <= 1e12))
+    return a, cond, draw(st.integers(-900, 900))
+
+
+def ldexp_parts(a, k):
+    """``a * 2**k`` for a complex ``a``, exactly, signed zeros kept."""
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(invertible_stacks_2x2())
+def test_closed_form_inverse_matches_lapack(drawn):
+    # The adjugate over the determinant agrees with LAPACK's inverse to
+    # cond_1(A) eps relative to the inverse's largest entry: LAPACK's own
+    # error is normwise, so a small entry of A^{-1} is not held to its own
+    # scale.  Scaled by 2**k the stack inverts to the inverse scaled by
+    # 2**-k, with no overflow and no RuntimeWarning (an error here).
+    a, cond, k = drawn
+    eps = np.finfo(float).eps
+    want = np.linalg.inv(a)
+    bound = 8 * cond[:, None, None] * eps * np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    for got, ref, scale in ((_inv(a), want, 1.0),
+                            (_inv(ldexp_parts(a, k)), ldexp_parts(want, -k), np.ldexp(1.0, -k))):
+        assert got.shape == a.shape and got.dtype == complex and np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= bound * scale)
+
+
+def test_closed_form_inverse_refuses_an_exactly_singular_matrix():
+    # As LAPACK does, and whatever the scale of the stack.
+    rank_one = np.array([[1.0, 2.0], [0.5, 1.0]])
+    for a in (np.zeros((1, 2, 2)), np.stack([np.eye(2), rank_one]), 2.0**-600 * rank_one[None]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _inv(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(a)

@@ -3,6 +3,8 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from specdist.spectra import (
     RationalSpectrum,
     _mirror,
     _mirrored_rows,
+    _transfer,
     autocov_to_spectrum,
     check_real_symmetry,
     default_omegas,
@@ -218,9 +221,10 @@ def test_flooring_count_matches_full_grid():
 
 @DIMS
 def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
-    # One inverse serves the transfer function and the condition guard;
-    # no SVD runs.  The build's gate takes the rows, with no eigensolve:
-    # the closed form at m = 2, one shifted Cholesky otherwise.
+    # One inverse serves the transfer function and the condition guard,
+    # LAPACK's except at m = 2, where it is the closed form; no SVD runs.
+    # The build's gate takes the rows, with no eigensolve: the closed form
+    # at m = 2, one shifted Cholesky otherwise.
     model = random_varma21(m, np.random.default_rng(m))
     invs, svds, choleskys = [], [], []
     record_shapes(monkeypatch, ("inv",), invs)
@@ -231,7 +235,7 @@ def test_rational_grid_decomposes_half_the_grid(monkeypatch, m):
     gate = [(33, m, m)]
     assert (closed, choleskys) == ((gate, []) if m == 2 else ([], gate))
     assert eigs == []
-    assert invs == [(33, m, m)]
+    assert invs == ([] if m == 2 else [(33, m, m)])
     assert svds == []
 
 
@@ -288,6 +292,17 @@ def test_exactly_singular_ar_is_singular_ar(monkeypatch):
     refuse_inverse(monkeypatch)
     with pytest.raises(SingularAr):
         rational_grid(ar1_model(), 8)
+
+
+def test_exactly_singular_ar_is_singular_ar_at_m2():
+    # No stable model has an exactly singular A(w) on the unit circle, so
+    # _transfer takes the coefficients alone: A(0) = diag(0, 1) has a zero
+    # determinant, which the closed-form inverse refuses, with no warning.
+    coefs = SimpleNamespace(dim=2, ar=np.diag([1.0, 0.0])[None], ma=np.eye(2)[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularAr, match="exactly singular"):
+            _transfer(coefs, default_omegas(8))
 
 
 def test_autocov_validations():
