@@ -19,6 +19,7 @@ unstable or singular model, or a ``ValueError``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -296,6 +297,7 @@ def cmd_info(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--floor-eps", type=float, default=DEFAULT_POLICY.floor_eps,

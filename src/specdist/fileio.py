@@ -18,11 +18,16 @@ Formats:
   source is classified by these keys);
 * time series: CSV of numeric rows, one sample per row, one column per
   channel, no header.
+
+Both CSV kinds are parsed by numpy's C reader alone (``np.loadtxt``):
+comma-delimited fields, empty lines skipped, numpy's number syntax.  A
+grid body also takes ``"``-quoted fields and has no comment character; a
+series line may end in a ``#`` comment.  Whatever the reader rejects, a
+byte that is not UTF-8 included, is a ``ParseError`` carrying its message.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import warnings
@@ -48,7 +53,7 @@ __all__ = [
 
 GRID_HEADER = ("omega_index", "row", "col", "re", "im")
 
-#: One grid CSV body row as the fast parse reads it.
+#: One grid CSV body row as numpy's reader parses it.
 _GRID_ROW = np.dtype([("l", np.int64), ("i", np.int64), ("j", np.int64),
                       ("re", np.float64), ("im", np.float64)])
 
@@ -204,42 +209,16 @@ def write_grid_csv(path, grid: GridSpectrum) -> None:
     sidecar_path(path).write_text(json_dumps(meta) + "\n")
 
 
-def _grid_rows_fast(path: Path):
-    """Body rows from numpy's C parser, or None when it rejects the body.
-
-    It accepts a subset of what :func:`_grid_rows_by_line` accepts (plain
-    numeric fields, one record per line) and yields bit-identical values,
-    so a file either parses here or falls through to the row loop.
-    """
+def _loadtxt(path: Path, **kw) -> np.ndarray:
+    """``np.loadtxt`` on a comma-delimited file: numpy's C reader is the one
+    CSV parser, and anything it rejects, undecodable bytes included, is a
+    ``ParseError`` carrying its message.  An empty body yields an empty array."""
     with warnings.catch_warnings():
-        # A header-only file warns "input contained no data"; the row loop
-        # reports it instead.
-        warnings.simplefilter("ignore", UserWarning)
+        warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                              ndmin=1, dtype=_GRID_ROW)
-        except ValueError:
-            return None
-    return rows if rows.size else None
-
-
-def _grid_rows_by_line(path: Path, reader) -> list:
-    """Parse the body row by row; the only source of per-row error text."""
-    entries = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-        try:
-            entries.append(
-                (int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4]))
-            )
+            return np.loadtxt(path, delimiter=",", **kw)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not entries:
-        raise ParseError(f"{path}: grid file has no data rows")
-    return entries
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
@@ -255,25 +234,19 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
         integer ``dim`` and ``n_freq`` or that contradicts the data.
     """
     path = Path(path)
-    with open(path, newline="", errors="replace") as fh:  # U+FFFD fails any field
-        reader = csv.reader(fh)
-        try:
-            header = tuple(c.strip() for c in next(reader))
-        except StopIteration:
-            raise ParseError(f"{path}: empty grid file") from None
-        if header != GRID_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(GRID_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        rows = _grid_rows_fast(path)
-        if rows is not None:
-            l, i, j, re, im = (rows[name] for name in _GRID_ROW.names)
-        else:
-            l, i, j, re, im = zip(*_grid_rows_by_line(path, reader))
-            # Object arrays keep the loop's Python ints exact beyond int64.
-            l, i, j = (np.array(a, dtype=object) for a in (l, i, j))
-            re, im = np.array(re), np.array(im)
+    with open(path, errors="replace") as fh:  # U+FFFD fails the header check
+        line = fh.readline()
+    if not line:
+        raise ParseError(f"{path}: empty grid file")
+    header = tuple(c.strip() for c in line.split(","))
+    if header != GRID_HEADER:
+        raise ParseError(f"{path}: expected header {','.join(GRID_HEADER)}, "
+                         f"got {','.join(header)}")
+    rows = _loadtxt(path, skiprows=1, comments=None, quotechar='"', ndmin=1,
+                    dtype=_GRID_ROW)
+    if not rows.size:
+        raise ParseError(f"{path}: grid file has no data rows")
+    l, i, j, re, im = (rows[name] for name in _GRID_ROW.names)
 
     n_freq = int(l.max()) + 1
     m = max(int(i.max()), int(j.max())) + 1
@@ -302,7 +275,7 @@ def read_grid_csv(path, policy: PsdPolicy = DEFAULT_POLICY) -> GridSpectrum:
     # allocation also keeps a huge sidecar shape from being allocated.
     if len(l) < size:
         raise ParseError(f"{path}: grid is missing entries")
-    slot = (l.astype(np.intp) * m + i.astype(np.intp)) * m + j.astype(np.intp)
+    slot = (l * m + i) * m + j
     # Fancy assignment leaves the winner among repeated indices unspecified,
     # so find the last row for each entry explicitly: it overrides the rest.
     last = np.full(size, -1, dtype=np.intp)
@@ -401,14 +374,7 @@ def read_timeseries_csv(path) -> np.ndarray:
     """Load a time series CSV into an array of shape (T, m); a non-finite
     sample is refused."""
     path = Path(path)
-    with warnings.catch_warnings():
-        # An empty or blank file warns "input contained no data"; it is
-        # refused below instead.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    data = _loadtxt(path, ndmin=2)
     if data.size == 0:
         raise ParseError(f"{path}: time series is empty")
     finite = np.isfinite(data)
