@@ -152,14 +152,14 @@ def sidecar_path(path) -> Path:
 
 def _grid_csv_blocks(grid: GridSpectrum):
     """Yield :func:`grid_csv_text` in blocks once the whole grid is checked.
-    Each cell of rows ``0..h-1`` (``h = N/2+1`` if ``mirrored``, else ``N``) is
-    rendered once as ``re,im``; a lower entry bitwise ``conj`` of its transpose,
-    and a mirror's row ``N-l`` (held, yielded last), flip ``im`` in that text."""
-    n, m = grid.n_freq, grid.dim
-    parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(n, m, m, 2)
+    Each cell of the kept rows ``0..h-1`` (``h = N/2+1`` if ``mirrored``, else
+    ``N``) is rendered once as ``re,im``; a lower entry bitwise ``conj`` of its
+    transpose, and a mirror's row ``N-l`` (held, yielded last), flip ``im`` in
+    that text."""
+    n, m, h = grid.n_freq, grid.dim, len(grid.values)
+    parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(h, m, m, 2)
     _refuse_non_finite(parts)
     yield ",".join(GRID_HEADER) + "\n"
-    h = n // 2 + 1 if grid.mirrored else n
     row = "".join(f"@,{i},{j},%s\n" for i in range(m) for j in range(m))  # @: omega_index
 
     def lines(labels, texts):
@@ -212,7 +212,11 @@ def write_grid_csv(path, grid: GridSpectrum) -> None:
 def _loadtxt(path: Path, **kw) -> np.ndarray:
     """``np.loadtxt`` on a comma-delimited file: numpy's C reader is the one
     CSV parser, and anything it rejects, undecodable bytes included, is a
-    ``ParseError`` carrying its message.  An empty body yields an empty array."""
+    ``ParseError`` carrying its message.  An empty body yields an empty array.
+    Its row number counts data rows (not ``skiprows``, empty or comment
+    lines): from 0 in a conversion error (``could not convert string 'x' to
+    float64 at row 0, column 4.``, columns from 1), from 1 in a field-count
+    error (``the number of columns changed from 2 to 1 at row 2``)."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
         try:

@@ -30,7 +30,8 @@ eigenvalues take their eigenvalues from ``_eigvalsh``; the tests keep a
 whole-grid ``eigh`` path as the reference.  ``_matmul`` writes the
 batched products entry by entry: ``A^{-1} B`` and ``H Q H*`` in
 ``spectra``, the coupling sandwich here, and the commutator's product in
-``distances``.  At every other m each of these calls LAPACK or ``@``.
+``distances``; per-matrix maxima are elementwise too.  At every other m
+each of these calls LAPACK or ``@``, ``H Q`` as one GEMM.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ def _refuse_asymmetric(a, tol: float, what: str, error=NonHermitianInput) -> Non
 
 def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput, shift=0) -> None:
     # The one per-matrix negativity rule: each lowest eigenvalue against
-    # -negativity_tol times the largest magnitude.  NaN fails.  Messages show w * 4**shift.
-    bounds = policy.negativity_tol * np.max(np.abs(w), axis=-1, initial=0.0)
+    # -negativity_tol times the largest magnitude, at an end of the ascending
+    # w, so elementwise.  NaN fails.  Messages show w * 4**shift.
+    bounds = policy.negativity_tol * np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     lo = w[..., 0]
     if not np.all(lo >= -bounds):
         k = int(np.argmin(lo + bounds))
@@ -258,10 +260,8 @@ def _nothing_to_floor(rows, policy: PsdPolicy) -> bool:
         return lo > 0.0 and lo >= policy.floor_eps * w.max()
     with np.errstate(over="ignore"):  # an infinite tau fails the gate
         tau = float(np.max(np.trace(rows, axis1=-2, axis2=-1).real))
-    shifted = rows.copy()
-    shifted[:, range(m), range(m)] -= 2.0 * max(policy.floor_eps, 2.0**-36) * tau
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(rows - np.diag(np.full(m, 2.0 * max(policy.floor_eps, 2.0**-36) * tau)))
     except np.linalg.LinAlgError:
         return False
     return tau > 0.0
@@ -348,8 +348,15 @@ def _inv(a) -> np.ndarray:
 
 
 def _scale_down(x) -> np.ndarray:
-    # Scale each matrix of x in place by 4**-k so its largest entry is in [1/2, 2).
-    k = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1] // 2
+    # Scale each matrix of x in place by 4**-k so its largest entry is in
+    # [1/2, 2).  At m = 2 that entry is found elementwise, not by a reduction.
+    a = np.abs(x)
+    if a.shape[-1] == 2:
+        a = np.maximum(a[..., 0, :], a[..., 1, :])
+        a = np.maximum(a[..., 0], a[..., 1])
+    else:
+        a = np.max(a, axis=(-2, -1))
+    k = np.frexp(a)[1] // 2
     for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
         np.ldexp(part, -2 * k[..., None, None], out=part)
     return k

@@ -7,10 +7,10 @@ spectrum sampled on the uniform frequency grid ``w_l = 2 pi l / N``.
 Conversions between them go through the FFT; a Welch estimator produces
 grid spectra from raw time series.  Models, autocovariances and series
 describe real processes, whose spectra satisfy ``value(N-l) =
-conj(value(l))``, so their grids are evaluated on ``l = 0..N/2`` and
-mirrored.  :meth:`GridSpectrum.build` checks and floors any exact mirror
-on those rows only, with no eigensolve unless one needs flooring, and a
-mirrored grid's extremes and symmetry residual are read from them.
+conj(value(l))``, so their grids are evaluated and kept on ``l = 0..N/2``
+(``mirrored``), as is any exact mirror given to :meth:`GridSpectrum.build`,
+which checks and floors those rows only; every reader works on them, and
+only :meth:`GridSpectrum.full` expands the mirror.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .hermitian import (
     _norm1,
     _refuse_asymmetric,
     _refuse_indefinite,
-    _roots,
     hermitian_part,
 )
 
@@ -85,21 +84,19 @@ class GridSpectrum:
 
     Attributes
     ----------
-    values : ndarray of shape (n_freq, m, m), complex
-        Hermitian PD matrices at ``w_l = 2 pi l / n_freq``.
-    root : ndarray of shape (n_freq, m, m), complex, read-only
-        Principal square root of each value, derived at each read, never stored.
-    min_eigenvalue, max_eigenvalue : float, read-only
-        Extreme eigenvalues of the kept values (rows ``0..N/2`` of a
-        mirrored grid), derived at each read by one eigensolve, never stored.
+    values : ndarray of shape (n_freq, m, m), or (n_freq // 2 + 1, m, m) if mirrored
+        Hermitian PD matrices at ``w_l = 2 pi l / n_freq``, ``l = 0..N-1`` or ``0..N/2``.
     flooring_count : int
-        Number of frequencies whose eigenvalues were lifted to the policy
-        floor during construction.  Zero for healthy PD input.
-    mirrored : bool
-        Set by :meth:`build` alone, when it made the grid from an exact
-        mirror's rows ``0..N/2`` (every model, autocovariance and Welch
-        grid): its values satisfy ``row(N-l) = conj(row l)`` bitwise.
-        Any other grid reads False, a ``dataclasses.replace`` copy too.
+        Frequencies whose eigenvalues construction lifted to the policy floor.
+    n_freq : int
+        Grid size N; ``len(values)`` when not given.
+    mirrored : bool, read-only
+        ``len(values) == n_freq // 2 + 1``: row ``N-l`` is ``conj(row l)``
+        and not kept, as in model, autocovariance and Welch grids and exact
+        mirrors given to :meth:`build`.  A ``dataclasses.replace`` copy keeps
+        ``n_freq``; one whose ``values`` fit neither layout is refused.
+    min_eigenvalue, max_eigenvalue : float, read-only
+        Extreme eigenvalues of the kept values, by one eigensolve at each read.
     real_symmetry : bool, read-only
         ``check_real_symmetry(self) <= REAL_SYMMETRY_TOL``, read from the kept
         values each time; exact for a mirrored grid with real rows 0 and N/2.
@@ -107,19 +104,22 @@ class GridSpectrum:
 
     values: np.ndarray
     flooring_count: int = 0
-    mirrored: bool = field(default=False, init=False)
+    n_freq: int | None = None
+
+    def __post_init__(self):
+        rows = len(self.values)
+        n = rows if self.n_freq is None else self.n_freq
+        if rows not in (n, n // 2 + 1):
+            raise DimensionMismatch(f"{rows} rows fit neither a {n}-point grid nor its half")
+        object.__setattr__(self, "n_freq", n)
 
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
 
     @property
-    def n_freq(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def root(self) -> np.ndarray:
-        return _roots(self.values)
+    def mirrored(self) -> bool:
+        return len(self.values) == self.n_freq // 2 + 1
 
     @property
     def real_symmetry(self) -> bool:
@@ -129,8 +129,13 @@ class GridSpectrum:
     max_eigenvalue = property(lambda self: self._extremes()[1])
 
     def _extremes(self) -> tuple:
-        w = _eigvalsh(self.values[: self.n_freq // 2 + 1] if self.mirrored else self.values)
+        w = _eigvalsh(self.values)
         return float(w.min()), float(w.max())
+
+    def full(self) -> np.ndarray:
+        """All ``n_freq`` rows: the kept values, or a mirrored grid's mirror,
+        made anew at each call.  The one place a mirror is expanded."""
+        return _mirror(self.values, self.n_freq) if self.mirrored else self.values
 
     @classmethod
     def build(
@@ -138,6 +143,7 @@ class GridSpectrum:
         values,
         policy: PsdPolicy = DEFAULT_POLICY,
         name: str = "spectrum",
+        n_freq: int | None = None,
     ) -> "GridSpectrum":
         """Validate and floor raw per-frequency matrices into a spectrum.
 
@@ -145,10 +151,11 @@ class GridSpectrum:
         anywhere on the grid, so isolated spectral zeros are lifted to a
         uniform small level and counted rather than left singular.
 
-        An exact mirror (row ``N-l`` bitwise ``conj(row l)``, signed zeros
-        included) is checked and floored on rows ``l = 0..N/2``
-        only, mirrored and marked ``mirrored``; a floored row with an image
-        counts twice.
+        With ``n_freq``, ``values`` are rows ``l = 0..n_freq // 2`` of a real
+        process, kept as a mirrored grid, as are those of an exact mirror
+        (row ``N-l`` bitwise ``conj(row l)``, signed zeros included) given
+        whole.  Only kept rows are checked and floored; a floored row with an
+        image counts twice.
 
         Raises
         ------
@@ -164,21 +171,17 @@ class GridSpectrum:
             raise DimensionMismatch(
                 f"{name} must have shape (n_freq, m, m), got {values.shape}"
             )
-        n = values.shape[0]
-        # Compared as bits, so that a +0.0 image of a +0.0 is not rewritten as -0.0.
-        images = np.conj(values[_mirrored_rows(n)])
-        mirrored = np.array_equal(_bits(values[n // 2 + 1 :]), _bits(images))
-        del images
-        rows = values[: n // 2 + 1] if mirrored else values
-        _refuse_asymmetric(rows, GRID_HERMITIAN_TOL, name)
-        rows, floored = _floored_rows(rows, policy, name)
-        count = np.count_nonzero(floored)
-        if mirrored:
-            count += np.count_nonzero(floored[_mirrored_rows(n)])
-            rows = _mirror(rows, n)
-        spec = cls(values=rows, flooring_count=int(count))
-        object.__setattr__(spec, "mirrored", mirrored)
-        return spec
+        if n_freq is None:
+            n_freq = len(values)
+            # Compared as bits, so that a +0.0 image of a +0.0 is not rewritten as -0.0.
+            if np.array_equal(_bits(values[n_freq // 2 + 1 :]),
+                              _bits(np.conj(values[_mirrored_rows(n_freq)]))):
+                values = values[: n_freq // 2 + 1]
+        _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
+        rows, floored = _floored_rows(values, policy, name)
+        images = floored[_mirrored_rows(n_freq)] if len(rows) < n_freq else []
+        count = np.count_nonzero(floored) + np.count_nonzero(images)
+        return cls(values=rows, flooring_count=int(count), n_freq=n_freq)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -202,27 +205,25 @@ def _mirror(half: np.ndarray, n_freq: int) -> np.ndarray:
 
 
 def _real_process(half: np.ndarray, n_freq: int) -> np.ndarray:
-    """The grid from rows ``l = 0..N/2`` of a real process; rows 0 and N/2
-    are their own mirror images and are taken real."""
+    """Rows ``l = 0..N/2`` of a real process, in place: rows 0 and N/2 are
+    their own mirror images and are taken real."""
     half[0] = half[0].real
     if n_freq % 2 == 0:
         half[-1] = half[-1].real
-    return _mirror(half, n_freq)
+    return half
 
 
 def check_real_symmetry(spec: GridSpectrum) -> float:
     """Max relative residual ``|value(N-l) - value(l)^T|`` over the grid,
-    which for a Hermitian value is ``|value(N-l) - conj value(l)|``.  Each
-    pair ``(l, N-l)`` is compared once, from ``l = 0..N/2``.  In a mirrored
-    grid every other pair is bitwise conjugate and ``|conj z| = |z|``, so
-    only rows 0 and, at even N, N/2, their own images, are compared, against
-    the largest entry of rows ``0..N/2``: the same number, bitwise."""
+    which for a Hermitian value is ``|value(N-l) - conj value(l)|``, each
+    pair ``(l, N-l)`` compared once.  A mirrored grid's other pairs are
+    conjugate by construction, so only its rows 0 and N/2, their own
+    images, are compared, against the largest kept entry."""
     values, n = spec.values, spec.n_freq
-    half = n // 2 + 1
-    rows = np.array([0, n // 2][: 2 - n % 2]) if spec.mirrored else np.arange(half)
-    gap = np.conj(values[-rows])
+    rows = np.array([0, n // 2][: 2 - n % 2]) if spec.mirrored else np.arange(n // 2 + 1)
+    gap = np.conj(values[-rows % n])  # row N-l, which is l itself at l = 0 and N/2
     gap -= values[rows]
-    den = float(np.max(np.abs(values[:half] if spec.mirrored else values)))
+    den = float(np.max(np.abs(values)))
     return float(np.max(np.abs(gap))) / den if den else 0.0
 
 
@@ -387,10 +388,12 @@ def rational_grid(
     ``A(w_{N-l}) = conj A(w_l)`` and the other rows are mirror images.
     """
     h = _transfer(model, default_omegas(n_freq)[: n_freq // 2 + 1])
-    hq = _matmul(h, model.noise_cov)
+    q, m = model.noise_cov, model.dim
+    # Past m = 2, one GEMM on the stacked rows, bitwise the batched product.
+    hq = _matmul(h, q) if m == 2 else (h.reshape(-1, m) @ q).reshape(h.shape)
     values = _real_process(_matmul(hq, np.conj(np.swapaxes(h, -1, -2))), n_freq)
     del h, hq  # not held through the build
-    return GridSpectrum.build(values, policy, name="rational spectrum")
+    return GridSpectrum.build(values, policy, name="rational spectrum", n_freq=n_freq)
 
 
 def autocov_to_spectrum(
@@ -424,7 +427,7 @@ def autocov_to_spectrum(
     seq[: k + 1] = acov.lags
     seq[n_freq - k :] = np.swapaxes(acov.lags[:0:-1], 1, 2)
     values = _real_process(np.fft.rfft(seq, axis=0), n_freq)
-    return GridSpectrum.build(values, policy, name="truncated spectrum")
+    return GridSpectrum.build(values, policy, name="truncated spectrum", n_freq=n_freq)
 
 
 def spectrum_to_autocov(
@@ -460,7 +463,7 @@ def spectrum_to_autocov(
     if not spec.real_symmetry:
         raise NonRealResidue(f"symmetry residual {check_real_symmetry(spec):.3e} "
                              "relative; grid is not the spectrum of a real process")
-    lags = np.fft.ifft(spec.values, axis=0)[: max_lag + 1].real
+    lags = np.fft.ifft(spec.full(), axis=0)[: max_lag + 1].real
     if decay_cut:
         # Scaled exactly to a largest entry in [1/2, 1): no square under- or overflows.
         norms = np.linalg.norm(np.ldexp(lags, -np.frexp(np.abs(lags).max())[1]), axis=(1, 2))
@@ -546,4 +549,5 @@ def estimate_welch(
         spec = np.fft.rfft(win[:, None] * seg, axis=0)
         acc += spec[:, :, None] * np.conj(spec[:, None, :])
     acc /= n_seg * float(np.sum(win**2))
-    return GridSpectrum.build(_real_process(acc, segment_len), policy, name="Welch estimate")
+    return GridSpectrum.build(_real_process(acc, segment_len), policy, name="Welch estimate",
+                              n_freq=segment_len)

@@ -91,7 +91,7 @@ def tsp_reference(a, b):
 
 def scalar_w2_squared(x, y):
     """Closed form for dim-1 grids: ``mean((sqrt sx - sqrt sy)^2)``."""
-    sx, sy = x.values[:, 0, 0].real, y.values[:, 0, 0].real
+    sx, sy = x.full()[:, 0, 0].real, y.full()[:, 0, 0].real
     return float(np.mean((np.sqrt(sx) - np.sqrt(sy)) ** 2))
 
 

@@ -45,8 +45,8 @@ def numbers(spec_x: dict, spec_y: dict) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitDegenerateWarning)
         diag = convergence_diagnostic(acx, acy, HORIZONS, w2.squared)
-    scale = np.trace(gx.values, axis1=1, axis2=2).real
-    scale += np.trace(gy.values, axis1=1, axis2=2).real
+    scale = np.trace(gx.full(), axis1=1, axis2=2).real
+    scale += np.trace(gy.full(), axis1=1, axis2=2).real
     return {
         "squared": w2.squared,
         "hellinger_squared": hell.squared,

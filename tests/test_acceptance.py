@@ -117,8 +117,8 @@ def test_transport_hellinger_ordering(verdict):
         y = random_grid_spectrum(m, rng, 32)
         w2 = distances.spectral_w2(x, y)
         hell = distances.hellinger(x, y)
-        scale = float(np.trace(x.values, axis1=1, axis2=2).real.mean()
-                      + np.trace(y.values, axis1=1, axis2=2).real.mean())
+        scale = float(np.trace(x.full(), axis1=1, axis2=2).real.mean()
+                      + np.trace(y.full(), axis1=1, axis2=2).real.mean())
         if w2.value <= hell.value + 1e-9 * scale:
             ordered += 1
         resid = np.abs(
@@ -217,7 +217,7 @@ def test_variance_consistency(verdict):
         acov = spectra.spectrum_to_autocov(grid)
         sigma = _naive_block_toeplitz(acov.lags, 1024)
         per_step = float(np.trace(sigma)) / 1025.0
-        mean_trace = float(np.trace(grid.values, axis1=1, axis2=2).real.mean())
+        mean_trace = float(np.trace(grid.full(), axis1=1, axis2=2).real.mean())
         worst = max(worst, abs(per_step - mean_trace) / mean_trace)
 
     # The library assembly must agree with the straight loop bit for bit,
@@ -260,7 +260,7 @@ def test_transform_round_trips(verdict):
 
     x = np.random.default_rng(12345).standard_normal(2**16)
     grid = spectra.estimate_welch(x, 512, 0.5, "hann")
-    welch_mean = float(np.mean(grid.values.real))
+    welch_mean = float(np.mean(grid.full().real))
 
     ok = acov_err <= 1e-10 and sqrt_worst <= 1e-9 and abs(welch_mean - 1.0) <= 0.05
     verdict(

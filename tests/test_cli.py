@@ -126,7 +126,7 @@ def test_estimate_writes_deterministic_grid(tmp_path):
     assert sum_a.replace(str(out_a), "") == sum_b.replace(str(out_b), "")
 
     grid = read_grid_csv(out_a)
-    mean_level = float(np.mean(grid.values.real))
+    mean_level = float(np.mean(grid.full().real))
     assert abs(mean_level - 1.0) < 0.05
 
 
@@ -474,7 +474,7 @@ def test_floor_eps_reaches_oracle_autocov():
     grid = specdist.spectra.rational_grid(
         read_json_source(DATA_DIR / "ma1.json"), 64, PsdPolicy(floor_eps=0.2)
     )
-    r0 = float(np.mean(grid.values[:, 0, 0].real))
+    r0 = float(np.mean(grid.full()[:, 0, 0].real))
     assert r0 > 1.25 + 1e-3
     assert json.loads(stdout)["oracle"]["trace_target_x"] == pytest.approx(r0, rel=1e-12)
 

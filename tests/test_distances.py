@@ -23,7 +23,7 @@ from specdist.errors import (
     NotPositiveDefinite,
 )
 from specdist.fileio import json_dumps
-from specdist.hermitian import PsdPolicy, coupling_trace
+from specdist.hermitian import PsdPolicy, _roots, coupling_trace
 from specdist.spectra import (
     GridSpectrum,
     RationalSpectrum,
@@ -69,7 +69,7 @@ def test_report_shape_and_consistency():
 def test_identical_grids_are_exactly_zero():
     x = random_grid_spectrum(3, np.random.default_rng(3), 16)
     # A flooring count on the clone, so that the sum is not 0 + 0.
-    clone = dataclasses.replace(x, values=x.values.copy(), flooring_count=x.flooring_count + 2)
+    clone = dataclasses.replace(x, values=x.full().copy(), flooring_count=x.flooring_count + 2)
     for fn in (spectral_w2, gelbrich_lower_bound, hellinger):
         report = fn(x, clone)
         assert report.value == 0.0
@@ -105,7 +105,7 @@ def test_alt_gap_scalar_and_commuting():
     assert np.max(np.abs(gaps)) <= 1e-12
     cx, cy = commuting_pair(3, np.random.default_rng(11))
     gaps = hellinger(cx, cy).alt_gap
-    scale = float(np.max(np.trace(cx.values, axis1=-2, axis2=-1).real))
+    scale = float(np.max(np.trace(cx.full(), axis1=-2, axis2=-1).real))
     assert np.max(np.abs(gaps)) <= 1e-10 * scale
 
 
@@ -114,7 +114,7 @@ def test_alt_gap_noncommuting():
     y = random_grid_spectrum(2, np.random.default_rng(8), 32)
     report = hellinger(x, y)
     assert report.commutation_residual > 1e-3
-    scale = np.trace(x.values, axis1=-2, axis2=-1).real
+    scale = np.trace(x.full(), axis1=-2, axis2=-1).real
     assert np.all(report.alt_gap >= -1e-10 * scale)
     assert float(report.alt_gap.max()) > 1e-6
 
@@ -127,8 +127,8 @@ def test_hellinger_ordering_identity():
     y = random_grid_spectrum(2, np.random.default_rng(8), 32)
     w2 = spectral_w2(x, y)
     hell = hellinger(x, y)
-    scale = float(np.max(np.trace(x.values, axis1=-2, axis2=-1).real
-                         + np.trace(y.values, axis1=-2, axis2=-1).real))
+    scale = float(np.max(np.trace(x.full(), axis1=-2, axis2=-1).real
+                         + np.trace(y.full(), axis1=-2, axis2=-1).real))
     identity = hell.per_freq_trace - (w2.per_freq_trace + 2.0 * hell.alt_gap)
     assert np.max(np.abs(identity)) <= 1e-10 * scale
     assert w2.value <= hell.value + 1e-9 * scale
@@ -189,7 +189,7 @@ def test_scaling_law():
     c = 2.5
     base = spectral_w2(x, y).value
     scaled = spectral_w2(
-        GridSpectrum.build(c * x.values), GridSpectrum.build(c * y.values)
+        GridSpectrum.build(c * x.full()), GridSpectrum.build(c * y.full())
     ).value
     assert abs(scaled - np.sqrt(c) * base) <= 1e-10 * scaled
 
@@ -238,17 +238,17 @@ def test_a_row_without_a_cholesky_factor_takes_the_floored_roots(monkeypatch):
     # falls back to the floored roots, which match the root reference.
     policy = PsdPolicy(floor_eps=0.0)
     rng = np.random.default_rng(27)
-    values = random_grid_spectrum(3, rng, 16).values.copy()
+    values = random_grid_spectrum(3, rng, 16).full().copy()
     values[5, 2, :] = values[5, :, 2] = 0.0
     x, y = GridSpectrum.build(values, policy), random_grid_spectrum(3, rng, 16)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(x.values[5])
+        np.linalg.cholesky(x.full()[5])
     choleskys = []
     calls = count_eigensolves(monkeypatch, choleskys)
     got = spectral_w2(x, y, policy).squared
     assert choleskys == [(16, 3, 3)] and calls == [(16, 3, 3)] * 2
-    scale = np.trace(x.values + y.values, axis1=1, axis2=2).real
-    want = float(np.mean(scale - 2.0 * coupling_trace(x.root, y.values)))
+    scale = np.trace(x.full() + y.full(), axis1=1, axis2=2).real
+    want = float(np.mean(scale - 2.0 * coupling_trace(_roots(x.full()), y.full())))
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -260,7 +260,7 @@ def test_negative_band_guard(monkeypatch):
     raised = 0
     for seed in range(5):
         x = random_grid_spectrum(2, np.random.default_rng(seed), 16)
-        perturbed = x.values.copy()
+        perturbed = x.full().copy()
         perturbed[0, 0, 0] += 1e-12
         y = GridSpectrum.build(perturbed)
         try:
@@ -292,10 +292,11 @@ def assert_same_diagnostics(reports):
 def test_mirrored_pair_matches_full_grid_coupling(m, n_freq):
     x, y = model_pair(m, n_freq)
     # The whole-grid reference, one coupling per frequency row.
-    scale = (np.trace(x.values, axis1=1, axis2=2) + np.trace(y.values, axis1=1, axis2=2)).real
-    tsp = coupling_trace(x.root, y.values)
-    hell = np.sum(np.abs(x.root - y.root) ** 2, axis=(1, 2))
-    alt = tsp - np.einsum("fij,fji->f", x.root, y.root).real
+    (vx, rx), (vy, ry) = ((g.full(), _roots(g.full())) for g in (x, y))
+    scale = (np.trace(vx, axis1=1, axis2=2) + np.trace(vy, axis1=1, axis2=2)).real
+    tsp = coupling_trace(rx, vy)
+    hell = np.sum(np.abs(rx - ry) ** 2, axis=(1, 2))
+    alt = tsp - np.einsum("fij,fji->f", rx, ry).real
     reports = []
     for fn, ref in ((spectral_w2, scale - 2.0 * tsp), (gelbrich_lower_bound, scale - 2.0 * tsp),
                     (hellinger, hell)):
@@ -335,7 +336,7 @@ def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
     x, y = model_pair(m, 32)
     # One row off its mirror image, in the values of x or of y (by little
     # enough to keep the gap inside its round-off band).
-    values_x, values_y = x.values.copy(), y.values.copy()
+    values_x, values_y = x.full().copy(), y.full().copy()
     values_x[3] *= 1.0 + 1e-14
     values_y[30] *= 1.0 + 1e-14
     pairs = ((gx, gy), (dataclasses.replace(x, values=values_x), y),
@@ -348,12 +349,27 @@ def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
         assert_same_diagnostics([fn(a, b) for fn in (spectral_w2, gelbrich_lower_bound, hellinger)])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_mixed_pair_is_coupled_on_its_full_grids(monkeypatch, m):
+    # A mirrored grid against one given all its rows reports, byte for byte,
+    # what two full grids report: both are coupled on every row.
+    x, y = model_pair(m, 32)
+    whole_x, whole_y = (GridSpectrum(values=g.full()) for g in (x, y))
+    for fn in (spectral_w2, gelbrich_lower_bound, hellinger):
+        want = json_dumps(fn(whole_x, whole_y))
+        assert json_dumps(fn(x, whole_y)) == json_dumps(fn(whole_x, y)) == want
+    # Bitwise-equal full grids are coincident whichever side is mirrored.
+    report = spectral_w2(x, whole_x)
+    assert report.squared == 0.0 and report.per_freq_trace.shape == (32,)
+
+
 def test_mirrored_pair_reads_the_build_decision(monkeypatch):
     x, y = model_pair(3, 32)
     calls = []
     array_equal = np.array_equal
     monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(a) or array_equal(*a))
     spectral_w2(x, y)
-    # Only the bitwise identity check: the mirror test is not repeated.
+    # Only the bitwise identity check, on the kept rows: the mirror test is
+    # not repeated and no full grid is made.
     assert len(calls) == 1 and calls[0][0] is x.values and calls[0][1] is y.values
     assert x.mirrored and y.mirrored

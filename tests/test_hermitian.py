@@ -27,6 +27,7 @@ from specdist.hermitian import (
     _inv,
     _matmul,
     _norm1,
+    _roots,
     bures_w2_squared,
     check_hermitian,
     coupling_trace,
@@ -374,16 +375,19 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
         spec, outcome = build_outcome(stack)
         assert outcome == general_outcome(stack)
         if spec is not None:
-            residual = np.max(np.abs(spec.root @ spec.root - spec.values))
+            values = spec.full()
+            root = _roots(values)
+            residual = np.max(np.abs(root @ root - values))
             assert residual <= 16 * eps * spec.max_eigenvalue
     x = build_outcome(hx)[0]
     if x is None:
         return
-    congruence = hermitian_part(x.root @ hy @ x.root)
+    root = _roots(x.full())
+    congruence = hermitian_part(root @ hy @ root)
     ref = np.linalg.eigvalsh(congruence)
     bound = DEFAULT_POLICY.negativity_tol * np.max(np.abs(ref), axis=-1)
     try:
-        got = coupling_trace(x.root, hy)
+        got = coupling_trace(root, hy)
     except IndefiniteInput:
         got = None
     if np.all(ref[:, 0] >= -bound):
@@ -392,7 +396,7 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
         # eigenvalue w_i moves by delta and its root by at most
         # min(sqrt(delta), delta / sqrt(w_i)) = delta / sqrt(max(w_i, delta)).
         w = np.maximum(ref, 0.0)
-        size = np.linalg.eigvalsh(x.values)[:, -1] * np.max(np.abs(np.linalg.eigvalsh(hy)), -1)
+        size = np.linalg.eigvalsh(x.full())[:, -1] * np.max(np.abs(np.linalg.eigvalsh(hy)), -1)
         delta = 8 * eps * size[:, None] + np.finfo(float).smallest_subnormal  # > 0 on zero rows
         slack = np.sum(delta / np.sqrt(np.maximum(w, delta)), axis=-1)
         assert got is not None and np.all(np.abs(got - np.sum(np.sqrt(w), axis=-1)) <= slack)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import specdist.fileio
 
-from conftest import random_grid_spectrum
+from conftest import random_grid_spectrum, random_varma21
 from specdist import cli
 from specdist.distances import DistanceReport
 from specdist.errors import NotPositiveDefinite, ParseError
@@ -37,7 +37,9 @@ from specdist.spectra import (
     RationalSpectrum,
     _mirror,
     default_omegas,
+    autocov_to_spectrum,
     estimate_welch,
+    rational_grid,
 )
 
 GRID_HEADER_LINE = "omega_index,row,col,re,im"
@@ -156,7 +158,7 @@ def test_grid_csv_roundtrip_is_bitwise(tmp_path):
     meta = json.loads(sidecar_path(path).read_text())
     assert meta == {"dim": 2, "n_freq": 8, "real_symmetry": grid.real_symmetry}
     back = read_grid_csv(path)
-    assert np.array_equal(back.values, grid.values)
+    assert np.array_equal(back.full(), grid.full())
     assert back.real_symmetry == grid.real_symmetry
     assert path.read_text().splitlines()[0] == GRID_HEADER_LINE
 
@@ -174,7 +176,7 @@ def test_grid_csv_text_matches_per_entry_rendering(tmp_path):
     grid = random_grid_spectrum(8, np.random.default_rng(7), 80)
     expected = [GRID_HEADER_LINE] + [
         f"{l},{i},{j},{float(v.real):.17g},{float(v.imag):.17g}"
-        for (l, i, j), v in np.ndenumerate(grid.values)
+        for (l, i, j), v in np.ndenumerate(grid.full())
     ]
     text = grid_csv_text(grid)
     assert text == "\n".join(expected) + "\n"
@@ -182,7 +184,7 @@ def test_grid_csv_text_matches_per_entry_rendering(tmp_path):
     write_grid_csv(path, grid)
     assert path.read_text() == text
     back = read_grid_csv(path)
-    assert back.values.tobytes() == grid.values.tobytes()
+    assert back.full().tobytes() == grid.full().tobytes()
 
 
 def test_write_grid_csv_refuses_non_finite(tmp_path):
@@ -202,7 +204,7 @@ def test_write_grid_csv_refuses_non_finite(tmp_path):
 def per_entry_grid_text(grid) -> str:
     return "".join([GRID_HEADER_LINE + "\n"] + [
         f"{l},{i},{j},{float(v.real):.17g},{float(v.imag):.17g}\n"
-        for (l, i, j), v in np.ndenumerate(grid.values)
+        for (l, i, j), v in np.ndenumerate(grid.full())
     ])
 
 
@@ -223,7 +225,7 @@ def special_mirror(n_freq):
     if n_freq % 2 == 0:
         rows[-1, 0, 1] = rows[-1, 1, 0] = 0.0  # so is row N/2
     grid = GridSpectrum.build(np.concatenate([rows, np.conj(rows[(n_freq + 1) // 2 - 1:0:-1])]))
-    inner = grid.values[1:n_freq // 2]
+    inner = grid.full()[1:n_freq // 2]
     assert np.any((inner.real == 0.0) & np.signbit(inner.real))
     assert np.any((inner.imag == 0.0) & np.signbit(inner.imag))
     assert np.any(inner.imag == 5e-324) and np.any(inner.real == 1e300)
@@ -253,8 +255,7 @@ def rendered_floats(grid) -> int:
     """How many floats the writer renders: the diagonal and upper triangle of
     rows 0..h-1 (h = N/2+1 for a mirror, N otherwise), and each lower entry
     there that is not bitwise the conjugate of its transpose."""
-    h, m = (grid.n_freq // 2 + 1 if grid.mirrored else grid.n_freq), grid.dim
-    v = grid.values[:h]
+    v, h, m = grid.values, len(grid.values), grid.dim
     bits = [np.stack([x.real, x.imag], -1).view(np.uint64)
             for x in (v, np.conj(np.swapaxes(v, 1, 2)))]
     conjugate = (bits[0] == bits[1]).all(-1)
@@ -291,22 +292,44 @@ def test_grid_csv_text_of_a_mirror_matches_per_entry_rendering(tmp_path, monkeyp
     assert sum(rendered) == rendered_floats(grid)
     path = tmp_path / "mirror.csv"
     write_grid_csv(path, grid)
-    assert file_values(path, grid.values.shape).tobytes() == grid.values.tobytes()
+    assert file_values(path, grid.full().shape).tobytes() == grid.full().tobytes()
     if make is not direct_grid:  # the read's build refuses a non-Hermitian grid
         back = read_grid_csv(path)
-        assert back.values.tobytes() == grid.values.tobytes()
+        assert back.full().tobytes() == grid.full().tobytes()
         assert back.mirrored == mirrored
 
 
+@pytest.mark.parametrize("n_freq", [2, 15, 64])
+def test_a_kept_half_writes_the_bytes_of_its_full_grid(tmp_path, n_freq):
+    # Model, autocovariance and Welch grids keep rows 0..N/2; each writes the
+    # CSV and sidecar bytes that its full grid, given whole, writes.
+    rng = np.random.default_rng(n_freq)
+    lags = np.array([np.eye(2), 0.3 * np.eye(2)])
+    grids = (rational_grid(random_varma21(2, rng), n_freq),
+             autocov_to_spectrum(Autocovariance(lags=lags), max(n_freq, 3)),
+             estimate_welch(rng.standard_normal((1024, 2)), 64 if n_freq == 15 else n_freq,
+                            window="hamming"))
+    for grid in grids:
+        assert grid.mirrored
+        half, whole = tmp_path / "half.csv", tmp_path / "whole.csv"
+        write_grid_csv(half, grid)
+        write_grid_csv(whole, GridSpectrum(values=grid.full()))
+        assert half.read_bytes() == whole.read_bytes()
+        assert sidecar_path(half).read_bytes() == sidecar_path(whole).read_bytes()
+
+
 @pytest.mark.parametrize("entries", [
-    [((3, 1, 0), complex(np.nan, 1.0)), ((13, 0, 1), complex(1.0, np.inf))],
-    [((12, 1, 0), complex(2.0, -np.inf)), ((14, 1, 1), np.nan)],
+    [((3, 1, 0), complex(np.nan, 1.0)), ((3, 0, 1), complex(1.0, -np.inf))],
+    [((4, 1, 0), complex(2.0, np.inf)), ((2, 1, 1), np.nan)],
 ], ids=["lower_triangle", "image_row"])
 def test_write_grid_csv_refuses_non_finite_at_a_reused_position(tmp_path, entries):
+    # Each entry is set in a kept row l, which the file also holds, conjugated,
+    # as row N-l: (3, 0, 1) as (13, 1, 0) text, (4, 1, 0) as row 12, (2, 1, 1) as row 14.
     grid = special_mirror(16)
     for index, value in entries:
         grid.values[index] = value
-    parts = np.stack([grid.values.real, grid.values.imag], -1).ravel()
+    full = grid.full()
+    parts = np.stack([full.real, full.imag], -1).ravel()
     with pytest.raises(ValueError) as expected:
         format_float(parts[~np.isfinite(parts)][0])  # the first in file order
     path = tmp_path / "bad.csv"
@@ -323,11 +346,11 @@ def test_build_keeps_signed_zeros_so_a_grid_reads_back_bit_for_bit(tmp_path):
     values[1, 0, 1], values[1, 1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
     values[3] = np.conj(values[1])
     grid = GridSpectrum.build(values)
-    assert grid.values.tobytes() == values.tobytes()
-    assert GridSpectrum.build(grid.values).values.tobytes() == grid.values.tobytes()
+    assert grid.full().tobytes() == values.tobytes()
+    assert GridSpectrum.build(grid.full()).full().tobytes() == grid.full().tobytes()
     path = tmp_path / "zeros.csv"
     write_grid_csv(path, grid)
-    assert read_grid_csv(path).values.tobytes() == grid.values.tobytes()
+    assert read_grid_csv(path).full().tobytes() == grid.full().tobytes()
 
 
 def test_a_grid_whose_images_hold_plus_zeros_reads_back_bit_for_bit(tmp_path):
@@ -341,7 +364,7 @@ def test_a_grid_whose_images_hold_plus_zeros_reads_back_bit_for_bit(tmp_path):
         f"{l},{i},{j},{values[l, i, j].real:.17g},0\n" for l, i, j in np.ndindex(values.shape)))
     grid = read_grid_csv(path)
     assert not grid.mirrored
-    assert grid.values.tobytes() == values.tobytes()
+    assert grid.full().tobytes() == values.tobytes()
 
 
 SPECIALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -2.5])
@@ -381,9 +404,9 @@ def test_grid_csv_writer_matches_per_entry_rendering_on_generated_grids(tmp_path
     assert grid_csv_text(grid) == per_entry_grid_text(grid)
     path = tmp_path / "generated.csv"
     write_grid_csv(path, grid)
-    assert file_values(path, grid.values.shape).tobytes() == grid.values.tobytes()
+    assert file_values(path, grid.full().shape).tobytes() == grid.full().tobytes()
     if built:
-        assert read_grid_csv(path).values.tobytes() == grid.values.tobytes()
+        assert read_grid_csv(path).full().tobytes() == grid.full().tobytes()
 
 
 def reference_read_grid_csv(path):
@@ -514,8 +537,29 @@ def test_read_grid_csv_matches_row_loop(tmp_path, body, sidecar, error, refusal)
         return
     assert error is None
     got = read_grid_csv(path)
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.full().tobytes() == want.full().tobytes()
     assert (got.real_symmetry, got.flooring_count) == (want.real_symmetry, want.flooring_count)
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    ("grid", "0,0,0,4,0\n1,0,0,abc,0\n",
+     "could not convert string 'abc' to float64 at row 1, column 4."),
+    ("grid", "0,0,0,4,0\n1,0,0,4\n",
+     "the dtype passed requires 5 columns but 4 were found at row 2; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("series", "0.1,0.2\n0.3,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+    ("series", "0.1,0.2\n0.3\n", "the number of columns changed from 2 to 1 at row 2; "
+     "use `usecols` to select a subset and avoid this error"),
+])
+def test_csv_errors_count_data_rows_from_0_or_1_by_kind(tmp_path, kind, body, message):
+    # Both errors name the second data row: a conversion error counts data
+    # rows from 0, a field-count error from 1 (the grid header is no data row).
+    path = tmp_path / f"{kind}.csv"
+    path.write_text((GRID_HEADER_LINE + "\n" if kind == "grid" else "") + body)
+    read = read_grid_csv if kind == "grid" else read_timeseries_csv
+    with pytest.raises(ParseError) as got:
+        read(path)
+    assert str(got.value) == f"{path}: {message}"
 
 
 def test_non_utf8_byte_is_one_refusal(tmp_path):

@@ -247,7 +247,7 @@ def assert_metric_axioms(case):
     """Symmetry, the triangle inequality, W <= Hellinger and unitary
     invariance, with the round-off allowances of the synthetic tests."""
     (x, y, z), u = case
-    vx, vy, vz = (g.values for g in (x, y, z))
+    vx, vy, vz = (g.full() for g in (x, y, z))
     scale = scale_of(vx, vy)
     dxy = spectral_w2(x, y)
     assert abs(dxy.squared - spectral_w2(y, x).squared) <= 1e-10 * scale
@@ -302,7 +302,9 @@ def assert_positively_homogeneous(case):
     x, y, c = case
     plain = [rational_grid(v, MODEL_N_FREQ) for v in (x, y)]
     scaled = [rational_grid(with_noise_cov_times(v, c), MODEL_N_FREQ) for v in (x, y)]
-    scale = scale_of(*(g.values for g in plain))
+    # Model grids keep rows 0..N/2, so both pairs take the half path.
+    assert all(len(g.values) == MODEL_N_FREQ // 2 + 1 for g in plain + scaled)
+    scale = scale_of(*(g.full() for g in plain))
     for distance in (spectral_w2, hellinger):
         assert_scales_by(c, distance(*plain).squared, distance(*scaled).squared, scale)
     reports = [spectral_w2(*grids) for grids in (plain, scaled)]

@@ -34,6 +34,7 @@ from specdist.hermitian import (
     DEFAULT_POLICY,
     PsdPolicy,
     _nothing_to_floor,
+    _roots,
     hermitian_part,
     sqrt_psd_many,
 )
@@ -124,13 +125,14 @@ def test_grid_root_from_build_decomposition(case):
     else:
         spec = random_grid_spectrum(case, np.random.default_rng(11), 32)
         ref_tol = 1e-12
-    # The root is derived from the kept values on each access, never stored.
-    root = spec.root
-    assert "root" not in vars(spec) and np.array_equal(spec.root, root)
-    assert root.shape == spec.values.shape
-    scale = np.max(np.abs(spec.values))
-    assert np.max(np.abs(root @ root - spec.values)) <= 1e-12 * scale
-    ref = sqrt_psd_many(spec.values)
+    # A grid keeps no root; the Hellinger path derives the roots it needs.
+    assert not hasattr(spec, "root")
+    values = spec.full()
+    root = _roots(values)
+    assert root.shape == values.shape
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(root @ root - values)) <= 1e-12 * scale
+    ref = sqrt_psd_many(values)
     assert np.max(np.abs(root - ref)) <= ref_tol * np.max(np.abs(ref))
 
 
@@ -141,7 +143,7 @@ def test_grid_build_floors_spectral_zero():
     spec = scalar_grid(1.0 + np.cos(omegas))
     assert spec.flooring_count == 1
     assert spec.real_symmetry
-    floored = spec.values[4, 0, 0].real
+    floored = spec.full()[4, 0, 0].real
     assert 0.0 < floored <= 1e-12 * 2.0 * (1.0 + 1e-9)
 
 
@@ -151,10 +153,10 @@ def test_eval_rational_trivial_cases():
     model = ar1_model()
     assert abs(rational_value(model, 0.0)[0, 0] - 4.0) <= 1e-12
     assert abs(rational_value(model, np.pi)[0, 0] - 1.0 / 2.25) <= 1e-12
-    assert np.allclose(rational_grid(white_model(m=2), 8).values, np.eye(2), atol=1e-14)
+    assert np.allclose(rational_grid(white_model(m=2), 8).full(), np.eye(2), atol=1e-14)
     grid = rational_grid(model, 8)
-    assert abs(grid.values[0, 0, 0] - 4.0) <= 1e-12
-    assert abs(grid.values[4, 0, 0] - 1.0 / 2.25) <= 1e-12
+    assert abs(grid.full()[0, 0, 0] - 4.0) <= 1e-12
+    assert abs(grid.full()[4, 0, 0] - 1.0 / 2.25) <= 1e-12
 
 
 def test_eval_rational_hermitian_everywhere():
@@ -164,11 +166,11 @@ def test_eval_rational_hermitian_everywhere():
     ar = 0.3 * rng.standard_normal((2, 2, 2)) / 2.0
     ma = np.concatenate([np.eye(2)[None], 0.5 * rng.standard_normal((2, 2, 2))])
     model = RationalSpectrum(ar=ar, ma=ma, noise_cov=random_pd(2, rng))
-    grid = rational_grid(model, 32)
-    assert np.max(np.abs(grid.values - np.conj(np.swapaxes(grid.values, 1, 2)))) == 0.0
+    values = rational_grid(model, 32).full()
+    assert np.max(np.abs(values - np.conj(np.swapaxes(values, 1, 2)))) == 0.0
     for l, omega in enumerate(default_omegas(32)):
         ref = rational_value(model, omega)
-        assert np.max(np.abs(grid.values[l] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(values[l] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 GRIDS = pytest.mark.parametrize("n_freq", [8, 15, 64])
@@ -182,9 +184,10 @@ def test_rational_grid_matches_reference_at_every_frequency(m, n_freq):
     model = random_varma21(m, np.random.default_rng(10 * m + n_freq))
     grid = rational_grid(model, n_freq)
     assert grid.n_freq == n_freq
+    values = grid.full()
     for l, omega in enumerate(default_omegas(n_freq)):
         ref = rational_value(model, omega)
-        assert np.max(np.abs(grid.values[l] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(values[l] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @GRIDS
@@ -197,7 +200,7 @@ def test_autocov_to_spectrum_matches_full_fft(m, n_freq):
         seq[k], seq[n_freq - k] = acov.lags[k], acov.lags[k].T
     ref = np.fft.fft(seq, axis=0)
     grid = autocov_to_spectrum(acov, n_freq)
-    err = np.max(np.abs(grid.values - ref), axis=(1, 2))
+    err = np.max(np.abs(grid.full() - ref), axis=(1, 2))
     assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
 
 
@@ -349,10 +352,10 @@ def test_non_finite_input_refused(bad):
 
 def test_autocov_to_spectrum_trivial_cases():
     flat = autocov_to_spectrum(Autocovariance(lags=2.5 * np.eye(2)[None]), 8)
-    assert np.allclose(flat.values, 2.5 * np.eye(2), atol=1e-14)
+    assert np.allclose(flat.full(), 2.5 * np.eye(2), atol=1e-14)
     ma1 = autocov_to_spectrum(Autocovariance(lags=np.array([[[1.25]], [[0.5]]])), 256)
-    assert abs(ma1.values[0, 0, 0].real - 2.25) <= 1e-12
-    assert abs(ma1.values[128, 0, 0].real - 0.25) <= 1e-12
+    assert abs(ma1.full()[0, 0, 0].real - 2.25) <= 1e-12
+    assert abs(ma1.full()[128, 0, 0].real - 0.25) <= 1e-12
     with pytest.raises(GridTooCoarse):
         autocov_to_spectrum(Autocovariance(lags=np.ones((4, 1, 1)) * np.eye(1)), 6)
 
@@ -364,7 +367,7 @@ def test_autocov_to_spectrum_matches_rational():
     acov = Autocovariance(lags=((4.0 / 3.0) * 0.5**k)[:, None, None])
     from_lags = autocov_to_spectrum(acov, 256)
     from_model = rational_grid(ar1_model(), 256)
-    assert np.max(np.abs(from_lags.values - from_model.values)) <= 1e-8
+    assert np.max(np.abs(from_lags.full() - from_model.full())) <= 1e-8
 
 
 def test_spectrum_to_autocov_trivial_cases():
@@ -470,7 +473,7 @@ def test_trace_mean_matches_lag_zero():
     for model in (ar1_model(), white_model(m=2)):
         grid = rational_grid(model, 256)
         acov = spectrum_to_autocov(grid)
-        mean_trace = float(np.mean(np.trace(grid.values, axis1=-2, axis2=-1).real))
+        mean_trace = float(np.mean(np.trace(grid.full(), axis1=-2, axis2=-1).real))
         assert abs(mean_trace - np.trace(acov.lags[0])) <= 1e-10
 
 
@@ -501,7 +504,7 @@ def test_real_symmetry_with_cross_spectral_phase():
         ar=np.array([[[0.5, 0.4], [0.0, 0.3]]]), ma=np.eye(2)[None], noise_cov=np.eye(2)
     )
     grid = rational_grid(var1, 64)
-    assert np.abs(grid.values[:, 0, 1].imag).max() > 0.1
+    assert np.abs(grid.full()[:, 0, 1].imag).max() > 0.1
     assert grid.real_symmetry
     assert check_real_symmetry(grid) <= 1e-12
 
@@ -521,7 +524,7 @@ def test_welch_white_noise_level():
     rng = np.random.default_rng(12345)
     grid = estimate_welch(rng.standard_normal(1 << 16), 512)
     assert grid.n_freq == 512
-    mean = float(np.mean(grid.values[:, 0, 0].real))
+    mean = float(np.mean(grid.full()[:, 0, 0].real))
     assert 0.95 <= mean <= 1.05
     assert grid.real_symmetry
 
@@ -529,7 +532,7 @@ def test_welch_white_noise_level():
 def test_welch_white_noise_level_m2():
     rng = np.random.default_rng(4242)
     grid = estimate_welch(rng.standard_normal((1 << 16, 2)), 512)
-    mean = float(np.mean(np.trace(grid.values, axis1=-2, axis2=-1).real)) / 2.0
+    mean = float(np.mean(np.trace(grid.full(), axis1=-2, axis2=-1).real)) / 2.0
     assert 0.95 <= mean <= 1.05
 
 
@@ -542,8 +545,8 @@ def test_welch_ar1_pointwise():
         acc = 0.5 * acc + v[t]
         x[t] = acc
     grid = estimate_welch(x, 512)
-    truth = rational_grid(ar1_model(), 512).values[:, 0, 0].real
-    rel = np.abs(grid.values[:, 0, 0].real - truth) / truth
+    truth = rational_grid(ar1_model(), 512).full()[:, 0, 0].real
+    rel = np.abs(grid.full()[:, 0, 0].real - truth) / truth
     # Within 10% everywhere except the worst 5% of frequencies.
     assert float(np.quantile(rel, 0.95)) < 0.1
 
@@ -552,7 +555,7 @@ def test_welch_window_wiring():
     x = np.random.default_rng(99).standard_normal(1 << 15)
     for window in ("hann", "hamming", "rectangular"):
         grid = estimate_welch(x, 256, 0.5, window)
-        assert 0.9 <= float(np.mean(grid.values[:, 0, 0].real)) <= 1.1
+        assert 0.9 <= float(np.mean(grid.full()[:, 0, 0].real)) <= 1.1
 
 
 def test_welch_refuses_a_zero_energy_window(monkeypatch):
@@ -659,13 +662,13 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
     # one lifted row of the half.
     assert closed == (half if m == 2 else [])
     assert calls == ([] if m == 2 and not count else half + [(1, m, m)] * bool(count))
-    assert np.max(np.abs(spec.values - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
+    assert np.max(np.abs(spec.full() - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
     # The root is derived from the floored values: decomposing a floored
     # value again moves its floor eigenvalue by about eps * scale, which the
     # root amplifies by 1 / (2 sqrt(floor)).
     eps = np.finfo(float).eps
     root_tol = eps / np.sqrt(DEFAULT_POLICY.floor_eps) if count else 1e-13
-    assert np.max(np.abs(spec.root - ref_root)) <= root_tol * np.max(np.abs(ref_root))
+    assert np.max(np.abs(_roots(spec.full()) - ref_root)) <= root_tol * np.max(np.abs(ref_root))
     # eigvalsh, eigh and the closed form agree on the eigenvalues to round-off.
     bound = 4 * eps * hi
     assert abs(spec.min_eigenvalue - lo) <= bound and abs(spec.max_eigenvalue - hi) <= bound
@@ -683,7 +686,7 @@ def test_build_at_m2_without_a_floor_takes_singular_rows_to_eigh(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     spec = GridSpectrum.build(values, policy)
     assert calls == [(3, 2, 2)] and spec.flooring_count == ref_count
-    assert np.max(np.abs(spec.root - ref_root)) <= 1e-15
+    assert np.max(np.abs(_roots(spec.full()) - ref_root)) <= 1e-15
     assert calls == [(3, 2, 2)] * 2
 
 
@@ -720,7 +723,7 @@ def test_floored_rows_match_the_whole_grid_eigh_path(monkeypatch, n_freq):
     # half rows, and eigh on the one lifted row.
     assert choleskys == [(half, 3, 3)]
     assert calls == [(half, 3, 3), (1, 3, 3)]
-    assert spec.values.tobytes() == _mirror(rows, n_freq).tobytes()
+    assert spec.full().tobytes() == _mirror(rows, n_freq).tobytes()
     count = np.count_nonzero(floored) + np.count_nonzero(floored[_mirrored_rows(n_freq)])
     assert spec.flooring_count == count == 1
     # eigvalsh and eigh run different LAPACK solvers (sterf and stedc),
@@ -747,7 +750,7 @@ def build_outcome(values, policy):
         spec = GridSpectrum.build(values, policy)
     except NotPositiveDefinite as exc:
         return str(exc)
-    return spec.values.tobytes(), spec.flooring_count
+    return spec.full().tobytes(), spec.flooring_count
 
 
 @pytest.mark.parametrize("floor_eps", [0.0, 1e-12, 1e-6])
@@ -789,7 +792,7 @@ def test_cholesky_gate_leaves_an_overflowing_trace_to_eigvalsh(monkeypatch):
     calls = count_eigensolves(monkeypatch, choleskys)
     spec = GridSpectrum.build(values)
     assert calls == choleskys == [(4, 3, 3)]
-    assert spec.values.tobytes() == values.tobytes() and spec.flooring_count == 0
+    assert spec.full().tobytes() == values.tobytes() and spec.flooring_count == 0
 
 
 @pytest.mark.parametrize("n_freq", [1, 2, 15, 16])
@@ -801,7 +804,8 @@ def test_mirrored_symmetry_residual_matches_the_whole_grid_pass(m, n_freq):
     for real_ends in (True, False):
         spec = GridSpectrum.build(mirrored_input(m, n_freq, rng, real_ends=real_ends))
         assert spec.mirrored
-        whole = dataclasses.replace(spec)  # not mirrored: the whole-grid pass
+        whole = GridSpectrum(values=spec.full())  # the whole-grid pass
+        assert whole.mirrored == (n_freq <= 2)
         assert check_real_symmetry(spec) == check_real_symmetry(whole)
         assert (check_real_symmetry(spec) == 0.0) == (real_ends or m == 1)
 
@@ -822,7 +826,7 @@ def test_welch_matches_full_fft_periodogram(monkeypatch, m):
     calls = count_eigensolves(monkeypatch, choleskys)
     grid = estimate_welch(x, seg)
     assert (calls, choleskys) == ([], [(seg // 2 + 1, m, m)])
-    assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(grid.full() - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert check_real_symmetry(grid) == 0.0
 
 
@@ -833,10 +837,60 @@ def test_build_records_the_mirror_decision():
     welch_grid = estimate_welch(rng.standard_normal((1024, 2)), 64)
     for grid in (model_grid, acov_grid, welch_grid):
         assert grid.mirrored
-    # Every grid not made by build from an exact mirror reads False.
-    direct = GridSpectrum(values=model_grid.values)
-    for grid in (random_grid_spectrum(2, rng, 32), direct, dataclasses.replace(model_grid)):
-        assert not grid.mirrored
+    # A grid given all its rows reads False, a replace copy given them too.
+    direct = GridSpectrum(values=model_grid.full())
+    whole = dataclasses.replace(model_grid, values=model_grid.full())
+    for grid in (random_grid_spectrum(2, rng, 32), direct, whole):
+        assert not grid.mirrored and grid.n_freq == 32
+    # A replace copy keeps n_freq: it stays mirrored, or fits neither layout.
+    copy = dataclasses.replace(model_grid)
+    assert copy.mirrored and copy.full().tobytes() == model_grid.full().tobytes()
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(model_grid, values=model_grid.full()[:20])
+
+
+@pytest.mark.parametrize("n_freq", [2, 8, 15, 64])
+@DIMS
+def test_real_sources_keep_rows_0_to_half_and_full_mirrors_them(m, n_freq):
+    rng = np.random.default_rng(70 + 10 * m + n_freq)
+    seg = 1 << (n_freq - 1).bit_length()  # Welch segments are powers of two
+    grids = (rational_grid(random_varma21(m, rng), n_freq),
+             autocov_to_spectrum(random_acov(m, rng, max_lag=(n_freq - 1) // 2), n_freq),
+             estimate_welch(rng.standard_normal((8 * seg, m)), seg, window="hamming"))
+    for grid in grids:
+        n = grid.n_freq
+        assert grid.mirrored and grid.values.shape == (n // 2 + 1, m, m)
+        full = grid.full()
+        assert full.tobytes() == mirror_rows(grid.values, n).tobytes()
+        # Made anew at each call, never held by the grid.
+        assert not np.shares_memory(full, grid.values)
+        assert grid.full() is not full
+
+
+@pytest.mark.parametrize("m, n_freq, singular, real_ends", [
+    (3, 16, (8,), True), (2, 15, (5,), True), (3, 16, (3,), False), (1, 2, (), True),
+])
+def test_kept_rows_build_as_their_full_grid(m, n_freq, singular, real_ends):
+    # Rows 0..N/2 with n_freq give the values, flooring count and symmetry
+    # residual of the full mirror they come from, and of its whole-grid pass.
+    values = mirrored_input(m, n_freq, np.random.default_rng(m + n_freq), singular, real_ends)
+    whole = GridSpectrum.build(values)
+    half = GridSpectrum.build(values[: n_freq // 2 + 1], n_freq=n_freq)
+    assert half.values.tobytes() == whole.values.tobytes()
+    assert half.flooring_count == whole.flooring_count == 2 * len(singular) - (8 in singular)
+    unmirrored = GridSpectrum(values=whole.full())
+    assert check_real_symmetry(half) == check_real_symmetry(unmirrored)
+    assert half.real_symmetry == real_ends == unmirrored.real_symmetry
+
+
+def test_rational_grid_forms_h_q_as_one_gemm():
+    # Past m = 2, H Q is one GEMM on the stacked rows of H; on every m it
+    # is bitwise the batched product.
+    rng = np.random.default_rng(71)
+    for m in range(3, 33):
+        h = rng.standard_normal((257, m, m)) + 1j * rng.standard_normal((257, m, m))
+        q = random_pd(m, rng)
+        assert (h.reshape(-1, m) @ q).reshape(h.shape).tobytes() == (h @ q).tobytes()
 
 
 def test_welch_refuses_too_few_segments_before_allocating():

@@ -162,7 +162,7 @@ def test_one_horizon_three_eigensolves_one_cholesky(monkeypatch):
 @pytest.mark.parametrize("acov", [ar1_acov(), MA1])
 def test_eigenvalue_bracketing(acov):
     grid = autocov_to_spectrum(acov, 4096)
-    eigs = np.linalg.eigvalsh(grid.values)
+    eigs = np.linalg.eigvalsh(grid.full())
     lo, hi = float(eigs.min()), float(eigs.max())
     matrix, _ = build_block_toeplitz(acov, 32)
     w = np.linalg.eigvalsh(matrix)
