@@ -209,11 +209,8 @@ def _diag_csv(diag: toeplitz.ConvergenceDiagnostic) -> str:
     meta = ("spectral_target", "extrapolated_limit", "converged",
             "trace_target_x", "trace_target_y", "fit_degenerate")
     min_x, min_y = np.array(diag.min_eigenvalues).T
-    columns = {"horizon": np.array(diag.horizons),
-               "per_step_value": diag.per_step_values,
-               "min_eig_x": min_x, "min_eig_y": min_y,
-               "trace_per_step_x": diag.trace_per_step_x,
-               "trace_per_step_y": diag.trace_per_step_y}
+    columns = {"horizon": np.array(diag.horizons), "per_step_value": diag.per_step_values,
+               "min_eig_x": min_x, "min_eig_y": min_y}
     return fileio._csv_text(diag, meta, columns)
 
 
@@ -279,13 +276,14 @@ def cmd_info(args) -> int:
         )
     elif kind == "grid":
         lo, hi = obj._extremes()  # one eigensolve for both
+        res = spectra.check_real_symmetry(obj)  # one residual pass for both
         summary.update(
             dim=obj.dim,
             n_freq=obj.n_freq,
             min_eigenvalue=lo,
             max_eigenvalue=hi,
-            symmetry_residual=spectra.check_real_symmetry(obj),
-            real_symmetry=obj.real_symmetry,
+            symmetry_residual=res,
+            real_symmetry=res <= spectra.REAL_SYMMETRY_TOL,
             flooring_count=obj.flooring_count,
         )
     else:

@@ -25,13 +25,14 @@ eigenvalues off that one pass and ``_psd_root_2x2`` the principal root
 the adjugate over the determinant.  Each matrix is scaled by a power of
 two before any product, so that no product overflows, and none
 underflows unless negligible against the matrix; the coupling kernel
-scales the same way.  It, the grid build's gate and a grid's extreme
-eigenvalues take their eigenvalues from ``_eigvalsh``; the tests keep a
-whole-grid ``eigh`` path as the reference.  ``_matmul`` writes the
-batched products entry by entry: ``A^{-1} B`` and ``H Q H*`` in
-``spectra``, the coupling sandwich here, and the commutator's product in
-``distances``; per-matrix maxima are elementwise too.  At every other m
-each of these calls LAPACK or ``@``, ``H Q`` as one GEMM.
+scales the same way.  It, the grid build's floor pass and a grid's
+extreme eigenvalues take their eigenvalues from ``_eigvalsh``, so one
+algorithm decides each floor and refusal; the tests keep a whole-grid
+``eigh`` path as the reference.  ``_matmul`` writes the batched products
+entry by entry: ``A^{-1} B`` and ``H Q H*`` in ``spectra``, the coupling
+sandwich here, and the commutator's product in ``distances``; per-matrix
+maxima are elementwise too.  At every other m each of these calls LAPACK
+or ``@``, ``H Q`` as one GEMM.
 """
 
 from __future__ import annotations
@@ -243,21 +244,16 @@ def _psd_root_2x2(eig) -> np.ndarray:
 
 
 def _nothing_to_floor(rows, policy: PsdPolicy) -> bool:
-    """Whether Hermitian rows ``(n, m, m)`` have nothing to floor or refuse:
-    by the closed form at m = 2, else when, with ``tau`` the largest ``Re tr``
-    and ``t = 2 max(floor_eps, 2**-36) tau``, each ``row - t I`` has a
-    Cholesky factor ``L``.  Then ``row - t I + E`` is positive definite for
-    some ``|E| <= gamma_{m+1} |L| |L*|`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., Thm 10.3): each row's eigenvalues lie in
-    ``[t - O(m^2 eps tau), tau]``, so its smallest clears ``floor_eps``
-    times the grid's largest by ``2**-36 tau`` less that round-off, far
-    beyond ``eigvalsh``'s, and the eigvalsh path would floor and refuse
-    nothing."""
+    """Whether Hermitian rows ``(n, m, m)``, m other than 2, have nothing to
+    floor or refuse: true when, with ``tau`` the largest ``Re tr`` and ``t =
+    2 max(floor_eps, 2**-36) tau``, each ``row - t I`` has a Cholesky factor
+    ``L``.  Then ``row - t I + E`` is positive definite for some ``|E| <=
+    gamma_{m+1} |L| |L*|`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3): each row's eigenvalues lie in ``[t -
+    O(m^2 eps tau), tau]``, so its smallest clears ``floor_eps`` times the
+    grid's largest by ``2**-36 tau`` less that round-off, far beyond
+    ``eigvalsh``'s, and the floor pass would floor and refuse nothing."""
     m = rows.shape[-1]
-    if m == 2:
-        w = _eigvalsh(rows)
-        lo = w[:, 0].min()
-        return lo > 0.0 and lo >= policy.floor_eps * w.max()
     with np.errstate(over="ignore"):  # an infinite tau fails the gate
         tau = float(np.max(np.trace(rows, axis1=-2, axis2=-1).real))
     try:
@@ -272,14 +268,14 @@ def _floored_rows(rows, policy: PsdPolicy, name: str):
     Hermitian parts, floored, and the mask of floored rows.  Against the
     grid's largest eigenvalue, a grid with no positive mass or an eigenvalue
     below ``-negativity_tol`` times it raises ``NotPositiveDefinite``; one
-    below ``floor_eps`` times it is lifted to that floor.  A grid that
-    passes :func:`_nothing_to_floor` needs no eigensolve; any other takes
-    the eigvalsh path: ``eigvalsh``, which alone floors and refuses, and
-    ``eigh`` on the rows the floor lifts, to rebuild them floored."""
+    below ``floor_eps`` times it is lifted to that floor.  One pass decides
+    on the eigenvalues of :func:`_eigvalsh`, and ``eigh`` rebuilds the rows
+    the floor lifts; past m = 2 a grid that passes :func:`_nothing_to_floor`
+    skips it, and at m = 2 the closed form is the pass and needs no gate."""
     rows = hermitian_part(rows)
-    if _nothing_to_floor(rows, policy):
+    if rows.shape[-1] != 2 and _nothing_to_floor(rows, policy):
         return rows, np.zeros(len(rows), dtype=bool)
-    w = np.linalg.eigvalsh(rows)
+    w = _eigvalsh(rows)
     scale = float(w.max())
     if scale <= 0.0:
         raise NotPositiveDefinite(f"{name} has no positive eigenvalue mass; cannot floor")
@@ -312,9 +308,11 @@ def _roots(values, policy: PsdPolicy = PsdPolicy(floor_eps=0.0)) -> np.ndarray:
 
 
 def _matmul(a, b) -> np.ndarray:
-    """``a @ b``, batched and broadcast over leading axes.  At m = 2 each
-    entry is written out as ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``, which is
-    elementwise arithmetic in place of a product per matrix."""
+    """``a @ b``, batched and broadcast over leading axes: at m = 2 entry by
+    entry, ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``, elementwise in place of a
+    product per matrix; at other m, one GEMM on the rows of ``a`` for a 2-D ``b``."""
+    if b.ndim == 2 and b.shape != (2, 2):  # bitwise the batched product
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
     if not a.shape[-2:] == b.shape[-2:] == (2, 2):
         return a @ b
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))

@@ -388,9 +388,7 @@ def rational_grid(
     ``A(w_{N-l}) = conj A(w_l)`` and the other rows are mirror images.
     """
     h = _transfer(model, default_omegas(n_freq)[: n_freq // 2 + 1])
-    q, m = model.noise_cov, model.dim
-    # Past m = 2, one GEMM on the stacked rows, bitwise the batched product.
-    hq = _matmul(h, q) if m == 2 else (h.reshape(-1, m) @ q).reshape(h.shape)
+    hq = _matmul(h, model.noise_cov)
     values = _real_process(_matmul(hq, np.conj(np.swapaxes(h, -1, -2))), n_freq)
     del h, hq  # not held through the build
     return GridSpectrum.build(values, policy, name="rational spectrum", n_freq=n_freq)

@@ -103,9 +103,8 @@ def build_block_toeplitz(
 class ConvergenceDiagnostic:
     """Per-horizon costs, their extrapolated limit, and the verdict.
 
-    The trace rows record ``tr(S)/(i+1)`` for each side against the exact
-    limit ``tr R(0)``; they are the cheap sanity half of the convergence
-    argument and are emitted alongside the transport sequence.
+    ``trace_target_x`` and ``trace_target_y`` are each side's ``tr R(0)``,
+    the ``tr(S)/(i+1)`` of its ``S`` at every horizon; summed, the floor's unit.
     """
 
     horizons: tuple
@@ -114,8 +113,6 @@ class ConvergenceDiagnostic:
     extrapolated_limit: float
     converged: bool
     min_eigenvalues: tuple
-    trace_per_step_x: tuple
-    trace_per_step_y: tuple
     trace_target_x: float
     trace_target_y: float
     fit_degenerate: bool
@@ -199,8 +196,6 @@ def convergence_diagnostic(
     floor = 1e-8 * (target_x + target_y)
     per_step = []
     min_eigs = []
-    trace_x = []
-    trace_y = []
     fit = None
     for i, h in enumerate(horizons):
         sx, min_x = build_block_toeplitz(acx, h, policy)
@@ -211,8 +206,6 @@ def convergence_diagnostic(
             value = bures_w2_squared(sx, sy, policy) / (h + 1)
         per_step.append(value)
         min_eigs.append((min_x, min_y))
-        trace_x.append(float(np.trace(sx)) / (h + 1))
-        trace_y.append(float(np.trace(sy)) / (h + 1))
         if stop_early and i >= 2:
             previous, fit = fit, _fit_tail(horizons[: i + 1], per_step)
             if previous is not None and abs(fit - previous) <= 1e-2 * max(1e-3 * abs(fit), floor):
@@ -244,8 +237,6 @@ def convergence_diagnostic(
         extrapolated_limit=float(limit),
         converged=bool(converged),
         min_eigenvalues=tuple(min_eigs),
-        trace_per_step_x=tuple(trace_x),
-        trace_per_step_y=tuple(trace_y),
         trace_target_x=target_x,
         trace_target_y=target_y,
         fit_degenerate=degenerate,

@@ -2,7 +2,8 @@
 
 Run after a deliberate change to CLI output: ``python3 tests/golden/regen.py``.
 Refuses to write when a case exits with an unexpected code, so a broken
-build cannot silently become the new reference.
+build cannot silently become the new reference.  Each case's line ends in
+``changed`` or ``unchanged``, from its files as they were before the write.
 """
 
 import sys
@@ -21,9 +22,12 @@ def main() -> int:
             print(f"{case.name}: exit {code}, expected {case.expected_exit}; skipped")
             failures += 1
             continue
+        old = [path.read_text() if path.exists() else None
+               for path in (case.golden_out, case.golden_err)]
+        state = "unchanged" if old == [out, err] else "changed"
         case.golden_out.write_text(out)
         case.golden_err.write_text(err)
-        print(f"{case.name}: exit {code}, {len(out)}B stdout, {len(err)}B stderr")
+        print(f"{case.name}: exit {code}, {len(out)}B stdout, {len(err)}B stderr, {state}")
     return 1 if failures else 0
 
 

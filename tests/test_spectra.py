@@ -33,6 +33,8 @@ from specdist.errors import (
 from specdist.hermitian import (
     DEFAULT_POLICY,
     PsdPolicy,
+    _eigvalsh,
+    _matmul,
     _nothing_to_floor,
     _roots,
     hermitian_part,
@@ -657,11 +659,10 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
     closed = count_closed_forms(monkeypatch)
     spec = GridSpectrum.build(values)
     half = [(n_freq // 2 + 1, m, m)]
-    # At m = 2 the closed form sees the rows first; a grid with a row to
-    # floor then goes through eigvalsh as a whole, and eigh takes only the
-    # one lifted row of the half.
+    # At m = 2 the closed form alone decides, past it eigvalsh on the half
+    # rows, and eigh takes only the one lifted row of the half.
     assert closed == (half if m == 2 else [])
-    assert calls == ([] if m == 2 and not count else half + [(1, m, m)] * bool(count))
+    assert calls == ([] if m == 2 else half) + [(1, m, m)] * bool(count)
     assert np.max(np.abs(spec.full() - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
     # The root is derived from the floored values: decomposing a floored
     # value again moves its floor eigenvalue by about eps * scale, which the
@@ -678,16 +679,39 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
 
 def test_build_at_m2_without_a_floor_takes_singular_rows_to_eigh(monkeypatch):
     # With floor_eps 0 a zero row and a rank-one row are at the floor, not
-    # below it; the closed form leaves the grid to eigvalsh, and the root,
-    # whose closed form would divide by zero on the zero row, to eigh.
+    # below it; the closed form floors neither, with no eigensolve, and
+    # leaves the root, whose closed form would divide by zero on the zero
+    # row, to eigh.
     values = np.array([np.eye(2), np.zeros((2, 2)), np.ones((2, 2))], dtype=complex)
     policy = PsdPolicy(floor_eps=0.0)
     _, ref_root, _, _, ref_count = whole_grid_build(values, policy)
     calls = count_eigensolves(monkeypatch)
     spec = GridSpectrum.build(values, policy)
-    assert calls == [(3, 2, 2)] and spec.flooring_count == ref_count
+    assert calls == [] and spec.flooring_count == ref_count
     assert np.max(np.abs(_roots(spec.full()) - ref_root)) <= 1e-15
-    assert calls == [(3, 2, 2)] * 2
+    assert calls == [(3, 2, 2)]
+
+
+@pytest.mark.parametrize("matrix, count", [
+    # The closed form puts the smallest eigenvalue at 9.99978e-13, below the
+    # floor 1e-12 times the largest (1); LAPACK's eigvalsh at 1.0000056e-12.
+    ([[0.4966117842649101, -0.4999885198618355],
+      [-0.4999885198618355, 0.5033882157360898]], 1),
+    # The roles swap: 1.0000056e-12 by the closed form, 9.99978e-13 by LAPACK.
+    ([[0.18282672317775722, -0.3865244008714376],
+      [-0.3865244008714376, 0.8171732768232427]], 0),
+])
+def test_build_at_m2_floors_by_the_closed_form_alone(monkeypatch, matrix, count):
+    # Within an ulp of the floor the two algorithms disagree; the build
+    # follows the closed form, the eigenvalues that the coupling and the
+    # extremes read too, and runs eigh on the floored row only.
+    values = np.array([matrix], dtype=complex)
+    w = _eigvalsh(values)
+    want = np.count_nonzero(w[:, 0] < DEFAULT_POLICY.floor_eps * w.max())
+    calls = count_eigensolves(monkeypatch)
+    spec = GridSpectrum.build(values)
+    assert spec.flooring_count == want == count
+    assert calls == [(1, 2, 2)] * count
 
 
 def full_eigh_floor(rows, policy=DEFAULT_POLICY):
@@ -885,12 +909,13 @@ def test_kept_rows_build_as_their_full_grid(m, n_freq, singular, real_ends):
 
 def test_rational_grid_forms_h_q_as_one_gemm():
     # Past m = 2, H Q is one GEMM on the stacked rows of H; on every m it
-    # is bitwise the batched product.
+    # is bitwise the batched product, and _matmul forms it so.
     rng = np.random.default_rng(71)
     for m in range(3, 33):
         h = rng.standard_normal((257, m, m)) + 1j * rng.standard_normal((257, m, m))
         q = random_pd(m, rng)
         assert (h.reshape(-1, m) @ q).reshape(h.shape).tobytes() == (h @ q).tobytes()
+        assert _matmul(h, q).tobytes() == (h @ q).tobytes()
 
 
 def test_welch_refuses_too_few_segments_before_allocating():
