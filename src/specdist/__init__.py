@@ -14,7 +14,6 @@ from .errors import (
     FitDegenerateWarning,
     GridMismatch,
     GridTooCoarse,
-    IndefiniteInput,
     LagTooLarge,
     NegativeDistance,
     NonHermitianInput,
@@ -67,7 +66,6 @@ __all__ = [
     "GridMismatch",
     "GridSpectrum",
     "GridTooCoarse",
-    "IndefiniteInput",
     "LagTooLarge",
     "NegativeDistance",
     "NonHermitianInput",

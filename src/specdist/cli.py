@@ -275,7 +275,7 @@ def cmd_info(args) -> int:
             r0_min_eig=obj.r0_min_eigenvalue,
         )
     elif kind == "grid":
-        lo, hi = obj._extremes()  # one eigensolve for both
+        lo, hi = obj.extreme_eigenvalues()
         res = spectra.check_real_symmetry(obj)  # one residual pass for both
         summary.update(
             dim=obj.dim,

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error carries an ``exit_code`` used by the command-line front end;
-errors of the same family (size/shape problems, definiteness problems)
-share a code.
+the size and shape errors share one.  Each input rule raises one class,
+whoever applies it: the symmetry rule ``NonHermitianInput`` and every
+definiteness rule ``NotPositiveDefinite``.
 """
 
 
@@ -13,19 +14,13 @@ class SpecDistError(Exception):
 
 
 class NonHermitianInput(SpecDistError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
-class IndefiniteInput(SpecDistError):
-    """A nominally positive-(semi)definite matrix has an eigenvalue below
-    the tolerated negativity band."""
-
-    exit_code = 5
+    """Input matrix is not Hermitian within tolerance, not finite, or has
+    an entry too large for its Hermitian part."""
 
 
 class NotPositiveDefinite(SpecDistError):
-    """A matrix or spectrum that must be positive definite is not, even
-    after eigenvalue flooring."""
+    """A matrix or spectrum that must be positive (semi)definite is not,
+    within the policy's tolerance."""
 
     exit_code = 5
 

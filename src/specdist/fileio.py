@@ -41,7 +41,6 @@ from .spectra import Autocovariance, GridSpectrum, RationalSpectrum
 
 __all__ = [
     "format_float",
-    "grid_csv_text",
     "json_dumps",
     "load_json_object",
     "read_grid_csv",
@@ -151,11 +150,11 @@ def sidecar_path(path) -> Path:
 
 
 def _grid_csv_blocks(grid: GridSpectrum):
-    """Yield :func:`grid_csv_text` in blocks once the whole grid is checked.
-    Each cell of the kept rows ``0..h-1`` (``h = N/2+1`` if ``mirrored``, else
-    ``N``) is rendered once as ``re,im``; a lower entry bitwise ``conj`` of its
-    transpose, and a mirror's row ``N-l`` (held, yielded last), flip ``im`` in
-    that text."""
+    """Yield a grid's CSV text, a header and one line per entry, in blocks
+    once the whole grid is checked to be finite.  Each cell of the kept rows
+    ``0..h-1`` (``h = N/2+1`` if ``mirrored``, else ``N``) is rendered once
+    as ``re,im``; a lower entry bitwise ``conj`` of its transpose, and a
+    mirror's row ``N-l`` (held, yielded last), flip ``im`` in that text."""
     n, m, h = grid.n_freq, grid.dim, len(grid.values)
     parts = np.ascontiguousarray(grid.values, dtype=complex).view(float).reshape(h, m, m, 2)
     _refuse_non_finite(parts)
@@ -183,17 +182,6 @@ def _grid_csv_blocks(grid: GridSpectrum):
             images.append(lines(range(n - hi + 1, n - lo + 1),
                                 cells[(src + k * ~reused)[lo - s:hi - s][::-1]]))
     yield from reversed(images)
-
-
-def grid_csv_text(grid: GridSpectrum) -> str:
-    """CSV body for a grid spectrum (header plus one line per entry).
-
-    Raises
-    ------
-    ValueError
-        If any value is non-finite, with the message of :func:`format_float`.
-    """
-    return "".join(_grid_csv_blocks(grid))
 
 
 def write_grid_csv(path, grid: GridSpectrum) -> None:

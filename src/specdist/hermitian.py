@@ -13,6 +13,8 @@ symmetry, negativity, flooring and round-off rules live here, the
 grid-wide one too (``_floored_rows``, which ``GridSpectrum.build`` calls,
 measured against the grid's largest eigenvalue, with a Cholesky gate); only
 the strict ``noise_cov`` rule of ``RationalSpectrum`` applies outside it.
+The rule, not its caller, picks the error: the symmetry rule raises
+``NonHermitianInput``, every definiteness rule ``NotPositiveDefinite``.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
@@ -41,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndefiniteInput,
-    NegativeDistance,
-    NonHermitianInput,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, NegativeDistance, NonHermitianInput, NotPositiveDefinite
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -80,7 +76,7 @@ class PsdPolicy:
     matrix with eigenvalues ``w`` the effective floor is
     ``floor_eps * max(w, 0)`` and the largest tolerated negative eigenvalue
     is ``-negativity_tol * max(|w|)``; anything below that band raises
-    :class:`~specdist.errors.IndefiniteInput` instead of being silently
+    :class:`~specdist.errors.NotPositiveDefinite` instead of being silently
     repaired.  The defaults tolerate round-off without masking genuine
     indefiniteness.
     """
@@ -110,13 +106,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def hermitian_residual(a: np.ndarray) -> float:
     """Max entrywise deviation from conjugate symmetry, relative to the
     largest entry magnitude (0.0 for the zero matrix, NaN if not finite)."""
+    return _residual_and_top(a)[0]
+
+
+def _residual_and_top(a) -> tuple:
+    # The relative symmetry residual and the largest entry magnitude, by one pass each.
     a = np.asarray(a)
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN we want
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is the NaN we want
         num = float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
-    den = float(np.max(np.abs(a)))
-    if den == 0.0:
-        return 0.0
-    return num / den
+        top = float(np.max(np.abs(a)))
+    return (num / top if top else 0.0), top
 
 
 def check_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -136,14 +135,18 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _refuse_asymmetric(a, tol: float, what: str, error=NonHermitianInput) -> None:
+def _refuse_asymmetric(a, tol: float, what: str) -> None:
     # The one symmetry rule; ``not res <= tol`` also refuses a NaN residual.
-    res = hermitian_residual(a)
+    # Below 2**1023 two entries' sum is finite, so the Hermitian part is too.
+    res, top = _residual_and_top(a)
     if not res <= tol:
-        raise error(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
+        raise NonHermitianInput(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
+    if top >= 2.0**1023:
+        raise NonHermitianInput(f"{what} has an entry of magnitude {top:.6e}, at or above "
+                                "2**1023, so its Hermitian part overflows")
 
 
-def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput, shift=0) -> None:
+def _refuse_indefinite(w, policy: PsdPolicy, what: str, shift=0) -> None:
     # The one per-matrix negativity rule: each lowest eigenvalue against
     # -negativity_tol times the largest magnitude, at an end of the ascending
     # w, so elementwise.  NaN fails.  Messages show w * 4**shift.
@@ -153,7 +156,7 @@ def _refuse_indefinite(w, policy: PsdPolicy, what: str, error=IndefiniteInput, s
         k = int(np.argmin(lo + bounds))
         label = f"{what} {k}" if lo.ndim else what
         lo, bounds = (np.ldexp(x, 2 * shift) for x in (lo, bounds))
-        raise error(
+        raise NotPositiveDefinite(
             f"{label} has eigenvalue {float(np.ravel(lo)[k]):.6e} below "
             f"the tolerated negativity band -{float(np.ravel(bounds)[k]):.3e}"
         )
@@ -184,7 +187,7 @@ def sqrt_psd_many(values: np.ndarray, policy: PsdPolicy = DEFAULT_POLICY) -> np.
 
     Raises
     ------
-    IndefiniteInput
+    NotPositiveDefinite
         If an eigenvalue falls below the policy's negativity band.
     """
     w, v = np.linalg.eigh(values)
@@ -365,7 +368,7 @@ def coupling_trace(factor, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
     ``F``, batched over leading axes: the sum of the square roots of the
     eigenvalues of ``F* B F``, which has those of ``A^{1/2} B A^{1/2}`` and,
     as a congruence, the sign pattern of ``B``, so an indefinite ``B``
-    raises :class:`~specdist.errors.IndefiniteInput` here.  ``F*`` and then
+    raises :class:`~specdist.errors.NotPositiveDefinite` here.  ``F*`` and then
     ``F* B`` are scaled per matrix by powers of four, and the sum back, so
     no product over- or underflows and ordinary inputs keep their bits.
     ``factor`` is dropped once ``F* B F`` is formed: one passed inline is
@@ -406,7 +409,9 @@ def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     ------
     DimensionMismatch
         If the shapes differ.
-    IndefiniteInput
+    NonHermitianInput
+        If either operand fails the symmetry rule.
+    NotPositiveDefinite
         If either operand is indefinite beyond the policy band.
     """
     a = check_hermitian(a, name="first operand")

@@ -9,8 +9,9 @@ grid spectra from raw time series.  Models, autocovariances and series
 describe real processes, whose spectra satisfy ``value(N-l) =
 conj(value(l))``, so their grids are evaluated and kept on ``l = 0..N/2``
 (``mirrored``), as is any exact mirror given to :meth:`GridSpectrum.build`,
-which checks and floors those rows only; every reader works on them, and
-only :meth:`GridSpectrum.full` expands the mirror.
+which checks and floors those rows only; every reader works on them, the
+inverse transform to lags included, and only :meth:`GridSpectrum.full`
+expands the mirror.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class GridSpectrum:
         and not kept, as in model, autocovariance and Welch grids and exact
         mirrors given to :meth:`build`.  A ``dataclasses.replace`` copy keeps
         ``n_freq``; one whose ``values`` fit neither layout is refused.
-    min_eigenvalue, max_eigenvalue : float, read-only
-        Extreme eigenvalues of the kept values, by one eigensolve at each read.
     real_symmetry : bool, read-only
         ``check_real_symmetry(self) <= REAL_SYMMETRY_TOL``, read from the kept
         values each time; exact for a mirrored grid with real rows 0 and N/2.
@@ -125,10 +124,8 @@ class GridSpectrum:
     def real_symmetry(self) -> bool:
         return check_real_symmetry(self) <= REAL_SYMMETRY_TOL
 
-    min_eigenvalue = property(lambda self: self._extremes()[0])
-    max_eigenvalue = property(lambda self: self._extremes()[1])
-
-    def _extremes(self) -> tuple:
+    def extreme_eigenvalues(self) -> tuple:
+        """The smallest and largest eigenvalue of the kept values, by one eigensolve."""
         w = _eigvalsh(self.values)
         return float(w.min()), float(w.max())
 
@@ -232,9 +229,9 @@ class Autocovariance:
     """Truncated autocovariance sequence ``R(0..K)`` of a real process.
 
     ``lags`` has shape (K+1, m, m); negative lags are implied by
-    ``R(-k) = R(k)^T``.  ``R(0)`` is checked against the negativity band
-    of ``policy``, a constructor argument that is not stored; the check's
-    smallest eigenvalue is kept as ``r0_min_eigenvalue``.
+    ``R(-k) = R(k)^T``.  ``R(0)`` is checked by the symmetry rule and the
+    negativity band of ``policy``, a constructor argument that is not stored;
+    the check's smallest eigenvalue is kept as ``r0_min_eigenvalue``.
     """
 
     lags: np.ndarray
@@ -247,9 +244,9 @@ class Autocovariance:
             raise DimensionMismatch(
                 f"autocovariance lags must have shape (K+1, m, m), got {lags.shape}"
             )
-        _refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)", NotPositiveDefinite)
+        _refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)")
         w = np.linalg.eigvalsh(hermitian_part(lags[0]))
-        _refuse_indefinite(w, policy, "R(0)", NotPositiveDefinite)
+        _refuse_indefinite(w, policy, "R(0)")
         if not np.isfinite(lags).all():
             raise ValueError("autocovariance lags must be finite")
         object.__setattr__(self, "lags", lags)
@@ -271,9 +268,9 @@ class RationalSpectrum:
 
     ``ar`` holds A_1..A_p (shape (p, m, m), possibly p = 0), ``ma`` holds
     B_0..B_q (shape (q+1, m, m)), and ``noise_cov`` is the SPD innovation
-    covariance Q; its smallest eigenvalue, kept as
-    ``noise_cov_min_eigenvalue``, must exceed ``policy.floor_eps`` times its
-    largest (``policy`` is a constructor argument that is not stored).
+    covariance Q, which must pass the symmetry rule; its smallest eigenvalue,
+    kept as ``noise_cov_min_eigenvalue``, must exceed ``policy.floor_eps``
+    times its largest (``policy`` is a constructor argument that is not stored).
     Stability (spectral radius of the AR companion matrix strictly below
     one) is enforced at construction, and the radius kept as
     ``stability_radius``.
@@ -303,7 +300,7 @@ class RationalSpectrum:
             raise DimensionMismatch(
                 f"ma coefficients must have shape (q+1, {m}, {m}), got {ma.shape}"
             )
-        _refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov", NotPositiveDefinite)
+        _refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov")
         w = np.linalg.eigvalsh(hermitian_part(q))
         if float(w[0]) <= policy.floor_eps * float(np.abs(w).max()):
             raise NotPositiveDefinite(
@@ -434,8 +431,9 @@ def spectrum_to_autocov(
 ) -> Autocovariance:
     """Autocovariances ``R(k) = (1/N) sum_l value(w_l) e^{jw_l k}``.
 
-    A grid whose ``real_symmetry`` is False is refused; for any other, the
-    inverse transform's imaginary part is round-off and is discarded.
+    A grid whose ``real_symmetry`` is False is refused; any other is a real
+    process's spectrum to within its residual, and the lags are the ``irfft``
+    of its rows ``0..N/2``, the rows a mirrored grid keeps.
     Without a forced ``max_lag`` the sequence runs to the grid's bandwidth
     ``(n_freq - 1) // 2``, the largest lag below ``n_freq / 2``, and is cut
     after the last lag with ``|R(k)|_F >= DECAY_TOL * |R(0)|_F``.
@@ -458,10 +456,11 @@ def spectrum_to_autocov(
             f"max_lag {max_lag} out of range for a {spec.n_freq}-point grid "
             f"(must be below {spec.n_freq / 2:g})"
         )
-    if not spec.real_symmetry:
-        raise NonRealResidue(f"symmetry residual {check_real_symmetry(spec):.3e} "
+    res = check_real_symmetry(spec)
+    if not res <= REAL_SYMMETRY_TOL:
+        raise NonRealResidue(f"symmetry residual {res:.3e} "
                              "relative; grid is not the spectrum of a real process")
-    lags = np.fft.ifft(spec.full(), axis=0)[: max_lag + 1].real
+    lags = np.fft.irfft(spec.values[: spec.n_freq // 2 + 1], spec.n_freq, axis=0)[: max_lag + 1]
     if decay_cut:
         # Scaled exactly to a largest entry in [1/2, 1): no square under- or overflows.
         norms = np.linalg.norm(np.ldexp(lags, -np.frexp(np.abs(lags).max())[1]), axis=(1, 2))

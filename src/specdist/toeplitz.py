@@ -95,7 +95,7 @@ def build_block_toeplitz(
 
     w = np.linalg.eigvalsh(matrix)
     what = f"stacked covariance at horizon {horizon} (invalid or over-truncated lags)"
-    _refuse_indefinite(w, policy, what, NotPositiveDefinite)
+    _refuse_indefinite(w, policy, what)
     return matrix, float(w[0])
 
 

@@ -18,7 +18,6 @@ PUBLIC = [
     "GridMismatch",
     "GridSpectrum",
     "GridTooCoarse",
-    "IndefiniteInput",
     "LagTooLarge",
     "NegativeDistance",
     "NonHermitianInput",

@@ -24,8 +24,11 @@ from conftest import (
     refuse_inverse,
 )
 from specdist import cli
-from specdist.fileio import read_grid_csv, read_json_source, sidecar_path
-from specdist.hermitian import PsdPolicy
+from specdist.errors import NonHermitianInput, NotPositiveDefinite
+from specdist.fileio import read_grid_csv, read_json_source, sidecar_path, write_grid_csv
+from specdist.hermitian import PsdPolicy, coupling_trace, sqrt_psd_many, trace_sqrt_product
+from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum, rational_grid
+from specdist.toeplitz import build_block_toeplitz
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -509,16 +512,72 @@ def test_info_grid_decomposes_once(tmp_path, monkeypatch):
     # flat4.csv writes +0 imaginary parts in rows 5..7, which are not
     # bitwise the conjugates (-0) of rows 3..1, so its build gates, and info
     # decomposes, the whole grid.  With -0 there the grid is an exact
-    # mirror, and both take rows 0..N/2.
+    # mirror, and both take rows 0..N/2, as a written dim-3 model grid does.
     lines = (DATA_DIR / "flat4.csv").read_text().splitlines()
     mirror = tmp_path / "flat4_mirror.csv"
     images = [line.removesuffix(",0") + ",-0" for line in lines[6:]]
     mirror.write_text("\n".join(lines[:6] + images) + "\n")
+    model = tmp_path / "model3.csv"
+    write_grid_csv(model, rational_grid(random_varma21(3, np.random.default_rng(33)), 64))
     choleskys = []
     calls = count_eigensolves(monkeypatch, choleskys)
-    for path in ("data/flat4.csv", str(mirror)):
+    for path in ("data/flat4.csv", str(mirror), str(model)):
         assert run_case(("info", path))[0] == 0
-    assert calls == choleskys == [(8, 1, 1), (5, 1, 1)]
+    assert calls == choleskys == [(8, 1, 1), (5, 1, 1), (33, 3, 3)]
+
+
+def grid_csv(rows) -> str:
+    return "omega_index,row,col,re,im\n" + "".join(
+        f"{l},{i},{j},{v.real:.17g},{v.imag:.17g}\n"
+        for (l, i, j), v in np.ndenumerate(np.asarray(rows, dtype=complex)))
+
+
+ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+INDEFINITE = np.diag([1.0, -1.0])
+OVERFLOWING = np.stack([np.diag([1e308, 1e308]), np.eye(2)])
+
+#: Each failure of the symmetry or the negativity rule, by the library call
+#: that meets it and, where the command line reaches it, an ``info`` source.
+RULE_CASES = {
+    "asymmetric_grid": (lambda: GridSpectrum.build(np.stack([ASYMMETRIC, np.eye(2)])),
+                        ("grid.csv", grid_csv([ASYMMETRIC, np.eye(2)])), NonHermitianInput),
+    "overflowing_grid": (lambda: GridSpectrum.build(OVERFLOWING),
+                         ("grid.csv", grid_csv(OVERFLOWING)), NonHermitianInput),
+    "asymmetric_r0": (lambda: Autocovariance(ASYMMETRIC[None]),
+                        ("acov.json", json.dumps({"lags": [ASYMMETRIC.tolist()]})),
+                        NonHermitianInput),
+    "asymmetric_noise_cov": (
+        lambda: RationalSpectrum(np.zeros((0, 2, 2)), np.eye(2)[None], ASYMMETRIC),
+        ("model.json", json.dumps({"ma": [np.eye(2).tolist()], "noise_cov": ASYMMETRIC.tolist()})),
+        NonHermitianInput),
+    "asymmetric_operand": (lambda: trace_sqrt_product(np.eye(2), ASYMMETRIC), None,
+                           NonHermitianInput),
+    "indefinite_grid": (lambda: GridSpectrum.build(np.stack([INDEFINITE, np.eye(2)])),
+                        ("grid.csv", grid_csv([INDEFINITE, np.eye(2)])), NotPositiveDefinite),
+    "indefinite_r0": (lambda: Autocovariance(INDEFINITE[None]),
+                        ("acov.json", json.dumps({"lags": [INDEFINITE.tolist()]})),
+                        NotPositiveDefinite),
+    "indefinite_stacked_covariance": (
+        lambda: build_block_toeplitz(Autocovariance(np.array([[[1.0]], [[1.5]]])), 1), None,
+        NotPositiveDefinite),
+    "indefinite_coupling": (lambda: coupling_trace(np.eye(2), INDEFINITE), None,
+                            NotPositiveDefinite),
+    "indefinite_root": (lambda: sqrt_psd_many(INDEFINITE[None]), None, NotPositiveDefinite),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_each_rule_failure_has_one_class_and_exit_code(tmp_path, case):
+    # The rule, not the caller, picks the class; RuntimeWarnings are errors.
+    call, source, error = RULE_CASES[case]
+    with pytest.raises(error, match=r"2\*\*1023" if case == "overflowing_grid" else None):
+        call()
+    if source:
+        path = tmp_path / source[0]
+        path.write_text(source[1])
+        code, out, err = run_case(("info", str(path)))
+        assert (code, out) == ({NonHermitianInput: 1, NotPositiveDefinite: 5}[error], "")
+        assert err.startswith(f"error: {error.__name__}: ")
 
 
 @pytest.mark.parametrize("src, shape", [("data/var2_x.json", (2, 2)),

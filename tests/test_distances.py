@@ -18,7 +18,6 @@ from conftest import (
 from specdist.distances import gelbrich_lower_bound, hellinger, spectral_w2
 from specdist.errors import (
     GridMismatch,
-    IndefiniteInput,
     NegativeDistance,
     NotPositiveDefinite,
 )
@@ -217,7 +216,7 @@ def test_indefinite_input_propagates():
     good = random_grid_spectrum(2, np.random.default_rng(3), 4)
     bad = dataclasses.replace(good, values=bad_values)
     for fn in (spectral_w2, hellinger):
-        with pytest.raises(IndefiniteInput):
+        with pytest.raises(NotPositiveDefinite):
             fn(good, bad)
 
 

@@ -14,7 +14,6 @@ import specdist.hermitian
 from conftest import count_eigensolves, random_pd, sqrt_psd, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
-    IndefiniteInput,
     NegativeDistance,
     NonHermitianInput,
     NotPositiveDefinite,
@@ -114,10 +113,10 @@ def test_sqrt_psd_floors_tiny_negative():
 
 
 def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(IndefiniteInput):
+    with pytest.raises(NotPositiveDefinite):
         sqrt_psd(np.diag([1.0, -1e-3]))
     stack = np.stack([np.eye(2), np.diag([1.0, -1e-3])]).astype(complex)
-    with pytest.raises(IndefiniteInput):
+    with pytest.raises(NotPositiveDefinite):
         sqrt_psd_many(stack)
 
 
@@ -160,7 +159,7 @@ def test_trace_sqrt_product_validations():
     # the eigenvalue of F* B F, not of the kernel's scaled copy.
     for a in (np.eye(2), np.diag([0.0, 1.0])):
         for fn in (trace_sqrt_product, bures_w2_squared):
-            with pytest.raises(IndefiniteInput,
+            with pytest.raises(NotPositiveDefinite,
                                match=r"^coupling matrix has eigenvalue -2\.000000e\+00 "):
                 fn(a, np.diag([1.0, -2.0]))
 
@@ -378,7 +377,7 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
             values = spec.full()
             root = _roots(values)
             residual = np.max(np.abs(root @ root - values))
-            assert residual <= 16 * eps * spec.max_eigenvalue
+            assert residual <= 16 * eps * spec.extreme_eigenvalues()[1]
     x = build_outcome(hx)[0]
     if x is None:
         return
@@ -388,7 +387,7 @@ def test_closed_form_2x2_matches_the_general_path(h, pair):
     bound = DEFAULT_POLICY.negativity_tol * np.max(np.abs(ref), axis=-1)
     try:
         got = coupling_trace(root, hy)
-    except IndefiniteInput:
+    except NotPositiveDefinite:
         got = None
     if np.all(ref[:, 0] >= -bound):
         # Each path forms and decomposes the congruence to a backward error

@@ -21,7 +21,6 @@ from specdist.errors import NotPositiveDefinite, ParseError
 from specdist.fileio import (
     GRID_HEADER,
     format_float,
-    grid_csv_text,
     json_dumps,
     load_json_object,
     read_grid_csv,
@@ -163,9 +162,10 @@ def test_grid_csv_roundtrip_is_bitwise(tmp_path):
     assert path.read_text().splitlines()[0] == GRID_HEADER_LINE
 
 
-def test_grid_csv_text_layout():
+def test_grid_csv_text_layout(tmp_path):
     grid = random_grid_spectrum(1, np.random.default_rng(6), 2)
-    lines = grid_csv_text(grid).splitlines()
+    write_grid_csv(tmp_path / "grid1.csv", grid)
+    lines = (tmp_path / "grid1.csv").read_text().splitlines()
     assert lines[0] == GRID_HEADER_LINE
     assert len(lines) == 3
     assert lines[1].startswith("0,0,0,")
@@ -178,11 +178,9 @@ def test_grid_csv_text_matches_per_entry_rendering(tmp_path):
         f"{l},{i},{j},{float(v.real):.17g},{float(v.imag):.17g}"
         for (l, i, j), v in np.ndenumerate(grid.full())
     ]
-    text = grid_csv_text(grid)
-    assert text == "\n".join(expected) + "\n"
     path = tmp_path / "grid8.csv"
     write_grid_csv(path, grid)
-    assert path.read_text() == text
+    assert path.read_text() == "\n".join(expected) + "\n"
     back = read_grid_csv(path)
     assert back.full().tobytes() == grid.full().tobytes()
 
@@ -285,13 +283,12 @@ def test_grid_csv_text_of_a_mirror_matches_per_entry_rendering(tmp_path, monkeyp
 
     format_rows = specdist.fileio._format_rows
     monkeypatch.setattr(specdist.fileio, "_format_rows", counting)
-    text = grid_csv_text(grid)
-    assert text == per_entry_grid_text(grid)
+    path = tmp_path / "mirror.csv"
+    write_grid_csv(path, grid)
+    assert path.read_text() == per_entry_grid_text(grid)
     # Each distinct number is rendered once: a mirror's rows N/2+1..N-1 and
     # the lower entries that are conjugates of their transposes reuse text.
     assert sum(rendered) == rendered_floats(grid)
-    path = tmp_path / "mirror.csv"
-    write_grid_csv(path, grid)
     assert file_values(path, grid.full().shape).tobytes() == grid.full().tobytes()
     if make is not direct_grid:  # the read's build refuses a non-Hermitian grid
         back = read_grid_csv(path)
@@ -401,9 +398,9 @@ def written_grids(draw):
 @given(made=written_grids())
 def test_grid_csv_writer_matches_per_entry_rendering_on_generated_grids(tmp_path, made):
     grid, built = made
-    assert grid_csv_text(grid) == per_entry_grid_text(grid)
     path = tmp_path / "generated.csv"
     write_grid_csv(path, grid)
+    assert path.read_text() == per_entry_grid_text(grid)
     assert file_values(path, grid.full().shape).tobytes() == grid.full().tobytes()
     if built:
         assert read_grid_csv(path).full().tobytes() == grid.full().tobytes()

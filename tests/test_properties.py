@@ -366,6 +366,6 @@ def test_gate_and_extremes_are_positively_homogeneous(grid, c):
         assert _nothing_to_floor(hermitian_part(v), DEFAULT_POLICY) == passes
     plain, scaled = GridSpectrum.build(values), GridSpectrum.build(c * values)
     assert scaled.flooring_count == plain.flooring_count
-    for got, want in ((scaled.min_eigenvalue, plain.min_eigenvalue),
-                      (scaled.max_eigenvalue, plain.max_eigenvalue)):
-        assert abs(got / c - want) <= 1e-12 * plain.max_eigenvalue
+    want = plain.extreme_eigenvalues()
+    for got, w in zip(scaled.extreme_eigenvalues(), want):
+        assert abs(got / c - w) <= 1e-12 * want[1]

@@ -253,7 +253,7 @@ def test_stability_checks():
 
 def test_rational_validations():
     eye = np.eye(2)[None]
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NonHermitianInput):
         RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=eye,
                          noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
@@ -313,7 +313,7 @@ def test_exactly_singular_ar_is_singular_ar_at_m2():
 def test_autocov_validations():
     with pytest.raises(DimensionMismatch):
         Autocovariance(lags=np.ones((3, 2)))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NonHermitianInput):
         Autocovariance(lags=np.array([[[1.0, 0.5], [0.0, 1.0]]]))
     with pytest.raises(NotPositiveDefinite):
         Autocovariance(lags=np.array([[[-1.0]]]))
@@ -339,12 +339,12 @@ def test_non_finite_input_refused(bad):
         with pytest.raises(NonHermitianInput, match=re.escape(
                 "spectrum has symmetry residual nan (tolerance 1.0e-08)")):
             GridSpectrum.build(values)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NonHermitianInput):
         Autocovariance(lags=np.array([[[1.0, 0.0], [0.0, bad]]]))
     with pytest.raises(ValueError):
         Autocovariance(lags=np.array([[[1.0]], [[bad]]]))
     eye = np.eye(2)[None]
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NonHermitianInput):
         RationalSpectrum(ar=np.zeros((0, 2, 2)), ma=eye, noise_cov=np.diag([1.0, bad]))
     with pytest.raises(ValueError):
         RationalSpectrum(ar=np.full((1, 2, 2), bad), ma=eye, noise_cov=np.eye(2))
@@ -416,6 +416,34 @@ def test_autocov_lags_own_their_memory():
     grid = rational_grid(ar1_model(), 4096)
     for acov in (spectrum_to_autocov(grid), spectrum_to_autocov(grid, 5)):
         assert acov.lags.base is None
+
+
+@pytest.mark.parametrize("n_freq", [1, 2, 3, 15, 16, 4096])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_lags_from_the_kept_rows_match_the_whole_grid_ifft(m, n_freq):
+    # irfft of rows 0..N/2 against the complex ifft of the expanded mirror,
+    # every lag below N/2 compared.
+    spec = rational_grid(random_varma21(m, np.random.default_rng(n_freq + m)), n_freq)
+    lags = spectrum_to_autocov(spec, (n_freq - 1) // 2).lags
+    ref = np.fft.ifft(spec.full(), axis=0)[: len(lags)].real
+    assert np.max(np.abs(lags - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_freq", [15, 16])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lags_of_a_whole_real_grid_are_within_its_residual(m, n_freq):
+    # Rows N/2+1..N-1 moved by up to 1e-11 relative break the bitwise
+    # mirror but not real_symmetry; the lags, taken from rows 0..N/2, then
+    # differ from the whole grid's by at most the residual times its scale.
+    rng = np.random.default_rng(80 + m + n_freq)
+    values = mirrored_input(m, n_freq, rng)
+    values[n_freq // 2 + 1 :] *= 1.0 + 1e-11 * rng.random((n_freq - n_freq // 2 - 1, 1, 1))
+    spec = GridSpectrum.build(values)
+    assert not spec.mirrored and spec.real_symmetry
+    lags = spectrum_to_autocov(spec, (n_freq - 1) // 2).lags
+    ref = np.fft.ifft(spec.full(), axis=0)[: len(lags)].real
+    gap = np.max(np.abs(lags - ref))
+    assert 0.0 < gap <= check_real_symmetry(spec) * np.max(np.abs(spec.values))
 
 
 def test_nonreal_residue():
@@ -672,7 +700,8 @@ def test_build_decomposes_a_mirror_on_half_its_rows(monkeypatch, m, n_freq, sing
     assert np.max(np.abs(_roots(spec.full()) - ref_root)) <= root_tol * np.max(np.abs(ref_root))
     # eigvalsh, eigh and the closed form agree on the eigenvalues to round-off.
     bound = 4 * eps * hi
-    assert abs(spec.min_eigenvalue - lo) <= bound and abs(spec.max_eigenvalue - hi) <= bound
+    got_lo, got_hi = spec.extreme_eigenvalues()
+    assert abs(got_lo - lo) <= bound and abs(got_hi - hi) <= bound
     assert spec.flooring_count == ref_count == count
     assert spec.real_symmetry == (roll_residual(values) <= 1e-10) == real_ends
 
@@ -753,8 +782,8 @@ def test_floored_rows_match_the_whole_grid_eigh_path(monkeypatch, n_freq):
     # eigvalsh and eigh run different LAPACK solvers (sterf and stedc),
     # which agree to a few ulps of the largest eigenvalue.
     bound = 4 * np.finfo(float).eps * w.max()
-    assert abs(spec.min_eigenvalue - w.min()) <= bound
-    assert abs(spec.max_eigenvalue - w.max()) <= bound
+    got_lo, got_hi = spec.extreme_eigenvalues()
+    assert abs(got_lo - w.min()) <= bound and abs(got_hi - w.max()) <= bound
 
 
 def conditioned_rows(m, ratios, rng):
@@ -817,6 +846,19 @@ def test_cholesky_gate_leaves_an_overflowing_trace_to_eigvalsh(monkeypatch):
     spec = GridSpectrum.build(values)
     assert calls == choleskys == [(4, 3, 3)]
     assert spec.full().tobytes() == values.tobytes() and spec.flooring_count == 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_symmetry_rule_refuses_entries_from_2_to_the_1023(m):
+    # Below 2**1023 two entries sum to a finite number, so the Hermitian
+    # part, the floor and the extremes stay finite; from there on the grid
+    # is refused, not built as inf.
+    below = np.nextafter(2.0**1023, 0.0)
+    spec = GridSpectrum.build(np.stack([below * np.eye(m), np.eye(m)]))
+    assert np.isfinite(spec.values).all() and spec.flooring_count == 1
+    assert np.isfinite(spec.extreme_eigenvalues()).all()
+    with pytest.raises(NonHermitianInput, match=r"8\.988466e\+307, at or above 2\*\*1023"):
+        GridSpectrum.build(np.stack([2.0**1023 * np.eye(m), np.eye(m)]))
 
 
 @pytest.mark.parametrize("n_freq", [1, 2, 15, 16])
