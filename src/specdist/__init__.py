@@ -29,7 +29,6 @@ from .hermitian import (
     DEFAULT_POLICY,
     PsdPolicy,
     bures_w2_squared,
-    trace_sqrt_product,
 )
 from .spectra import (
     Autocovariance,
@@ -90,5 +89,4 @@ __all__ = [
     "spectral_w2",
     "spectrum_to_autocov",
     "stability_radius",
-    "trace_sqrt_product",
 ]

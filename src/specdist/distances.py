@@ -10,9 +10,9 @@ distance replaces the coupling term with ``|A^{1/2} - B^{1/2}|_F^2``; since
 never falls below the transport distance, with equality exactly when the
 spectra commute.  The per-frequency gap between the two coupling traces is
 a diagnostic of the Hellinger report.  One function builds each report; the
-two distances differ only in the integrand it averages.  The transport trace
-couples a factor of ``Fx`` with ``Fy`` and needs no eigenvector; only
-:func:`hellinger` forms the principal roots.
+two distances differ only in their integrand, ``hermitian._integrand``,
+which also serves ``bures_w2_squared`` and the oracle.  Only
+:func:`hellinger` forms roots; the transport trace needs no eigenvector.
 
 A pair of mirrored grids (``GridSpectrum.mirrored``: rows ``l = 0..N/2``
 kept, row ``N-l`` being ``conj(row l)``) is compared and coupled on those
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .hermitian import (DEFAULT_POLICY, PsdPolicy, _clamp_round_off, _factors, _matmul, _roots,
-                        coupling_trace)
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _integrand, _matmul
 from .spectra import GridSpectrum, _mirror
 
 __all__ = [
@@ -94,19 +93,7 @@ def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
         return DistanceReport(0.0, 0.0, n, np.zeros(n), 0.0, flooring_count,
                               alt_gap=np.zeros(n) if hellinger else None)
 
-    tsp = coupling_trace(_factors(xv, policy), yv, policy)
-
-    tr_x = np.trace(xv, axis1=-2, axis2=-1).real
-    tr_y = np.trace(yv, axis1=-2, axis2=-1).real
-    scale = tr_x + tr_y
-    integrand = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
-    alt = None
-    if hellinger:
-        rx, ry = _roots(xv), _roots(yv)
-        integrand = np.sum(np.abs(rx - ry) ** 2, axis=(-2, -1))
-        # The gap is guarded like the transport trace but reported unclamped.
-        alt = tsp - np.einsum("fij,fji->f", rx, ry).real
-        _clamp_round_off(alt, scale, "coupling-trace gap")
+    integrand, alt, traces = _integrand(xv, yv, policy, hellinger)
 
     # Dimensionless, on copies scaled per matrix by the power of two that
     # puts its trace in [1/2, 1), so that no product or norm over- or
@@ -115,7 +102,7 @@ def _distance(x: GridSpectrum, y: GridSpectrum, policy: PsdPolicy,
     # thresholds above a half grid, so later ops reuse heap pages (a looped
     # dim-8 op: about 6,950 minor faults with two buffers, 2,050 with one).
     xys = np.empty((2,) + xv.shape, np.result_type(xv, yv))
-    for a, t, out in zip((xv, yv), (tr_x, tr_y), xys):
+    for a, t, out in zip((xv, yv), traces, xys):
         np.multiply(a, np.ldexp(1.0, -np.frexp(t)[1])[:, None, None], out=out)
     comm = _matmul(*xys)
     comm -= np.conj(np.swapaxes(comm, -1, -2))

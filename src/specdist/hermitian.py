@@ -2,11 +2,12 @@
 
 Principal PSD square roots and the Bures-type quadratic coupling cost
 ``tr[A + B - 2(A^{1/2} B A^{1/2})^{1/2}]`` on pairs of Hermitian
-positive-definite matrices.  One kernel, ``coupling_trace``, takes the
-coupling trace from any factor ``A = F F*``; ``_factors`` gives a matrix
-or a grid its closed-form root at m = 2, its Cholesky factor otherwise, or
-its floored root when it has none, so no transport number needs an
-eigenvector; only the Hellinger distance forms principal roots
+positive-definite matrices: one integrand, ``_integrand``, for the grid,
+``bures_w2_squared`` and the oracle.  One kernel, ``coupling_trace``,
+takes the coupling trace from any factor ``A = F F*``; ``_factors`` gives
+a matrix or a grid its closed-form root at m = 2, its Cholesky factor
+otherwise, or its floored root when it has none, so no transport number
+needs an eigenvector; only the Hellinger integrand forms principal roots
 (``_roots``).  Everything here is a pure function of its inputs; real
 symmetric matrices stay in real arithmetic throughout.  The package's
 symmetry, negativity, flooring and round-off rules live here, the
@@ -52,9 +53,7 @@ __all__ = [
     "check_hermitian",
     "coupling_trace",
     "hermitian_part",
-    "hermitian_residual",
     "sqrt_psd_many",
-    "trace_sqrt_product",
 ]
 
 #: Relative symmetry tolerance for accepting a matrix as Hermitian.
@@ -101,12 +100,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     for part in (s.real, s.imag):
         part *= 0.5
     return s
-
-
-def hermitian_residual(a: np.ndarray) -> float:
-    """Max entrywise deviation from conjugate symmetry, relative to the
-    largest entry magnitude (0.0 for the zero matrix, NaN if not finite)."""
-    return _residual_and_top(a)[0]
 
 
 def _residual_and_top(a) -> tuple:
@@ -387,28 +380,49 @@ def coupling_trace(factor, b, policy: PsdPolicy = DEFAULT_POLICY) -> np.ndarray:
 
 
 def _factors(a, policy: PsdPolicy) -> np.ndarray:
-    """A factor ``F F* = A`` of one matrix or each of a stack: the root of
-    :func:`_roots` at m = 2, else the Cholesky factor (``A`` taken as given,
-    without the policy floor), or the floored roots when some has none."""
-    if a.shape[-1] == 2:
-        return _roots(a, policy)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return sqrt_psd_many(a, policy)
+    """A factor ``F F* = A`` of one matrix or each of a stack: at m other than
+    2 the Cholesky factor (``A`` taken as given, without the policy floor)
+    when every matrix has one, else the roots of :func:`_roots` under the policy."""
+    if a.shape[-1] != 2:
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+    return _roots(a, policy)
 
 
-def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
-    """``tr[(A^{1/2} B A^{1/2})^{1/2}]`` for Hermitian PD ``A``, ``B``, by
-    :func:`coupling_trace` on the factor of ``A`` from :func:`_factors`, or
-    on its floored root when ``A`` is singular or negative inside the
-    policy band.  The tests keep the sum of square roots of the eigenvalues
-    of ``A B`` as an independent reference.
+def _integrand(a, b, policy: PsdPolicy, hellinger: bool = False) -> tuple:
+    """The per-matrix integrand of a matrix pair or of stacks, the gap
+    ``tr[(A^{1/2} B A^{1/2})^{1/2}] - tr[A^{1/2} B^{1/2}]`` (None for
+    transport), and ``(tr A, tr B)``.  Transport couples :func:`_factors` of
+    ``A`` with ``B``; Hellinger couples ``A``'s root, then forms ``B``'s.  The
+    round-off rule, against ``tr A + tr B``, clamps the transport value and
+    guards the gap, which is returned unclamped."""
+    traces = tuple(np.trace(x, axis1=-2, axis2=-1).real for x in (a, b))
+    scale = traces[0] + traces[1]
+    ra = _roots(a) if hellinger else None
+    # A transport factor is passed inline, never bound here, so the kernel frees it.
+    tsp = coupling_trace(_factors(a, policy) if ra is None else ra, b, policy)
+    value = _clamp_round_off(scale - 2.0 * tsp, scale, "transport trace")
+    if not hellinger:
+        return value, None, traces
+    rb = _roots(b)
+    gap = tsp - np.einsum("...ij,...ji->...", ra, rb).real
+    _clamp_round_off(gap, scale, "coupling-trace gap")
+    return np.sum(np.abs(ra - rb) ** 2, axis=(-2, -1)), gap, traces
+
+
+def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
+    """``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``, the squared quadratic
+    coupling cost between zero-mean laws with scatter matrices ``A`` and
+    ``B``: the grid distances' transport integrand at one pair.  A value
+    down to ``-NEGATIVE_BAND * (tr A + tr B)`` is clamped to zero; a lower
+    one raises :class:`~specdist.errors.NegativeDistance`.
 
     Raises
     ------
     DimensionMismatch
-        If the shapes differ.
+        If an operand is not square, or the shapes differ.
     NonHermitianInput
         If either operand fails the symmetry rule.
     NotPositiveDefinite
@@ -418,19 +432,4 @@ def trace_sqrt_product(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     b = check_hermitian(b, name="second operand")
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    # The factor is passed inline, never bound here, so the kernel frees it.
-    return float(coupling_trace(_factors(a, policy), b, policy))
-
-
-def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
-    """Squared quadratic coupling cost between zero-mean laws with scatter
-    matrices ``A`` and ``B``:  ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``
-    with the coupling trace from :func:`trace_sqrt_product`.
-
-    Tiny negative results inside the round-off band
-    ``NEGATIVE_BAND * (tr A + tr B)`` are clamped to zero; anything more
-    negative raises :class:`~specdist.errors.NegativeDistance`.
-    """
-    cross = trace_sqrt_product(a, b, policy)
-    scale = float(np.trace(np.asarray(a)).real) + float(np.trace(np.asarray(b)).real)
-    return float(_clamp_round_off(scale - 2.0 * cross, scale, "squared distance"))
+    return float(_integrand(a, b, policy)[0])

@@ -5,11 +5,11 @@ Gaussian-style vector with a block-Toeplitz covariance built from the
 autocovariance sequence.  The per-step squared transport cost between two
 such vectors, divided by ``i+1``, converges to the squared spectral
 distance as the horizon grows.  This module builds those matrices
-explicitly, evaluates the per-step costs with dense eigendecompositions,
-and fits the tail of the sequence to estimate its limit.  It is
-deliberately naive: no fast Toeplitz algebra, every claim is recomputed
-from scratch, so it can serve as an independent check on the spectral
-code path.
+explicitly, evaluates the per-step costs with dense eigendecompositions
+(the grid distances' transport integrand, on the checked stacks), and fits
+the tail of the sequence to estimate its limit.  It is deliberately naive:
+no fast Toeplitz algebra, every claim is recomputed from scratch, so it
+can serve as an independent check on the spectral code path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FitDegenerateWarning, NotPositiveDefinite
-from .hermitian import DEFAULT_POLICY, PsdPolicy, _refuse_indefinite, bures_w2_squared
+from .hermitian import DEFAULT_POLICY, PsdPolicy, _integrand, _refuse_indefinite
 from .spectra import Autocovariance
 
 __all__ = [
@@ -203,7 +203,7 @@ def convergence_diagnostic(
         if np.array_equal(sx, sy):
             value = 0.0
         else:
-            value = bures_w2_squared(sx, sy, policy) / (h + 1)
+            value = float(_integrand(sx, sy, policy)[0]) / (h + 1)
         per_step.append(value)
         min_eigs.append((min_x, min_y))
         if stop_early and i >= 2:

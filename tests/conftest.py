@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import specdist.hermitian
-from specdist.hermitian import DEFAULT_POLICY, check_hermitian, sqrt_psd_many
+from specdist.hermitian import DEFAULT_POLICY, _factors, check_hermitian, coupling_trace, sqrt_psd_many
 from specdist.spectra import GridSpectrum, RationalSpectrum, default_omegas
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -109,6 +109,12 @@ def rational_value(model, omega):
 def sqrt_psd(a, policy=DEFAULT_POLICY):
     """The library's principal root of one Hermitian PSD matrix."""
     return sqrt_psd_many(check_hermitian(a)[None], policy)[0]
+
+
+def factored_trace(a, b, policy=DEFAULT_POLICY):
+    """The library's coupling trace of one pair, as its integrand forms it:
+    ``coupling_trace`` on the factor of ``A`` that ``_factors`` picks."""
+    return float(coupling_trace(_factors(np.asarray(a), policy), np.asarray(b), policy))
 
 
 def record_shapes(monkeypatch, names, calls) -> None:

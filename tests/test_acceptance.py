@@ -14,6 +14,7 @@ from cli_cases import CASES, run_case
 from conftest import (
     DATA_DIR,
     commuting_pair,
+    factored_trace,
     random_grid_spectrum,
     random_pd,
     scalar_w2_squared,
@@ -22,7 +23,6 @@ from conftest import (
 )
 from specdist import distances, spectra, toeplitz
 from specdist.fileio import read_json_source
-from specdist.hermitian import trace_sqrt_product
 
 
 @pytest.fixture
@@ -89,7 +89,7 @@ def test_coupling_trace_two_paths_agree(verdict):
     for a, b in _matrix_pairs():
         count += 1
         ref = tsp_reference(a, b)
-        worst = max(worst, abs(trace_sqrt_product(a, b) - ref) / ref)
+        worst = max(worst, abs(factored_trace(a, b) - ref) / ref)
     verdict(
         "coupling trace, factored vs product eigenvalues",
         worst <= 1e-8 and count == 200,
@@ -102,7 +102,7 @@ def test_transport_hellinger_ordering(verdict):
     min_gap_rel = np.inf
     for a, b in _matrix_pairs():
         scale = float(np.trace(a).real + np.trace(b).real)
-        gap = trace_sqrt_product(a, b) - float(
+        gap = factored_trace(a, b) - float(
             np.trace(sqrt_psd(a) @ sqrt_psd(b)).real
         )
         min_gap_rel = min(min_gap_rel, gap / scale)

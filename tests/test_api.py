@@ -42,7 +42,6 @@ PUBLIC = [
     "spectral_w2",
     "spectrum_to_autocov",
     "stability_radius",
-    "trace_sqrt_product",
 ]
 
 LAYERS = ("cli", "distances", "fileio", "hermitian", "spectra", "toeplitz")

@@ -26,7 +26,7 @@ from conftest import (
 from specdist import cli
 from specdist.errors import NonHermitianInput, NotPositiveDefinite
 from specdist.fileio import read_grid_csv, read_json_source, sidecar_path, write_grid_csv
-from specdist.hermitian import PsdPolicy, coupling_trace, sqrt_psd_many, trace_sqrt_product
+from specdist.hermitian import PsdPolicy, bures_w2_squared, coupling_trace, sqrt_psd_many
 from specdist.spectra import Autocovariance, GridSpectrum, RationalSpectrum, rational_grid
 from specdist.toeplitz import build_block_toeplitz
 
@@ -550,7 +550,7 @@ RULE_CASES = {
         lambda: RationalSpectrum(np.zeros((0, 2, 2)), np.eye(2)[None], ASYMMETRIC),
         ("model.json", json.dumps({"ma": [np.eye(2).tolist()], "noise_cov": ASYMMETRIC.tolist()})),
         NonHermitianInput),
-    "asymmetric_operand": (lambda: trace_sqrt_product(np.eye(2), ASYMMETRIC), None,
+    "asymmetric_operand": (lambda: bures_w2_squared(np.eye(2), ASYMMETRIC), None,
                            NonHermitianInput),
     "indefinite_grid": (lambda: GridSpectrum.build(np.stack([INDEFINITE, np.eye(2)])),
                         ("grid.csv", grid_csv([INDEFINITE, np.eye(2)])), NotPositiveDefinite),
@@ -802,10 +802,10 @@ def test_non_finite_policy_coefficient_exits_3(flag, value):
 
 
 def test_warning_prints_one_line(monkeypatch):
-    # The fake per-step kernel of the oracle tests gives a kinked tail.
+    # The fake per-step integrand of the oracle tests gives a kinked tail.
     per_step = {17: 1.0, 33: 2.0, 65: 1.5}
-    monkeypatch.setattr(specdist.toeplitz, "bures_w2_squared",
-                        lambda a, b, policy: per_step[a.shape[0]] * a.shape[0])
+    monkeypatch.setattr(specdist.toeplitz, "_integrand",
+                        lambda a, b, policy: (per_step[a.shape[0]] * a.shape[0], None, None))
     argv = ("oracle", "data/ar1.json", "data/white.json", "--horizons", "16,32,64")
     code, out, err = run_case(argv)
     assert code == 0 and json.loads(out)["fit_degenerate"]

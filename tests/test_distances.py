@@ -328,6 +328,23 @@ def test_mirrored_pair_couples_half_the_grid(monkeypatch, m, n_freq):
         assert (closed, calls, choleskys) == ([], half, half)
 
 
+@pytest.mark.parametrize("m", [2, 8])
+def test_hellinger_decomposes_each_side_once(monkeypatch, m):
+    # The root of x is both the coupling factor and the Hellinger operand:
+    # at m = 2 three closed forms (the two roots and the coupling), and at
+    # m = 8 two root eigh and one coupling eigvalsh, with no Cholesky factor.
+    x, y = model_pair(m, 64)
+    choleskys = []
+    calls = count_eigensolves(monkeypatch, choleskys)
+    closed = count_closed_forms(monkeypatch)
+    hellinger(x, y)
+    half = [(33, m, m)]
+    if m == 2:
+        assert (closed, calls, choleskys) == (half * 3, [], [])
+    else:
+        assert (closed, calls, choleskys) == ([], half * 3, [])
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_unmirrored_pairs_couple_the_whole_grid(monkeypatch, m):
     rng = np.random.default_rng(m)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import specdist.hermitian
-from conftest import count_eigensolves, random_pd, sqrt_psd, tsp_reference
+from conftest import count_eigensolves, factored_trace, random_pd, sqrt_psd, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
     NegativeDistance,
@@ -26,14 +26,13 @@ from specdist.hermitian import (
     _inv,
     _matmul,
     _norm1,
+    _residual_and_top,
     _roots,
     bures_w2_squared,
     check_hermitian,
     coupling_trace,
     hermitian_part,
-    hermitian_residual,
     sqrt_psd_many,
-    trace_sqrt_product,
 )
 from specdist.spectra import GridSpectrum
 
@@ -55,9 +54,9 @@ def test_hermitian_part_and_residual():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = hermitian_part(a)
-    assert hermitian_residual(h) <= 1e-15
-    assert hermitian_residual(a) > 1e-3
-    assert hermitian_residual(np.zeros((2, 2))) == 0.0
+    assert _residual_and_top(h)[0] <= 1e-15
+    assert _residual_and_top(a)[0] > 1e-3
+    assert _residual_and_top(np.zeros((2, 2)))[0] == 0.0
 
 
 def test_check_hermitian_rejects():
@@ -75,14 +74,14 @@ def test_non_finite_input_refused(bad, where):
     # residual check must refuse rather than compare as "not too large".
     a = np.eye(2)
     a[where] = a[where[::-1]] = bad
-    assert np.isnan(hermitian_residual(a))
+    assert np.isnan(_residual_and_top(a)[0])
     with pytest.raises(NonHermitianInput):
         check_hermitian(a)
     with pytest.raises(NonHermitianInput):
         sqrt_psd(a)
     for pair in ((a, np.eye(2)), (np.eye(2), a)):
         with pytest.raises(NonHermitianInput):
-            trace_sqrt_product(*pair)
+            bures_w2_squared(*pair)
 
 
 def test_sqrt_psd_trivial_cases():
@@ -94,7 +93,7 @@ def test_sqrt_psd_trivial_cases():
 def test_sqrt_psd_squaring_roundtrip(m, complex_):
     a = random_pd(m, np.random.default_rng(m), complex_=complex_)
     s = sqrt_psd(a)
-    assert hermitian_residual(s) <= 1e-12
+    assert _residual_and_top(s)[0] <= 1e-12
     err = np.linalg.norm(s @ s - a) / np.linalg.norm(a)
     assert err <= 1e-9
 
@@ -129,8 +128,8 @@ def test_sqrt_psd_many_matches_single():
 
 
 def test_trace_sqrt_product_trivial_cases():
-    assert abs(trace_sqrt_product(np.eye(2), np.eye(2)) - 2.0) <= 1e-12
-    assert abs(trace_sqrt_product([[4.0]], [[9.0]]) - 6.0) <= 1e-12
+    assert abs(factored_trace(np.eye(2), np.eye(2)) - 2.0) <= 1e-12
+    assert abs(factored_trace([[4.0]], [[9.0]]) - 6.0) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
@@ -145,23 +144,28 @@ def test_trace_sqrt_product_paths_agree(m):
     kernel = coupling_trace(sqrt_psd_many(a_stack), b_stack)
     assert kernel.shape == (10,)
     for k, (a, b) in enumerate(pairs):
-        sandwich = trace_sqrt_product(a, b)
+        sandwich = factored_trace(a, b)
         product = tsp_reference(a, b)
         assert abs(sandwich - product) <= 1e-8 * sandwich
         assert abs(kernel[k] - product) <= 1e-8 * product
 
 
-def test_trace_sqrt_product_validations():
-    with pytest.raises(DimensionMismatch):
-        trace_sqrt_product(np.eye(2), np.eye(3))
-    # An indefinite B is refused on the Cholesky path, and on the root path
-    # that an A with an exactly zero first pivot takes; the message gives
-    # the eigenvalue of F* B F, not of the kernel's scaled copy.
+def test_bures_w2_squared_validations():
+    # The operand checks are the single-matrix API's: non-square, asymmetric
+    # and mismatched operands are refused before any coupling.
+    with pytest.raises(DimensionMismatch, match="differ"):
+        bures_w2_squared(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch, match="square"):
+        bures_w2_squared(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(NonHermitianInput, match="^second operand"):
+        bures_w2_squared(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # An indefinite B is refused on the closed-form root of A, and on the
+    # floored root that a singular A takes; the message gives the eigenvalue
+    # of F* B F, not of the kernel's scaled copy.
     for a in (np.eye(2), np.diag([0.0, 1.0])):
-        for fn in (trace_sqrt_product, bures_w2_squared):
-            with pytest.raises(NotPositiveDefinite,
-                               match=r"^coupling matrix has eigenvalue -2\.000000e\+00 "):
-                fn(a, np.diag([1.0, -2.0]))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^coupling matrix has eigenvalue -2\.000000e\+00 "):
+            bures_w2_squared(a, np.diag([1.0, -2.0]))
 
 
 def singular_psd(m, rng, complex_=False):
@@ -190,7 +194,7 @@ def test_bures_root_fallback_on_singular_first_operand(monkeypatch, complex_):
     # Without a floor, the root of the singular A is exact.
     unfloored = PsdPolicy(floor_eps=0.0)
     tsp, ref = tsp_reference(a, b), bures_reference(a, b)
-    assert abs(trace_sqrt_product(a, b, unfloored) - tsp) <= 1e-12 * tsp
+    assert abs(factored_trace(a, b, unfloored) - tsp) <= 1e-12 * tsp
     assert abs(bures_w2_squared(a, b, unfloored) - ref) <= 1e-12 * ref
     # The default policy lifts A's zero eigenvalue to floor_eps times its
     # largest; the reference's tiny product eigenvalue then carries ~1e-10.
@@ -214,7 +218,7 @@ def test_bures_cholesky_path_on_complex_pair(monkeypatch):
     assert choleskys == [(5, 5)] and calls == [(5, 5)]
     tsp, ref = tsp_reference(a, b), bures_reference(a, b)
     assert abs(got - ref) <= 1e-12 * ref
-    assert abs(trace_sqrt_product(a, b) - tsp) <= 1e-12 * tsp
+    assert abs(factored_trace(a, b) - tsp) <= 1e-12 * tsp
 
 
 def test_bures_frees_the_factor_before_the_symmetrization():

@@ -18,12 +18,12 @@ from specdist.distances import hellinger, spectral_w2
 from specdist.hermitian import (
     DEFAULT_POLICY,
     NEGATIVE_BAND,
+    _factors,
     _nothing_to_floor,
     bures_w2_squared,
     coupling_trace,
     hermitian_part,
     sqrt_psd_many,
-    trace_sqrt_product,
 )
 from specdist.spectra import (
     GridSpectrum,
@@ -158,7 +158,7 @@ def pd_pair(draw, dims):
 
 def assert_cholesky_and_root_paths_agree(pair):
     a, b = pair
-    cholesky = trace_sqrt_product(a, b)
+    cholesky = float(coupling_trace(_factors(a, DEFAULT_POLICY), b))
     root = float(coupling_trace(sqrt_psd_many(a[None]), b[None])[0])
     assert abs(cholesky - root) <= 1e-12 * root
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specdist.toeplitz
-from conftest import count_eigensolves, random_pd, tsp_reference
+from conftest import count_eigensolves, factored_trace, random_pd, random_varma21, tsp_reference
 from specdist.errors import (
     DimensionMismatch,
     FitDegenerateWarning,
@@ -21,7 +21,7 @@ from specdist.spectra import (
 )
 from specdist.distances import spectral_w2
 from specdist.fileio import json_dumps
-from specdist.hermitian import trace_sqrt_product
+from specdist.hermitian import bures_w2_squared
 from specdist.toeplitz import (
     DEFAULT_HORIZONS,
     DENSE_CAP,
@@ -134,9 +134,9 @@ def test_per_step_frozen_value():
 def test_trace_per_step():
     acov = ar1_acov()
     for horizon in (0, 8, 32):
-        value = trace_sqrt_product(*stacks(acov, acov, horizon)) / (horizon + 1)
+        value = factored_trace(*stacks(acov, acov, horizon)) / (horizon + 1)
         assert abs(value - 4.0 / 3.0) <= 1e-10
-    value = trace_sqrt_product(*stacks(scaled_white(4.0), scaled_white(1.0), 0))
+    value = factored_trace(*stacks(scaled_white(4.0), scaled_white(1.0), 0))
     assert abs(value - 2.0) <= 1e-12
 
 
@@ -144,8 +144,21 @@ def test_two_path_equality_per_horizon():
     acx, acy = ar1_acov(), white_acov()
     for horizon in (4, 16, 64):
         sx, sy = stacks(acx, acy, horizon)
-        sandwich = trace_sqrt_product(sx, sy)
+        sandwich = factored_trace(sx, sy)
         assert abs(sandwich - tsp_reference(sx, sy)) <= 1e-8 * sandwich
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_per_step_is_the_single_matrix_cost(m):
+    # The oracle applies the single-matrix API's integrand to the stacks,
+    # without its operand checks, so each step is bitwise that cost.
+    rng = np.random.default_rng(40 + m)
+    acx, acy = (spectrum_to_autocov(rational_grid(random_varma21(m, rng), 64))
+                for _ in range(2))
+    horizons = (2, 8, 16)
+    diag = convergence_diagnostic(acx, acy, horizons)
+    for h, value in zip(horizons, diag.per_step_values):
+        assert value == bures_w2_squared(*stacks(acx, acy, h)) / (h + 1)
 
 
 def test_one_horizon_three_eigensolves_one_cholesky(monkeypatch):
@@ -235,14 +248,14 @@ def test_default_horizons_fit_dense_budget():
 
 def test_diagnostic_flags_nonmonotone_tail(monkeypatch):
     # Natural rational pairs produce monotone tails, so drive the fit
-    # input directly: a fake per-step kernel with a kink must raise the
+    # input directly: a fake per-step integrand with a kink must raise the
     # warning and set the flag without aborting the run.
     per_step = {17: 1.0, 33: 2.0, 65: 1.5}
 
-    def fake_bures(a, b, policy):
-        return per_step[a.shape[0]] * a.shape[0]
+    def fake_integrand(a, b, policy):
+        return per_step[a.shape[0]] * a.shape[0], None, None
 
-    monkeypatch.setattr(specdist.toeplitz, "bures_w2_squared", fake_bures)
+    monkeypatch.setattr(specdist.toeplitz, "_integrand", fake_integrand)
     with pytest.warns(FitDegenerateWarning):
         diag = convergence_diagnostic(
             ar1_acov(), white_acov(), (16, 32, 64), 1.5
@@ -256,12 +269,12 @@ def fake_sequence(monkeypatch, value):
     transport cost; returns the horizons the kernel was asked for."""
     asked = []
 
-    def fake_bures(a, b, policy):
+    def fake_integrand(a, b, policy):
         h = a.shape[0] - 1
         asked.append(h)
-        return value(h) * (h + 1)
+        return value(h) * (h + 1), None, None
 
-    monkeypatch.setattr(specdist.toeplitz, "bures_w2_squared", fake_bures)
+    monkeypatch.setattr(specdist.toeplitz, "_integrand", fake_integrand)
     return asked
 
 
