@@ -73,4 +73,4 @@ class ParseError(SpecDistError):
 
 
 class FitDegenerateWarning(UserWarning):
-    """Extrapolation fit input was non-monotone beyond noise level."""
+    """The tail fit's input was non-monotone, or the fit fell below a per-step value."""

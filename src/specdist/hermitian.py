@@ -14,8 +14,9 @@ symmetry, negativity, flooring and round-off rules live here, the
 grid-wide one too (``_floored_rows``, which ``GridSpectrum.build`` calls,
 measured against the grid's largest eigenvalue, with a Cholesky gate); only
 the strict ``noise_cov`` rule of ``RationalSpectrum`` applies outside it.
-The rule, not its caller, picks the error: the symmetry rule raises
-``NonHermitianInput``, every definiteness rule ``NotPositiveDefinite``.
+The symmetry rule returns the Hermitian part it measured, which every later
+pass reads, ``_floored_rows`` too.  Each rule, not its caller, picks the
+error: symmetry ``NonHermitianInput``, definiteness ``NotPositiveDefinite``.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
@@ -91,10 +92,8 @@ class PsdPolicy:
 DEFAULT_POLICY = PsdPolicy()
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return ``(A + A*) / 2``, batched over leading axes.  The parts are
-    halved as reals: a complex ``0.5`` would turn a ``-0.0`` into ``+0.0``."""
-    s = a + np.conj(np.swapaxes(a, -1, -2))
+def _halved(s: np.ndarray) -> np.ndarray:
+    # A + A*, halved as reals: a complex 0.5 would turn a -0.0 into +0.0.
     if not np.iscomplexobj(s):
         return 0.5 * s
     for part in (s.real, s.imag):
@@ -102,13 +101,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _residual_and_top(a) -> tuple:
-    # The relative symmetry residual and the largest entry magnitude, by one pass each.
-    a = np.asarray(a)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is the NaN we want
-        num = float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
-        top = float(np.max(np.abs(a)))
-    return (num / top if top else 0.0), top
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """Return ``(A + A*) / 2``, batched over leading axes."""
+    return _halved(a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def check_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -128,15 +123,22 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _refuse_asymmetric(a, tol: float, what: str) -> None:
-    # The one symmetry rule; ``not res <= tol`` also refuses a NaN residual.
+def _refuse_asymmetric(a, tol: float, what: str) -> np.ndarray:
+    # The one symmetry rule; returns the Hermitian part it measured, C-ordered
+    # and bitwise hermitian_part(a).  ``not res <= tol`` also refuses a NaN residual.
     # Below 2**1023 two entries' sum is finite, so the Hermitian part is too.
-    res, top = _residual_and_top(a)
+    a = np.asarray(a)
+    s = np.conj(np.swapaxes(a, -1, -2), order="C")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is the NaN we want
+        top = float(np.max(np.abs(a)))
+        res = float(np.max(np.abs(a - s))) / top if top else 0.0
     if not res <= tol:
         raise NonHermitianInput(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
     if top >= 2.0**1023:
         raise NonHermitianInput(f"{what} has an entry of magnitude {top:.6e}, at or above "
                                 "2**1023, so its Hermitian part overflows")
+    s += a
+    return _halved(s)
 
 
 def _refuse_indefinite(w, policy: PsdPolicy, what: str, shift=0) -> None:
@@ -260,15 +262,15 @@ def _nothing_to_floor(rows, policy: PsdPolicy) -> bool:
 
 
 def _floored_rows(rows, policy: PsdPolicy, name: str):
-    """The grid-wide definiteness rule on rows ``(n, m, m)``: their
-    Hermitian parts, floored, and the mask of floored rows.  Against the
-    grid's largest eigenvalue, a grid with no positive mass or an eigenvalue
-    below ``-negativity_tol`` times it raises ``NotPositiveDefinite``; one
-    below ``floor_eps`` times it is lifted to that floor.  One pass decides
-    on the eigenvalues of :func:`_eigvalsh`, and ``eigh`` rebuilds the rows
-    the floor lifts; past m = 2 a grid that passes :func:`_nothing_to_floor`
-    skips it, and at m = 2 the closed form is the pass and needs no gate."""
-    rows = hermitian_part(rows)
+    """The grid-wide definiteness rule on Hermitian rows ``(n, m, m)``, as
+    the symmetry rule returns them: the rows, floored, and the mask of
+    floored rows.  Against the grid's largest eigenvalue, a grid with no
+    positive mass or an eigenvalue below ``-negativity_tol`` times it raises
+    ``NotPositiveDefinite``; one below ``floor_eps`` times it is lifted to
+    that floor.  One pass decides on the eigenvalues of :func:`_eigvalsh`,
+    and ``eigh`` rebuilds the rows the floor lifts; past m = 2 a grid that
+    passes :func:`_nothing_to_floor` skips it, and at m = 2 the closed form
+    is the pass and needs no gate."""
     if rows.shape[-1] != 2 and _nothing_to_floor(rows, policy):
         return rows, np.zeros(len(rows), dtype=bool)
     w = _eigvalsh(rows)

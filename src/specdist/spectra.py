@@ -41,7 +41,6 @@ from .hermitian import (
     _norm1,
     _refuse_asymmetric,
     _refuse_indefinite,
-    hermitian_part,
 )
 
 __all__ = [
@@ -174,8 +173,8 @@ class GridSpectrum:
             if np.array_equal(_bits(values[n_freq // 2 + 1 :]),
                               _bits(np.conj(values[_mirrored_rows(n_freq)]))):
                 values = values[: n_freq // 2 + 1]
-        _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
-        rows, floored = _floored_rows(values, policy, name)
+        rows = _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
+        rows, floored = _floored_rows(rows, policy, name)
         images = floored[_mirrored_rows(n_freq)] if len(rows) < n_freq else []
         count = np.count_nonzero(floored) + np.count_nonzero(images)
         return cls(values=rows, flooring_count=int(count), n_freq=n_freq)
@@ -244,8 +243,7 @@ class Autocovariance:
             raise DimensionMismatch(
                 f"autocovariance lags must have shape (K+1, m, m), got {lags.shape}"
             )
-        _refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)")
-        w = np.linalg.eigvalsh(hermitian_part(lags[0]))
+        w = np.linalg.eigvalsh(_refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)"))
         _refuse_indefinite(w, policy, "R(0)")
         if not np.isfinite(lags).all():
             raise ValueError("autocovariance lags must be finite")
@@ -300,8 +298,7 @@ class RationalSpectrum:
             raise DimensionMismatch(
                 f"ma coefficients must have shape (q+1, {m}, {m}), got {ma.shape}"
             )
-        _refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov")
-        w = np.linalg.eigvalsh(hermitian_part(q))
+        w = np.linalg.eigvalsh(_refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov"))
         if float(w[0]) <= policy.floor_eps * float(np.abs(w).max()):
             raise NotPositiveDefinite(
                 f"noise_cov must be positive definite; min eigenvalue {float(w[0]):.6e}"

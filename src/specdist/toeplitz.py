@@ -159,11 +159,14 @@ def convergence_diagnostic(
     Notes
     -----
     ``converged`` is true when the extrapolated limit and the target differ
-    by at most ``max(1e-3 * target, 1e-8 * s)``, with ``s = tr Rx(0) +
-    tr Ry(0)``, which bounds every squared distance of the pair; both
-    floors are relative, so the verdict does not change when both
-    processes are scaled by one factor.  A non-monotone tail (beyond
-    round-off) flags the fit as degenerate and emits
+    by at most ``tol = max(1e-3 * target, 1e-8 * s)``, with ``s = tr Rx(0) +
+    tr Ry(0)``, which bounds every squared distance of the pair, and no
+    per-step value exceeds ``target + tol``: the cost between n-sample stacks
+    is superadditive in n, so by Fekete's lemma no per-step value exceeds the
+    limit.  Both floors are relative, so the verdict does not change when
+    both processes are scaled by one factor.  A non-monotone tail (beyond
+    round-off), or a fit more than ``1e-8 * s`` below a per-step value, flags
+    the fit as degenerate and emits
     :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
 
     The default schedule refits the last three horizons after each horizon
@@ -174,9 +177,10 @@ def convergence_diagnostic(
     against the target.  For geometrically decaying lags the per-step value
     is ``L + c/(i+1)`` up to geometrically vanishing terms (Szegő-type
     trace asymptotics), so the fit settles early; a spectral zero or a
-    near-unit root leaves slower terms, and the whole schedule runs.
-    ``horizons`` records where the run stopped, and the verdict and the
-    degeneracy flag come from the last three horizons that ran.
+    near-unit root leaves slower terms, and the whole schedule runs.  It
+    also stops after the first value above ``target + tol``, which no later
+    horizon can undo.  ``horizons`` records where the run stopped, and the
+    verdict and the flag come from the horizons that ran.
     """
     if acx.dim != acy.dim:
         raise DimensionMismatch(
@@ -194,6 +198,7 @@ def convergence_diagnostic(
     # The floors' unit, tr Rx(0) + tr Ry(0), bounds every squared distance.
     target_x, target_y = (float(np.trace(a.lags[0])) for a in (acx, acy))
     floor = 1e-8 * (target_x + target_y)
+    tol = max(1e-3 * abs(spectral_target), floor)
     per_step = []
     min_eigs = []
     fit = None
@@ -206,6 +211,8 @@ def convergence_diagnostic(
             value = float(_integrand(sx, sy, policy)[0]) / (h + 1)
         per_step.append(value)
         min_eigs.append((min_x, min_y))
+        if stop_early and value > spectral_target + tol:
+            break  # a lower bound on the limit above the target
         if stop_early and i >= 2:
             previous, fit = fit, _fit_tail(horizons[: i + 1], per_step)
             if previous is not None and abs(fit - previous) <= 1e-2 * max(1e-3 * abs(fit), floor):
@@ -214,22 +221,20 @@ def convergence_diagnostic(
     if not np.all(np.isfinite(per_step)):
         raise NotPositiveDefinite("finite-horizon sequence contains non-finite values")
 
-    degenerate = False
+    limit, peak = _fit_tail(horizons, per_step), max(per_step)
+    degenerate = limit < peak - floor  # below a lower bound on the limit
     if len(per_step) >= 3:
         v1, v2, v3 = per_step[-3:]
         s1, s2 = v2 - v1, v3 - v2
         noise = 1e-12 * max(abs(v1), abs(v2), abs(v3), 1e-300)
-        if s1 * s2 < 0.0 and min(abs(s1), abs(s2)) > noise:
-            degenerate = True
-            warnings.warn(
-                "finite-horizon tail is non-monotone; the 1/(i+1) "
-                "extrapolation may be unreliable",
-                FitDegenerateWarning,
-            )
-
-    limit = _fit_tail(horizons, per_step)
-    tol = max(1e-3 * abs(spectral_target), floor)
-    converged = abs(limit - spectral_target) <= tol
+        degenerate |= s1 * s2 < 0.0 and min(abs(s1), abs(s2)) > noise
+    if degenerate:
+        warnings.warn(
+            "finite-horizon tail is non-monotone; the 1/(i+1) "
+            "extrapolation may be unreliable",
+            FitDegenerateWarning,
+        )
+    converged = abs(limit - spectral_target) <= tol and peak <= spectral_target + tol
     return ConvergenceDiagnostic(
         horizons=tuple(horizons),
         per_step_values=tuple(per_step),

@@ -26,7 +26,7 @@ from specdist.hermitian import (
     _inv,
     _matmul,
     _norm1,
-    _residual_and_top,
+    _refuse_asymmetric,
     _roots,
     bures_w2_squared,
     check_hermitian,
@@ -54,9 +54,43 @@ def test_hermitian_part_and_residual():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = hermitian_part(a)
-    assert _residual_and_top(h)[0] <= 1e-15
-    assert _residual_and_top(a)[0] > 1e-3
-    assert _residual_and_top(np.zeros((2, 2)))[0] == 0.0
+    _refuse_asymmetric(h, 1e-15, "h")
+    with pytest.raises(NonHermitianInput, match="symmetry residual"):
+        _refuse_asymmetric(a, 1e-3, "a")
+    _refuse_asymmetric(np.zeros((2, 2)), 0.0, "zero")  # residual 0, not 0/0
+
+
+def signed_zero_stacks():
+    """Real and complex stacks at m = 1, 2, 3 and 8 and single matrices,
+    Hermitian to round-off or not at all, with imaginary parts of +0.0 and
+    -0.0 among them."""
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 8):
+        for shape in ((m, m), (5, m, m)):
+            x = rng.standard_normal(shape)
+            y = rng.standard_normal(shape)
+            near = x + np.swapaxes(x, -1, -2) * (1.0 + 1e-14)
+            yield x
+            yield near
+            yield x + 1j * y
+            yield near + 1j * (y - np.swapaxes(y, -1, -2))
+            for base in (x, near):
+                c = base.astype(complex)
+                c.imag = np.copysign(0.0, rng.standard_normal(shape))  # not 1j * zeros
+                yield c
+
+
+def test_symmetry_rule_returns_the_hermitian_part_bitwise():
+    # The rule forms A* once and returns (A + A*) / 2 from it: the same
+    # bits, signed zeros included, as hermitian_part, and C-ordered like it.
+    cases = list(signed_zero_stacks())
+    assert any(np.signbit(c.imag).any() and (c.imag == 0).all() for c in cases)
+    for a in cases:
+        got = _refuse_asymmetric(a, np.inf, "a")
+        want = hermitian_part(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_check_hermitian_rejects():
@@ -74,7 +108,8 @@ def test_non_finite_input_refused(bad, where):
     # residual check must refuse rather than compare as "not too large".
     a = np.eye(2)
     a[where] = a[where[::-1]] = bad
-    assert np.isnan(_residual_and_top(a)[0])
+    with pytest.raises(NonHermitianInput, match="symmetry residual nan"):
+        _refuse_asymmetric(a, np.inf, "a")
     with pytest.raises(NonHermitianInput):
         check_hermitian(a)
     with pytest.raises(NonHermitianInput):
@@ -93,7 +128,7 @@ def test_sqrt_psd_trivial_cases():
 def test_sqrt_psd_squaring_roundtrip(m, complex_):
     a = random_pd(m, np.random.default_rng(m), complex_=complex_)
     s = sqrt_psd(a)
-    assert _residual_and_top(s)[0] <= 1e-12
+    _refuse_asymmetric(s, 1e-12, "root")
     err = np.linalg.norm(s @ s - a) / np.linalg.norm(a)
     assert err <= 1e-9
 

@@ -266,7 +266,8 @@ def test_diagnostic_flags_nonmonotone_tail(monkeypatch):
 
 def fake_sequence(monkeypatch, value):
     """Drive the oracle with per-step values ``value(h)`` in place of the
-    transport cost; returns the horizons the kernel was asked for."""
+    transport cost; returns the horizons the kernel was asked for.  A real
+    sequence rises to its limit, so the fakes below rise too."""
     asked = []
 
     def fake_integrand(a, b, policy):
@@ -280,14 +281,14 @@ def fake_sequence(monkeypatch, value):
 
 @pytest.mark.parametrize("rho, stop", [(0.4, 48), (0.7, 128), (0.8, 192)])
 def test_default_schedule_stops_once_geometric_term_fades(monkeypatch, rho, stop):
-    # The three-point fit absorbs L + c/(h+1) exactly, so two successive
+    # The three-point fit absorbs L - c/(h+1) exactly, so two successive
     # fits differ by about the geometric term at the first point of the
     # earlier window, times that fit's weight on it (about 1.2 in magnitude
     # on this ladder).  The rule (a step under 1e-2 * 1e-3 |L| = 8e-6)
     # fires at the first horizon whose earlier window starts where
     # rho^h < 6e-6.
     limit = 0.8
-    asked = fake_sequence(monkeypatch, lambda h: limit + 2.0 / (h + 1) + rho**h)
+    asked = fake_sequence(monkeypatch, lambda h: limit - 2.0 / (h + 1) - rho**h)
     diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=limit)
     ran = DEFAULT_HORIZONS[: DEFAULT_HORIZONS.index(stop) + 1]
     assert diag.horizons == ran and asked == list(ran)
@@ -301,7 +302,7 @@ def test_default_schedule_stops_once_geometric_term_fades(monkeypatch, rho, stop
 def test_default_schedule_runs_in_full_on_an_algebraic_tail(monkeypatch):
     # A (h+1)^(-1/2) term is outside the fit model: successive fits keep
     # moving by far more than the step tolerance, so no horizon is skipped.
-    fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + (h + 1) ** -0.5)
+    fake_sequence(monkeypatch, lambda h: 0.8 - 2.0 / (h + 1) - (h + 1) ** -0.5)
     diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=0.8)
     assert diag.horizons == DEFAULT_HORIZONS
 
@@ -312,7 +313,7 @@ def test_default_schedule_stops_at_dim_32(monkeypatch):
     # so that no dense solve runs.
     monkeypatch.setattr(specdist.toeplitz, "build_block_toeplitz",
                         lambda acov, h, policy: (acov.lags[0, 0, 0] * np.eye(h + 1), 1.0))
-    asked = fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + 0.4**h)
+    asked = fake_sequence(monkeypatch, lambda h: 0.8 - 2.0 / (h + 1) - 0.4**h)
     wide = [Autocovariance(lags=c * np.eye(32)[None]) for c in (1.0, 2.0)]
     diag = convergence_diagnostic(*wide, spectral_target=0.8)
     assert diag.horizons == (16, 24, 32, 48) and asked == [16, 24, 32, 48]
@@ -320,7 +321,7 @@ def test_default_schedule_stops_at_dim_32(monkeypatch):
 
 
 def test_explicit_horizons_run_in_full(monkeypatch):
-    asked = fake_sequence(monkeypatch, lambda h: 0.8 + 2.0 / (h + 1) + 0.4**h)
+    asked = fake_sequence(monkeypatch, lambda h: 0.8 - 2.0 / (h + 1) - 0.4**h)
     diag = convergence_diagnostic(ar1_acov(), white_acov(), DEFAULT_HORIZONS, 0.8)
     assert diag.horizons == DEFAULT_HORIZONS and asked == list(DEFAULT_HORIZONS)
 
@@ -331,3 +332,67 @@ def test_identical_pair_stops_at_the_earliest_horizon():
     assert diag.horizons == (16, 24, 32, 48)
     assert diag.per_step_values == (0.0, 0.0, 0.0, 0.0)
     assert diag.extrapolated_limit == 0.0 and diag.converged
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_finite_horizon_cost_is_superadditive(m):
+    # a(n), the Gaussian cost between n-sample stacks, is n times the
+    # per-step value at horizon n-1.  A coupling of n+k samples restricts to
+    # couplings of the first n and the last k, whose costs add, so a(n+k) >=
+    # a(n) + a(k), and by Fekete's lemma no per-step value exceeds the limit.
+    # The lags are the whole grid's, up to its bandwidth.
+    rng = np.random.default_rng(60 + m)
+    acx, acy = (spectrum_to_autocov(rational_grid(random_varma21(m, rng), 128), 63)
+                for _ in range(2))
+    a = {n: n * per_step(acx, acy, n - 1) for n in (1, 2, 3, 5, 8, 16, 17, 32, 33)}
+    for n, k in ((1, 1), (1, 2), (2, 3), (3, 5), (8, 8), (16, 16), (16, 17), (17, 16)):
+        assert a[n + k] >= a[n] + a[k], (n, k)
+
+
+def ar1_white_target():
+    return spectral_w2(rational_grid(AR1, 8192), rational_grid(WHITE, 8192)).squared
+
+
+def test_a_per_step_value_above_the_target_stops_the_schedule():
+    # Against half the true target the first horizon's value already exceeds
+    # target + tol; no later horizon can lower the limit, so the run stops.
+    target = ar1_white_target()
+    diag = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=0.5 * target)
+    assert diag.horizons == (16,) and not diag.converged
+    assert diag.per_step_values[0] > 0.5 * target * (1.0 + 1e-3)
+    full = convergence_diagnostic(ar1_acov(), white_acov(), spectral_target=target)
+    assert len(full.horizons) >= 4 and full.converged
+
+
+def above_the_target_then_exact(h):
+    # A value of 0.9 at h = 8, then 0.8 - 2/(h+1), which the tail fit meets exactly.
+    return 0.9 if h == 8 else 0.8 - 2.0 / (h + 1)
+
+
+def test_a_fit_below_a_per_step_value_is_degenerate(monkeypatch):
+    # The tail is monotone and its fit meets the target, but a value above
+    # target + tol is a lower bound on the limit above both.
+    fake_sequence(monkeypatch, above_the_target_then_exact)
+    with pytest.warns(FitDegenerateWarning):
+        diag = convergence_diagnostic(ar1_acov(), white_acov(), (8, 16, 32, 64), 0.8)
+    assert abs(diag.extrapolated_limit - 0.8) <= 1e-12
+    assert not diag.converged and diag.fit_degenerate
+
+
+@pytest.mark.parametrize("k", [-900, -450, 0, 450, 900])
+def test_bound_verdicts_are_scale_free(monkeypatch, k):
+    # Both lag sequences and the target times c = 2**k: the stop horizon,
+    # the verdict and the flag stay, on real and on faked sequences.
+    c = 2.0**k
+    plain = [ar1_acov(), white_acov()]
+    scaled = [Autocovariance(lags=c * a.lags) for a in plain]
+    target = ar1_white_target()
+    for t in (target, 0.5 * target):
+        ref, got = (convergence_diagnostic(*pair, spectral_target=s * t)
+                    for pair, s in ((plain, 1.0), (scaled, c)))
+        assert (got.horizons, got.converged, got.fit_degenerate) == (
+            ref.horizons, ref.converged, ref.fit_degenerate)
+    fake_sequence(monkeypatch, lambda h: c * above_the_target_then_exact(h))
+    with pytest.warns(FitDegenerateWarning):
+        got = convergence_diagnostic(*scaled, (8, 16, 32, 64), c * 0.8)
+    assert not got.converged and got.fit_degenerate
