@@ -73,4 +73,5 @@ class ParseError(SpecDistError):
 
 
 class FitDegenerateWarning(UserWarning):
-    """The tail fit's input was non-monotone, or the fit fell below a per-step value."""
+    """The tail fit's input was non-monotone, or, on a monotone tail, the fit
+    fell below a per-step value, a lower bound on the limit; one message per cause."""

@@ -40,13 +40,11 @@ from .hermitian import DEFAULT_POLICY, PsdPolicy
 from .spectra import Autocovariance, GridSpectrum, RationalSpectrum
 
 __all__ = [
-    "format_float",
     "json_dumps",
     "load_json_object",
     "read_grid_csv",
     "read_json_source",
     "read_timeseries_csv",
-    "sidecar_path",
     "write_grid_csv",
 ]
 

@@ -14,9 +14,11 @@ symmetry, negativity, flooring and round-off rules live here, the
 grid-wide one too (``_floored_rows``, which ``GridSpectrum.build`` calls,
 measured against the grid's largest eigenvalue, with a Cholesky gate); only
 the strict ``noise_cov`` rule of ``RationalSpectrum`` applies outside it.
-The symmetry rule returns the Hermitian part it measured, which every later
-pass reads, ``_floored_rows`` too.  Each rule, not its caller, picks the
-error: symmetry ``NonHermitianInput``, definiteness ``NotPositiveDefinite``.
+The symmetry rule, with its one tolerance, returns the Hermitian part it
+measured, which every later pass reads: ``_floored_rows`` on a grid,
+``_integrand`` on the operands of ``bures_w2_squared``.  Each rule, not its
+caller, picks the error: symmetry ``NonHermitianInput``, definiteness
+``NotPositiveDefinite``.
 
 At m = 2 the per-matrix work has a closed form (Bhatia, Jain & Lim, "On
 the Bures-Wasserstein distance between positive definite matrices",
@@ -51,17 +53,12 @@ __all__ = [
     "DEFAULT_POLICY",
     "PsdPolicy",
     "bures_w2_squared",
-    "check_hermitian",
     "coupling_trace",
-    "hermitian_part",
-    "sqrt_psd_many",
 ]
 
-#: Relative symmetry tolerance for accepting a matrix as Hermitian.
-HERMITIAN_TOL = 1e-12
-
-#: Looser symmetry tolerance for spectrum grids, R(0) and noise_cov.
-GRID_HERMITIAN_TOL = 1e-8
+#: Relative symmetry tolerance of every matrix the symmetry rule checks:
+#: grid rows, R(0), noise_cov and the single-matrix cost's operands.
+SYMMETRY_TOL = 1e-8
 
 #: Relative round-off band below zero tolerated in a computed squared
 #: distance (or coupling-trace gap) before declaring a numerical bug.
@@ -106,34 +103,19 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return _halved(a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def check_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is a square Hermitian matrix.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``a`` is not two-dimensional and square.
-    NonHermitianInput
-        If the symmetry residual exceeds ``HERMITIAN_TOL`` or is NaN.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    _refuse_asymmetric(a, HERMITIAN_TOL, name)
-    return a
-
-
-def _refuse_asymmetric(a, tol: float, what: str) -> np.ndarray:
+def _refuse_asymmetric(a, what: str) -> np.ndarray:
     # The one symmetry rule; returns the Hermitian part it measured, C-ordered
-    # and bitwise hermitian_part(a).  ``not res <= tol`` also refuses a NaN residual.
-    # Below 2**1023 two entries' sum is finite, so the Hermitian part is too.
+    # and bitwise hermitian_part(a).  ``not res <= SYMMETRY_TOL`` also refuses
+    # a NaN residual.  Below 2**1023 two entries' sum is finite, so the
+    # Hermitian part is too.
     a = np.asarray(a)
     s = np.conj(np.swapaxes(a, -1, -2), order="C")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is the NaN we want
         top = float(np.max(np.abs(a)))
         res = float(np.max(np.abs(a - s))) / top if top else 0.0
-    if not res <= tol:
-        raise NonHermitianInput(f"{what} has symmetry residual {res:.3e} (tolerance {tol:.1e})")
+    if not res <= SYMMETRY_TOL:
+        raise NonHermitianInput(
+            f"{what} has symmetry residual {res:.3e} (tolerance {SYMMETRY_TOL:.1e})")
     if top >= 2.0**1023:
         raise NonHermitianInput(f"{what} has an entry of magnitude {top:.6e}, at or above "
                                 "2**1023, so its Hermitian part overflows")
@@ -417,9 +399,11 @@ def _integrand(a, b, policy: PsdPolicy, hellinger: bool = False) -> tuple:
 def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     """``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]``, the squared quadratic
     coupling cost between zero-mean laws with scatter matrices ``A`` and
-    ``B``: the grid distances' transport integrand at one pair.  A value
-    down to ``-NEGATIVE_BAND * (tr A + tr B)`` is clamped to zero; a lower
-    one raises :class:`~specdist.errors.NegativeDistance`.
+    ``B``: the grid distances' transport integrand at one pair.  Each
+    operand passes the symmetry rule, and their Hermitian parts are coupled,
+    as a grid's rows are.  A value down to ``-NEGATIVE_BAND * (tr A + tr B)``
+    is clamped to zero; a lower one raises
+    :class:`~specdist.errors.NegativeDistance`.
 
     Raises
     ------
@@ -430,8 +414,13 @@ def bures_w2_squared(a, b, policy: PsdPolicy = DEFAULT_POLICY) -> float:
     NotPositiveDefinite
         If either operand is indefinite beyond the policy band.
     """
-    a = check_hermitian(a, name="first operand")
-    b = check_hermitian(b, name="second operand")
+    parts = []
+    for x, what in ((a, "first operand"), (b, "second operand")):
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
+            raise DimensionMismatch(f"{what} must be square, got shape {x.shape}")
+        parts.append(_refuse_asymmetric(x, what))
+    a, b = parts
     if a.shape != b.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
     return float(_integrand(a, b, policy)[0])

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_POLICY,
-    GRID_HERMITIAN_TOL,
     PsdPolicy,
     _eigvalsh,
     _floored_rows,
@@ -157,7 +156,7 @@ class GridSpectrum:
         ------
         NonHermitianInput
             If any value deviates from Hermitian symmetry beyond
-            ``GRID_HERMITIAN_TOL`` (relative), or is not finite.
+            ``hermitian.SYMMETRY_TOL`` (relative), or is not finite.
         NotPositiveDefinite
             If any eigenvalue is negative beyond the policy band, or the
             whole grid has no positive mass to floor against.
@@ -173,7 +172,7 @@ class GridSpectrum:
             if np.array_equal(_bits(values[n_freq // 2 + 1 :]),
                               _bits(np.conj(values[_mirrored_rows(n_freq)]))):
                 values = values[: n_freq // 2 + 1]
-        rows = _refuse_asymmetric(values, GRID_HERMITIAN_TOL, name)
+        rows = _refuse_asymmetric(values, name)
         rows, floored = _floored_rows(rows, policy, name)
         images = floored[_mirrored_rows(n_freq)] if len(rows) < n_freq else []
         count = np.count_nonzero(floored) + np.count_nonzero(images)
@@ -243,7 +242,7 @@ class Autocovariance:
             raise DimensionMismatch(
                 f"autocovariance lags must have shape (K+1, m, m), got {lags.shape}"
             )
-        w = np.linalg.eigvalsh(_refuse_asymmetric(lags[0], GRID_HERMITIAN_TOL, "R(0)"))
+        w = np.linalg.eigvalsh(_refuse_asymmetric(lags[0], "R(0)"))
         _refuse_indefinite(w, policy, "R(0)")
         if not np.isfinite(lags).all():
             raise ValueError("autocovariance lags must be finite")
@@ -298,7 +297,7 @@ class RationalSpectrum:
             raise DimensionMismatch(
                 f"ma coefficients must have shape (q+1, {m}, {m}), got {ma.shape}"
             )
-        w = np.linalg.eigvalsh(_refuse_asymmetric(q, GRID_HERMITIAN_TOL, "noise_cov"))
+        w = np.linalg.eigvalsh(_refuse_asymmetric(q, "noise_cov"))
         if float(w[0]) <= policy.floor_eps * float(np.abs(w).max()):
             raise NotPositiveDefinite(
                 f"noise_cov must be positive definite; min eigenvalue {float(w[0]):.6e}"

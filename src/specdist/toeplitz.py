@@ -27,7 +27,6 @@ __all__ = [
     "ConvergenceDiagnostic",
     "build_block_toeplitz",
     "convergence_diagnostic",
-    "default_horizons",
 ]
 
 #: Largest stacked dimension (i+1)*m the dense eigensolvers are asked for.
@@ -166,8 +165,9 @@ def convergence_diagnostic(
     limit.  Both floors are relative, so the verdict does not change when
     both processes are scaled by one factor.  A non-monotone tail (beyond
     round-off), or a fit more than ``1e-8 * s`` below a per-step value, flags
-    the fit as degenerate and emits
-    :class:`~specdist.errors.FitDegenerateWarning`; the run still completes.
+    the fit as degenerate and emits one
+    :class:`~specdist.errors.FitDegenerateWarning` naming the cause, the
+    non-monotone tail first; the run still completes.
 
     The default schedule refits the last three horizons after each horizon
     from the third on, and stops, at the fourth horizon at the earliest,
@@ -222,18 +222,20 @@ def convergence_diagnostic(
         raise NotPositiveDefinite("finite-horizon sequence contains non-finite values")
 
     limit, peak = _fit_tail(horizons, per_step), max(per_step)
-    degenerate = limit < peak - floor  # below a lower bound on the limit
+    cause = None
     if len(per_step) >= 3:
         v1, v2, v3 = per_step[-3:]
         s1, s2 = v2 - v1, v3 - v2
         noise = 1e-12 * max(abs(v1), abs(v2), abs(v3), 1e-300)
-        degenerate |= s1 * s2 < 0.0 and min(abs(s1), abs(s2)) > noise
-    if degenerate:
-        warnings.warn(
-            "finite-horizon tail is non-monotone; the 1/(i+1) "
-            "extrapolation may be unreliable",
-            FitDegenerateWarning,
-        )
+        if s1 * s2 < 0.0 and min(abs(s1), abs(s2)) > noise:
+            cause = ("finite-horizon tail is non-monotone; the 1/(i+1) "
+                     "extrapolation may be unreliable")
+    if cause is None and limit < peak - floor:
+        cause = (f"the 1/(i+1) tail fit {limit:.6e} lies below the per-step value "
+                 f"{peak:.6e}, a lower bound on the limit")
+    if cause is not None:
+        warnings.warn(cause, FitDegenerateWarning)
+    degenerate = cause is not None
     converged = abs(limit - spectral_target) <= tol and peak <= spectral_target + tol
     return ConvergenceDiagnostic(
         horizons=tuple(horizons),

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 import specdist.hermitian
-from specdist.hermitian import DEFAULT_POLICY, _factors, check_hermitian, coupling_trace, sqrt_psd_many
+from specdist.hermitian import (
+    DEFAULT_POLICY,
+    _factors,
+    _refuse_asymmetric,
+    coupling_trace,
+    sqrt_psd_many,
+)
 from specdist.spectra import GridSpectrum, RationalSpectrum, default_omegas
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -108,7 +114,7 @@ def rational_value(model, omega):
 
 def sqrt_psd(a, policy=DEFAULT_POLICY):
     """The library's principal root of one Hermitian PSD matrix."""
-    return sqrt_psd_many(check_hermitian(a)[None], policy)[0]
+    return sqrt_psd_many(_refuse_asymmetric(a, "matrix")[None], policy)[0]
 
 
 def factored_trace(a, b, policy=DEFAULT_POLICY):

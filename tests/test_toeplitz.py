@@ -1,6 +1,7 @@
 """Unit tests for the block-Toeplitz finite-horizon oracle."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -371,10 +372,16 @@ def above_the_target_then_exact(h):
 
 def test_a_fit_below_a_per_step_value_is_degenerate(monkeypatch):
     # The tail is monotone and its fit meets the target, but a value above
-    # target + tol is a lower bound on the limit above both.
+    # target + tol is a lower bound on the limit above both; the one
+    # warning names that cause, not a non-monotone tail.
     fake_sequence(monkeypatch, above_the_target_then_exact)
-    with pytest.warns(FitDegenerateWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         diag = convergence_diagnostic(ar1_acov(), white_acov(), (8, 16, 32, 64), 0.8)
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        FitDegenerateWarning,
+        "the 1/(i+1) tail fit 8.000000e-01 lies below the per-step value "
+        "9.000000e-01, a lower bound on the limit")]
     assert abs(diag.extrapolated_limit - 0.8) <= 1e-12
     assert not diag.converged and diag.fit_degenerate
 
